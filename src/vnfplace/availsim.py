@@ -11,11 +11,12 @@ from (seed, chunk index), so results are identical whether chunks run
 serially or across worker processes.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .model import (RESOURCES, IntegralSolution, ProblemInstance,
                     evaluate_solution, service_failure_prob)
@@ -64,8 +65,22 @@ def consistent_with_threshold(delivered: int, trials: int, failure_threshold: fl
     """
     if not 0 <= delivered <= trials:
         raise ValueError("delivered count outside [0, trials]")
-    allowed = stats.binom.ppf(confidence, trials, failure_threshold)
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
+    allowed = _binomial_quantile(confidence, trials, failure_threshold)
     return trials - delivered <= allowed
+
+
+def _binomial_quantile(q, n, p):
+    """Smallest k with P(Binomial(n, p) <= k) >= q, as scipy.stats.binom.ppf.
+
+    The inverse of the continuous extension of the CDF lands within one of
+    the answer; one CDF evaluation settles which.
+    """
+    if p == 0.0:
+        return 0
+    k = math.ceil(special.bdtrik(q, n, p))
+    return k - 1 if k > 0 and special.bdtr(k - 1, n, p) >= q else k
 
 
 def _chunk_counts(seed, chunk_index, size, eps_m, widths):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import gen
 from .bounds import compute_bound_report
@@ -77,7 +77,8 @@ def confidence_interval(samples, confidence: float = 0.95):
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return mean, 0.0
-    t = float(stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
+    # Student-t quantile; scipy.stats.t.ppf calls the same function
+    t = float(special.stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return mean, t * sem
 
 
@@ -442,7 +443,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _handle_run_error(cfg, points, cell, exc, failed):
     point_value = points[cell[0]]
     if cfg.on_error == "abort":
-        raise RuntimeError(
-            f"run {cell[1]} at sweep point {point_value} failed: {exc}"
-        ) from exc
+        # keep the class and its fields, which the CLI maps to an exit code
+        exc.args = (f"run {cell[1]} at sweep point {point_value} failed: {exc}",)
+        raise exc
     failed.append((point_value, cell[1], str(exc)))

@@ -1,24 +1,35 @@
 """Relaxed placement program and a self-contained simplex solver.
 
-``build_relaxed_program`` turns an instance into a box-constrained linear
-program: placement variables x[r,m] and admission variables y[r], all in
-[0, 1], with one redundancy row per request (placed copies of a served
-request must reach its replica count), one admission row per request, and
-one capacity row per node and resource.
+``build_relaxed_program`` turns an instance with R requests and M nodes into
+a box-constrained linear program: placement variables x[r,m] and admission
+variables y[r], all in [0, 1], with R + 4M rows: one redundancy row per
+request (placed copies of a served request must reach its replica count)
+and one capacity row per node and resource.  No row caps y[r] at 1, since
+its box already does.  The exact oracle builds its residual bounds with the
+same builder over a subset of the requests and the residual capacities.
 
 ``simplex_solve`` is a two-phase primal simplex on the revised tableau with
 bounded variables: nonbasic variables rest at a finite bound, the ratio test
 considers both bounds of every basic variable plus a bound flip of the
-entering variable, and artificial variables appear only for rows whose slack
-starts infeasible (the placement relaxation never needs any, since the
+entering variable, and artificial columns are allocated only for rows whose
+slack starts infeasible (the placement relaxation never needs any, since the
 all-zero point is feasible).  Entering variable: largest reduced cost,
 switching to Bland's smallest-index rule after a long degenerate streak.
-The basis inverse is maintained by eta updates and refactorized periodically.
+
+The constraint matrix is stored column-wise in plain numpy arrays, so
+pricing is one pass over the nonzeros and the entering column costs one
+small product with the basis inverse.  That inverse is a dense array,
+updated in place by a rank-1 BLAS update after each pivot and recomputed
+from scratch every 64 pivots.  The basic values are updated incrementally
+along each step, with the leaving variable pinned exactly at the bound it
+hit, and recomputed from the factorization whenever it is rebuilt.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .model import RESOURCES, FractionalSolution, ProblemInstance
 
@@ -29,6 +40,7 @@ LE = "<="
 GE = ">="
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+_DIRECTION = np.array([1.0, -1.0, 0.0])   # improving move, by status
 _REFACTOR_EVERY = 64
 _DEGENERATE_STREAK = 40
 
@@ -93,12 +105,12 @@ class LinearProgram:
     def add_row(self, coeffs, sense: str, rhs: float) -> None:
         if sense not in (LE, GE):
             raise ValueError(f"row sense must be {LE!r} or {GE!r}")
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("row rhs must be finite")
         for j, a in coeffs:
             if not 0 <= j < self.n_vars:
                 raise ValueError(f"row references unknown variable {j}")
-            if not np.isfinite(a):
+            if not math.isfinite(a):
                 raise ValueError("row coefficients must be finite")
         self.rows.append((list(coeffs), sense, float(rhs)))
 
@@ -108,37 +120,32 @@ class LinearProgram:
         return f"v{j}"
 
 
+def _placement_program(inst: ProblemInstance, req_ids, capacity) -> LinearProgram:
+    """Placement relaxation over the requests ``req_ids`` (in that order) with
+    ``capacity`` (resources x nodes, in RESOURCES order) as node capacities."""
+    M = inst.n_mecs
+    k = len(req_ids)
+    names = [f"x_{i}_{m}" for i in range(k) for m in range(M)]
+    names += [f"y_{i}" for i in range(k)]
+    lp = LinearProgram(n_vars=k * M + k, names=names, shape=(k, M))
+    for i, r in enumerate(req_ids):
+        lp.objective[k * M + i] = inst.requests[r].reward
+        # served requests must reach their replica count
+        coeffs = [(i * M + m, 1.0) for m in range(M)]
+        coeffs.append((k * M + i, -float(inst.replicas[r])))
+        lp.add_row(coeffs, GE, 0.0)
+    for res_idx, res in enumerate(RESOURCES):
+        demand = inst.demand_vector(res)
+        for m in range(M):
+            coeffs = [(i * M + m, float(demand[r])) for i, r in enumerate(req_ids)]
+            lp.add_row(coeffs, LE, float(capacity[res_idx, m]))
+    return lp
+
+
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     """Relax the placement problem: binary requirements become [0, 1] boxes."""
-    R, M = inst.n_requests, inst.n_mecs
-    n = R * M + R
-    objective = np.zeros(n)
-    names = [f"x_{r}_{m}" for r in range(R) for m in range(M)]
-    names += [f"y_{r}" for r in range(R)]
-
-    def xv(r, m):
-        return r * M + m
-
-    def yv(r):
-        return R * M + r
-
-    lp = LinearProgram(n_vars=n, objective=objective, names=names, shape=(R, M))
-    for r, req in enumerate(inst.requests):
-        lp.objective[yv(r)] = req.reward
-        # served requests must reach their replica count
-        coeffs = [(xv(r, m), 1.0) for m in range(M)]
-        coeffs.append((yv(r), -float(inst.replicas[r])))
-        lp.add_row(coeffs, GE, 0.0)
-    for r in range(R):
-        # admitted at most once (kept explicit although the box implies it)
-        lp.add_row([(yv(r), 1.0)], LE, 1.0)
-    for res in RESOURCES:
-        demand = inst.demand_vector(res)
-        cap = inst.capacity_vector(res)
-        for m in range(M):
-            coeffs = [(xv(r, m), float(demand[r])) for r in range(R)]
-            lp.add_row(coeffs, LE, float(cap[m]))
-    return lp
+    capacity = np.array([inst.capacity_vector(res) for res in RESOURCES])
+    return _placement_program(inst, range(inst.n_requests), capacity)
 
 
 @dataclass
@@ -149,73 +156,118 @@ class SimplexResult:
 
 
 class _BoundedSimplex:
-    """Dense working state for one solve; see the module docstring."""
+    """Column-sparse working state for one solve; see the module docstring.
+
+    Columns are the structural variables, one slack per row, then one
+    artificial per row whose slack starts infeasible.  They are stored as
+    column-wise arrays (``indptr``, ``indices``, ``data``, plus ``col_of``,
+    the column of every entry, for pricing), the basis inverse ``Binv`` as a
+    Fortran-ordered dense array, and the basic values ``xb`` incrementally.
+    """
 
     def __init__(self, lp, tol, pivot_floor, max_iterations):
         self.tol = tol
         self.pivot_floor = pivot_floor
-        m = len(lp.rows)
-        n = lp.n_vars
+        self.objective_coeffs = lp.objective
+        m, n = len(lp.rows), lp.n_vars
         self.m = m
         self.n_struct = n
         self.n_real = n + m            # structural + one slack per row
-        total = self.n_real + m        # + one artificial slot per row
-        self.A = np.zeros((m, total))
-        self.b = np.zeros(m)
-        self.lower = np.full(total, 0.0)
-        self.upper = np.full(total, np.inf)
-        self.lower[:n] = lp.lower
-        self.upper[:n] = lp.upper
-        for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-            for j, a in coeffs:
-                self.A[i, j] += a
-            self.A[i, n + i] = 1.0 if sense == LE else -1.0
-            self.b[i] = rhs
-        # artificial slots start fixed at zero; activated only when needed
-        self.upper[self.n_real:] = 0.0
-        self.max_iterations = max_iterations or (50 * (m + total) + 1000)
+        self.max_iterations = max_iterations or (50 * (3 * m + n) + 1000)
         self.iterations = 0
 
+        # structural entries, column by column; repeated entries add up
+        cols = np.array([j for coeffs, _, _ in lp.rows for j, _ in coeffs], dtype=np.intp)
+        vals = np.array([a for coeffs, _, _ in lp.rows for _, a in coeffs], dtype=float)
+        rows = np.repeat(np.arange(m), [len(coeffs) for coeffs, _, _ in lp.rows])
+        order = np.argsort(cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+
+        self.b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+        sigma = np.array([1.0 if sense == LE else -1.0 for _, sense, _ in lp.rows])
+        lower = lp.lower
+        resid = self.b - np.bincount(rows, weights=vals * lower[cols], minlength=m)
+        art_rows = np.flatnonzero(sigma * resid < 0.0)  # slack would start negative
+        art_signs = np.sign(resid[art_rows])
+        k = art_rows.size
+        total = self.n_real + k
+        slack_rows = np.arange(m)
+        self.indices = np.concatenate([rows, slack_rows, art_rows])
+        self.data = np.concatenate([vals, sigma, art_signs])
+        self.col_of = np.concatenate([cols, n + slack_rows, self.n_real + np.arange(k)])
+        self.indptr = np.zeros(total + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.col_of, minlength=total), out=self.indptr[1:])
+
+        self.lower = np.zeros(total)
+        self.upper = np.full(total, np.inf)
+        self.lower[:n] = lower
+        self.upper[:n] = lp.upper
+        self.artificials = self.n_real + np.arange(k)
+        self.basis = n + slack_rows
+        self.basis[art_rows] = self.artificials
         self.status = np.full(total, _AT_LOWER, dtype=np.int8)
-        self.basis = np.zeros(m, dtype=int)
-        self.Binv = np.eye(m)
+        self.status[self.basis] = _BASIC
+        # the starting basis is diagonal with +-1 entries, its own inverse
+        diagonal = sigma.copy()
+        diagonal[art_rows] = art_signs
+        self.Binv = np.asfortranarray(np.diag(diagonal))
+        self.xb = diagonal * (self.b - self._product(self._nonbasic_values()))
 
-    # -- setup ---------------------------------------------------------------
+    # -- sparse products -------------------------------------------------------
 
-    def _install_basis(self):
-        """Slack basis where feasible, artificial columns elsewhere."""
-        n = self.n_struct
-        struct_at_lower = self.lower[:n]
-        resid = self.b - self.A[:, :n] @ struct_at_lower
-        self.artificials = []
-        for i in range(self.m):
-            sigma = self.A[i, n + i]
-            slack_val = sigma * resid[i]   # slack coefficient is +-1
-            if slack_val >= 0.0:
-                self.basis[i] = n + i
-                self.status[n + i] = _BASIC
-            else:
-                art = self.n_real + i
-                self.A[i, art] = 1.0 if resid[i] >= 0 else -1.0
-                self.upper[art] = np.inf
-                self.basis[i] = art
-                self.status[art] = _BASIC
-                self.artificials.append(art)
-        self._refactorize()
+    def _product(self, v) -> np.ndarray:
+        """A @ v."""
+        return np.bincount(self.indices, weights=self.data * v[self.col_of],
+                           minlength=self.m)
+
+    def _transposed_product(self, y) -> np.ndarray:
+        """y @ A."""
+        return np.bincount(self.col_of, weights=y[self.indices] * self.data,
+                           minlength=self.status.size)
+
+    def _column(self, q) -> np.ndarray:
+        """FTRAN: Binv @ A[:, q]."""
+        lo, hi = self.indptr[q], self.indptr[q + 1]
+        return self.Binv[:, self.indices[lo:hi]] @ self.data[lo:hi]
+
+    def _reduced_costs(self, cost) -> np.ndarray:
+        return cost - self._transposed_product(cost[self.basis] @ self.Binv)
+
+    # -- basis -----------------------------------------------------------------
 
     def _refactorize(self):
+        """Invert the basis afresh and recompute the basic values from it."""
+        starts = self.indptr[self.basis]
+        lens = self.indptr[self.basis + 1] - starts
+        nz = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        basis_t = np.zeros((self.m, self.m))
+        np.add.at(basis_t, (np.repeat(np.arange(self.m), lens), self.indices[nz]),
+                  self.data[nz])
         try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
+            self.Binv = np.linalg.inv(basis_t).T   # Fortran-ordered for dger
         except np.linalg.LinAlgError as exc:
             raise NumericalInstabilityError("basis matrix is singular") from exc
+        v = self._nonbasic_values()
+        self.xb = self.Binv @ (self.b - self._product(v))
+
+    def _pivot(self, r, q, w):
+        """Column q replaces basis row r; w = Binv @ A[:, q] is consumed."""
+        self.basis[r] = q
+        pivot_row = self.Binv[r] / w[r]
+        w[r] -= 1.0
+        self.Binv = dger(-1.0, w, pivot_row, a=self.Binv, overwrite_a=True)
+        self.Binv[r] = pivot_row
 
     # -- state ---------------------------------------------------------------
 
-    def _values(self) -> np.ndarray:
+    def _nonbasic_values(self) -> np.ndarray:
         v = np.where(self.status == _AT_UPPER, self.upper, self.lower)
         v[self.basis] = 0.0
-        xb = self.Binv @ (self.b - self.A @ v)
-        v[self.basis] = xb
+        return v
+
+    def _values(self) -> np.ndarray:
+        v = self._nonbasic_values()
+        v[self.basis] = self.xb
         return v
 
     # -- core loop -----------------------------------------------------------
@@ -224,7 +276,7 @@ class _BoundedSimplex:
         """Run primal iterations for one phase; cost is maximized."""
         degenerate_streak = 0
         bland = False
-        fixed = self.upper - self.lower <= 0.0
+        movable = (self.upper - self.lower > 0.0).astype(float)
         since_refactor = 0
         while True:
             self.iterations += 1
@@ -232,33 +284,27 @@ class _BoundedSimplex:
                 raise IterationLimitError(
                     f"no optimum within {self.max_iterations} iterations"
                 )
-            v = self._values()
-            xb = v[self.basis]
-            duals = cost[self.basis] @ self.Binv
-            reduced = cost - duals @ self.A
-            improving = np.where(
-                self.status == _AT_LOWER, reduced > self.tol,
-                np.where(self.status == _AT_UPPER, reduced < -self.tol, False),
-            )
-            improving &= ~fixed
-            candidates = np.flatnonzero(improving)
-            if candidates.size == 0:
-                return
+            # positive exactly where moving off the current bound improves
+            gain = self._reduced_costs(cost) * _DIRECTION[self.status] * movable
             if bland:
+                candidates = np.flatnonzero(gain > self.tol)
+                if candidates.size == 0:
+                    return
                 q = int(candidates[0])
             else:
-                q = int(candidates[np.argmax(np.abs(reduced[candidates]))])
+                q = int(np.argmax(gain))
+                if gain[q] <= self.tol:
+                    return
 
-            w = self.Binv @ self.A[:, q]
+            w = self._column(q)
             direction = 1.0 if self.status[q] == _AT_LOWER else -1.0
             delta = direction * w          # basic values move as xb - t*delta
-            steps = np.full(self.m, np.inf)
-            lb = self.lower[self.basis]
-            ub = self.upper[self.basis]
-            pos = delta > self.pivot_floor
-            steps[pos] = (xb[pos] - lb[pos]) / delta[pos]
-            neg = (delta < -self.pivot_floor) & np.isfinite(ub)
-            steps[neg] = (xb[neg] - ub[neg]) / delta[neg]
+            xb = self.xb
+            # each basic value heads for the bound on its side of the move;
+            # an infinite upper bound yields an infinite step
+            bound = np.where(delta > 0.0, self.lower[self.basis], self.upper[self.basis])
+            steps = np.divide(xb - bound, delta, out=np.full(self.m, np.inf),
+                              where=np.abs(delta) > self.pivot_floor)
             np.maximum(steps, 0.0, out=steps)
 
             t_flip = self.upper[q] - self.lower[q]
@@ -270,6 +316,7 @@ class _BoundedSimplex:
                 # entering variable runs to its opposite bound; basis unchanged
                 self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
                 step = t_flip
+                xb -= step * delta
             else:
                 tie = np.flatnonzero(steps <= t_row + self.tol)
                 r = int(tie[np.argmax(np.abs(delta[tie]))])
@@ -277,18 +324,20 @@ class _BoundedSimplex:
                     raise NumericalInstabilityError(
                         f"pivot magnitude {abs(w[r]):.3e} below floor"
                     )
+                step = steps[r]
+                entering = (self.lower[q] + step if direction > 0
+                            else self.upper[q] - step)
+                # the leaving variable is pinned exactly at the bound it hit
                 leaving = self.basis[r]
                 self.status[leaving] = _AT_UPPER if delta[r] < 0 else _AT_LOWER
                 self.status[q] = _BASIC
-                self.basis[r] = q
-                pivot_row = self.Binv[r] / w[r]
-                self.Binv -= np.outer(w, pivot_row)
-                self.Binv[r] = pivot_row
+                xb -= step * delta
+                xb[r] = entering
+                self._pivot(r, q, w)
                 since_refactor += 1
                 if since_refactor >= _REFACTOR_EVERY:
                     self._refactorize()
                     since_refactor = 0
-                step = steps[r]
 
             if step <= self.tol:
                 degenerate_streak += 1
@@ -301,14 +350,12 @@ class _BoundedSimplex:
     # -- phases ---------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
-        self._install_basis()
-        total = self.A.shape[1]
-        if self.artificials:
+        total = self.status.size
+        if self.artificials.size:
             phase1_cost = np.zeros(total)
             phase1_cost[self.artificials] = -1.0
             self._optimize(phase1_cost)
-            v = self._values()
-            infeasibility = float(v[self.artificials].sum())
+            infeasibility = float(self._values()[self.artificials].sum())
             scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
             if infeasibility > self.tol * scale:
                 raise InfeasibleProgramError(
@@ -332,36 +379,26 @@ class _BoundedSimplex:
 
     def _retire_artificials(self):
         """Pin artificials to zero; pivot basic ones out where possible."""
-        for art in self.artificials:
-            self.lower[art] = self.upper[art] = 0.0
-            if self.status[art] != _BASIC:
-                self.status[art] = _AT_LOWER
-        for r in range(self.m):
-            art = self.basis[r]
-            if art < self.n_real:
-                continue
-            row = self.Binv[r] @ self.A[:, : self.n_real]
+        self.lower[self.artificials] = self.upper[self.artificials] = 0.0
+        for r in np.flatnonzero(self.basis >= self.n_real):
+            row = self._transposed_product(self.Binv[r])[: self.n_real]
             nonbasic = self.status[: self.n_real] != _BASIC
             usable = np.flatnonzero(nonbasic & (np.abs(row) > self.pivot_floor))
             if usable.size == 0:
                 continue  # dependent row; artificial stays basic at zero
             q = int(usable[0])
-            w = self.Binv @ self.A[:, q]
-            self.status[art] = _AT_LOWER
+            self.status[self.basis[r]] = _AT_LOWER
             self.status[q] = _BASIC
-            self.basis[r] = q
-            pivot_row = self.Binv[r] / w[r]
-            self.Binv -= np.outer(w, pivot_row)
-            self.Binv[r] = pivot_row
+            self._pivot(r, q, self._column(q))
+        self._refactorize()
 
     def _certify(self, cost, v):
         """Optimality and feasibility certificates on the final point."""
         scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        row_resid = self.A @ v - self.b
+        row_resid = self._product(v) - self.b
         if np.abs(row_resid).max(initial=0.0) > 1e-6 * scale:
             raise NumericalInstabilityError("final basis violates row equations")
-        duals = cost[self.basis] @ self.Binv
-        reduced = cost - duals @ self.A
+        reduced = self._reduced_costs(cost)
         bad_low = (self.status == _AT_LOWER) & (reduced > 10 * self.tol)
         bad_up = (self.status == _AT_UPPER) & (reduced < -10 * self.tol)
         movable = self.upper - self.lower > 0.0
@@ -378,9 +415,7 @@ def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
             if (sense == LE and rhs < 0) or (sense == GE and rhs > 0):
                 raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
-    solver = _BoundedSimplex(lp, tol, pivot_floor, max_iterations)
-    solver.objective_coeffs = lp.objective
-    return solver.solve()
+    return _BoundedSimplex(lp, tol, pivot_floor, max_iterations).solve()
 
 
 def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL, **kwargs) -> FractionalSolution:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import GE, LE, LinearProgram, build_relaxed_program, simplex_solve
+from .lp import _placement_program, build_relaxed_program, simplex_solve
 from .model import (RESOURCES, IntegralSolution, ProblemInstance, SolutionMetrics,
                     evaluate_solution)
 
@@ -64,20 +64,7 @@ class ExactResult:
 
 def _residual_upper_bound(req_ids, inst, residual):
     """Relaxed objective of the remaining requests under residual capacity."""
-    M = inst.n_mecs
-    k = len(req_ids)
-    n = k * M + k
-    lp = LinearProgram(n_vars=n)
-    for i, r in enumerate(req_ids):
-        lp.objective[k * M + i] = inst.requests[r].reward
-        coeffs = [(i * M + m, 1.0) for m in range(M)]
-        coeffs.append((k * M + i, -float(inst.replicas[r])))
-        lp.add_row(coeffs, GE, 0.0)
-    for res_idx, res in enumerate(RESOURCES):
-        demand = inst.demand_vector(res)
-        for m in range(M):
-            coeffs = [(i * M + m, float(demand[r])) for i, r in enumerate(req_ids)]
-            lp.add_row(coeffs, LE, max(0.0, float(residual[res_idx, m])))
+    lp = _placement_program(inst, req_ids, np.maximum(residual, 0.0))
     return simplex_solve(lp).objective
 
 

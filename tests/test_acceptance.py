@@ -6,6 +6,7 @@ gate can be read off a plain pytest -s run.  Shared heavyweight artifacts
 ensemble) are built once per session.
 """
 
+import math
 import time
 
 import numpy as np
@@ -161,7 +162,9 @@ class TestAcceptance:
         worst_excess = -np.inf
         for res, samples in loads.items():
             lp_load = inst.demand_vector(res) @ frac.x
-            mean = samples.mean(axis=0)
+            # exact summation: a load that is the same in every sample has
+            # se ~ 1e-14, below the float error of a pairwise-summed mean
+            mean = np.array([math.fsum(column) for column in samples.T]) / n
             se = samples.std(axis=0, ddof=1) / np.sqrt(n)
             excess = np.max((mean - lp_load) / np.where(se > 0, se, 1.0))
             worst_excess = max(worst_excess, float(excess))

@@ -5,6 +5,7 @@ from scipy import stats
 from helpers import make_instance, slack_caps
 from vnfplace.availsim import (
     MIN_TRIALS,
+    _binomial_quantile,
     consistent_with_threshold,
     simulate_availability,
 )
@@ -42,6 +43,18 @@ class TestThresholdTest:
             consistent_with_threshold(-1, 100, 0.01)
         with pytest.raises(ValueError):
             consistent_with_threshold(101, 100, 0.01)
+
+    def test_bad_confidence_rejected(self):
+        with pytest.raises(ValueError):
+            consistent_with_threshold(100, 100, 0.01, confidence=1.0)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_quantile_matches_scipy_stats_on_grid(self, confidence):
+        for trials in (1, 10, 1000, 4096, 100_000, 131_072):
+            for eps in (1e-6, 1e-4, 1e-3, 0.0095, 0.01, 0.05, 0.3, 0.5, 0.99):
+                allowed = stats.binom.ppf(confidence, trials, eps)
+                assert _binomial_quantile(confidence, trials, eps) == allowed, \
+                    (trials, eps)
 
 
 class TestSimulation:

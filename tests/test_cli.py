@@ -144,6 +144,17 @@ class TestExperiment:
         for name in ("summary.csv", "runs.csv", "timings.csv"):
             assert (out_dir / name).exists()
 
+    def test_oracle_budget_abort_exits_4(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "exp.yaml", {
+            "schemes": ["exact"], "request_counts": [6], "runs": 2,
+            "generator": {"mec_count": 3}, "oracle_limits": {"max_nodes": 1},
+        })
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "failed: node budget 1 exhausted" in err
+        assert "Traceback" not in err
+
     def test_bad_experiment_config_exits_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "exp.yaml", {"sweep": "nonsense"})
         assert main(["experiment", "--config", cfg,

@@ -15,7 +15,7 @@ from vnfplace.experiments import (
     run_experiment,
 )
 from vnfplace.gen import GeneratorConfig
-from vnfplace.oracle import OracleLimits
+from vnfplace.oracle import OracleLimitError, OracleLimits
 
 
 def tiny_config(**overrides):
@@ -68,6 +68,15 @@ class TestConfidenceInterval:
                                   loc=np.mean(vals), scale=stats.sem(vals))
         assert mean == pytest.approx((lo + hi) / 2)
         assert half == pytest.approx((hi - lo) / 2)
+
+    def test_quantile_matches_scipy_stats_on_grid(self):
+        rng = np.random.default_rng(5)
+        for n in list(range(2, 40)) + [100, 1000]:
+            vals = rng.normal(size=n)
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                _, half = confidence_interval(vals, confidence)
+                t = stats.t.ppf(0.5 + confidence / 2.0, n - 1)
+                assert half == t * (vals.std(ddof=1) / np.sqrt(n)), (n, confidence)
 
     def test_zero_variance(self):
         assert confidence_interval([4.0, 4.0, 4.0]) == (4.0, 0.0)
@@ -198,6 +207,14 @@ class TestRunExperiment:
                           oracle_limits=OracleLimits(max_nodes=2))
         with pytest.raises(RuntimeError, match="failed"):
             run_experiment(cfg)
+
+    def test_abort_keeps_the_error_class_and_fields(self):
+        cfg = tiny_config(request_counts=(6,), schemes=("exact",),
+                          oracle_limits=OracleLimits(max_nodes=2))
+        with pytest.raises(OracleLimitError, match="run 0 at sweep point 6") as info:
+            run_experiment(cfg)
+        assert info.value.nodes == 3
+        assert info.value.incumbent is not None
 
     def test_oracle_budget_exclude_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("lr", "exact"),

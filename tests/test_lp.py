@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import make_instance, slack_caps
 from reference import vertex_enumeration_max
@@ -11,6 +12,7 @@ from vnfplace.lp import (
     IterationLimitError,
     LinearProgram,
     UnboundedProgramError,
+    _BoundedSimplex,
     build_relaxed_program,
     lp_format,
     simplex_solve,
@@ -28,8 +30,8 @@ class TestProgramConstruction:
         lp = build_relaxed_program(inst)
         # 3 requests * 2 nodes placement vars + 3 admission vars
         assert lp.n_vars == 9
-        # 3 redundancy + 3 admission + 4 resources * 2 nodes
-        assert len(lp.rows) == 14
+        # 3 redundancy + 4 resources * 2 nodes (the box already caps y at 1)
+        assert len(lp.rows) == 11
         # redundancy row for request 1 (needs 2 replicas): x_{1,0}+x_{1,1} - 2 y_1 >= 0
         coeffs, sense, rhs = lp.rows[1]
         assert sense == GE and rhs == 0.0
@@ -185,6 +187,82 @@ class TestSimplexCore:
         result = simplex_solve(lp)
         assert result.objective == pytest.approx(3.0, abs=1e-7)
         assert result.values[0] == pytest.approx(1.0, abs=1e-7)
+
+
+def highs_solve(lp):
+    """Status ("optimal", "infeasible" or "unbounded") and objective of the
+    program under scipy's HiGHS, as an independent reference."""
+    A = np.zeros((len(lp.rows), lp.n_vars))
+    b = np.zeros(len(lp.rows))
+    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
+        sign = 1.0 if sense == LE else -1.0
+        for j, a in coeffs:
+            A[i, j] += sign * a
+        b[i] = sign * rhs
+    res = linprog(-lp.objective, A_ub=A if lp.rows else None,
+                  b_ub=b if lp.rows else None,
+                  bounds=[(lo, None if np.isinf(hi) else hi)
+                          for lo, hi in zip(lp.lower, lp.upper)],
+                  method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if res.status == 0 else None)
+
+
+def random_box_program(rng):
+    """Box LP whose >= rows mostly start with infeasible slacks, so it needs
+    artificials and phase 1; some are infeasible and some unbounded."""
+    n = int(rng.integers(3, 12))
+    m = int(rng.integers(2, 10))
+    upper = rng.uniform(1.0, 4.0, size=n)
+    upper[rng.random(n) < 0.1] = np.inf
+    lp = LinearProgram(n_vars=n, objective=rng.uniform(-3, 5, size=n),
+                       lower=rng.uniform(-1.0, 0.5, size=n), upper=upper)
+    for _ in range(m):
+        coeffs = [(j, float(rng.uniform(-2, 3))) for j in range(n)
+                  if rng.random() < 0.6] or [(0, 1.0)]
+        if rng.random() < 0.5:
+            lp.add_row(coeffs, GE, float(rng.uniform(0.5, 6)))
+        else:
+            lp.add_row(coeffs, LE, float(rng.uniform(-1, 8)))
+    return lp
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("requests,mecs", [(50, 10), (100, 10), (200, 20)])
+    def test_placement_objective_matches(self, requests, mecs):
+        inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs,
+                                        seed=requests + mecs))
+        lp = build_relaxed_program(inst)
+        assert len(lp.rows) == requests + 4 * mecs
+        status, expected = highs_solve(lp)
+        assert status == "optimal"
+        assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
+
+    def test_placement_program_needs_no_artificials(self):
+        inst = generate(GeneratorConfig(request_count=50, seed=1))
+        solver = _BoundedSimplex(build_relaxed_program(inst), 1e-7, 1e-10, None)
+        assert solver.artificials.size == 0
+
+    def test_random_box_programs_with_phase_one(self):
+        rng = np.random.default_rng(31)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        phase_one = 0
+        for _ in range(150):
+            lp = random_box_program(rng)
+            status, expected = highs_solve(lp)
+            seen[status] += 1
+            if status == "optimal":
+                phase_one += _BoundedSimplex(lp, 1e-7, 1e-10, None).artificials.size > 0
+                assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
+            elif status == "infeasible":
+                with pytest.raises(InfeasibleProgramError):
+                    simplex_solve(lp)
+            else:
+                with pytest.raises(UnboundedProgramError):
+                    simplex_solve(lp)
+        assert seen["optimal"] >= 40 and seen["infeasible"] >= 10
+        assert seen["unbounded"] >= 5
+        assert phase_one >= 20
 
 
 class TestFormatting:
