@@ -36,11 +36,8 @@ def violation_factor(frac: FractionalSolution, inst: ProblemInstance,
         raise UndefinedBoundError(
             f"{resource} load on mec {mec_id} is zero in the relaxation"
         )
-    R = inst.n_requests
-    delta = 3.0 * math.log(R) / mu + 3.0
-    factor = 1.0 + delta
-    assert abs(factor - (3.0 * math.log(R) / mu + 4.0)) < 1e-9
-    return factor
+    delta = 3.0 * math.log(inst.n_requests) / mu + 3.0
+    return 1.0 + delta
 
 
 def objective_bound_factor(frac: FractionalSolution, inst: ProblemInstance) -> float:

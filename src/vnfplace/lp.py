@@ -5,8 +5,7 @@ a box-constrained linear program: placement variables x[r,m] and admission
 variables y[r], all in [0, 1], with R + 4M rows: one redundancy row per
 request (placed copies of a served request must reach its replica count)
 and one capacity row per node and resource.  No row caps y[r] at 1, since
-its box already does.  The exact oracle builds its residual bounds with the
-same builder over a subset of the requests and the residual capacities.
+its box already does.
 
 ``simplex_solve`` is a two-phase primal simplex on the revised tableau with
 bounded variables: nonbasic variables rest at a finite bound, the ratio test
@@ -120,32 +119,21 @@ class LinearProgram:
         return f"v{j}"
 
 
-def _placement_program(inst: ProblemInstance, req_ids, capacity) -> LinearProgram:
-    """Placement relaxation over the requests ``req_ids`` (in that order) with
-    ``capacity`` (resources x nodes, in RESOURCES order) as node capacities."""
-    M = inst.n_mecs
-    k = len(req_ids)
-    names = [f"x_{i}_{m}" for i in range(k) for m in range(M)]
-    names += [f"y_{i}" for i in range(k)]
-    lp = LinearProgram(n_vars=k * M + k, names=names, shape=(k, M))
-    for i, r in enumerate(req_ids):
-        lp.objective[k * M + i] = inst.requests[r].reward
-        # served requests must reach their replica count
-        coeffs = [(i * M + m, 1.0) for m in range(M)]
-        coeffs.append((k * M + i, -float(inst.replicas[r])))
-        lp.add_row(coeffs, GE, 0.0)
-    for res_idx, res in enumerate(RESOURCES):
-        demand = inst.demand_vector(res)
-        for m in range(M):
-            coeffs = [(i * M + m, float(demand[r])) for i, r in enumerate(req_ids)]
-            lp.add_row(coeffs, LE, float(capacity[res_idx, m]))
-    return lp
-
-
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     """Relax the placement problem: binary requirements become [0, 1] boxes."""
-    capacity = np.array([inst.capacity_vector(res) for res in RESOURCES])
-    return _placement_program(inst, range(inst.n_requests), capacity)
+    R, M = inst.n_requests, inst.n_mecs
+    names = [f"x_{r}_{m}" for r in range(R) for m in range(M)] + [f"y_{r}" for r in range(R)]
+    objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
+    lp = LinearProgram(n_vars=R * M + R, objective=objective, names=names, shape=(R, M))
+    for r in range(R):
+        # served requests must reach their replica count
+        coeffs = [(r * M + m, 1.0) for m in range(M)] + [(R * M + r, -float(inst.replicas[r]))]
+        lp.add_row(coeffs, GE, 0.0)
+    for res in RESOURCES:
+        demand, cap = inst.demand_vector(res), inst.capacity_vector(res)
+        for m in range(M):
+            lp.add_row([(r * M + m, float(demand[r])) for r in range(R)], LE, float(cap[m]))
+    return lp
 
 
 @dataclass

@@ -98,13 +98,9 @@ class FailureModel:
 
 
 def service_failure_prob(fm: FailureModel) -> float:
-    """Probability that one hosted copy fails: vnf_failure + pm_failure."""
-    total = fm.vnf_failure + fm.pm_failure
-    if not 0.0 < total < 1.0:
-        raise InvalidModelError(
-            f"combined failure probability {total} must lie strictly in (0, 1)"
-        )
-    return total
+    """Probability that one hosted copy fails: vnf_failure + pm_failure.
+    ``FailureModel`` is frozen and checked on construction to lie in (0, 1)."""
+    return fm.vnf_failure + fm.pm_failure
 
 
 def required_replicas(fm: FailureModel, failure_threshold: float) -> int:

@@ -4,12 +4,16 @@ Served requests never benefit from copies beyond their replica count (extra
 copies consume capacity and add no reward), so the search enumerates, per
 request, either "unserved" or one exactly-replica-count subset of nodes.
 Requests are visited in reward-descending order; serve branches precede the
-drop branch, node subsets in lexicographic order.
+drop branch, node subsets in lexicographic order.  Among nodes with exactly
+equal residual capacities a subset may take only the lowest-indexed ones, the
+lexicographically smallest of its symmetry class: the result is unchanged.
 
 Two modes share that skeleton: ``exhaustive`` prunes only with the remaining
-reward sum, ``branch_and_bound`` (the default) additionally prunes with the
-relaxed objective of the residual program.  Both respect a node budget and
-raise ``OracleLimitError`` carrying the best incumbent when it runs out.
+reward sum, ``branch_and_bound`` (the default) also with an O(4R) bound: per
+resource, a fractional knapsack of the undecided requests (weight psi times
+demand) in the summed residual capacity, counting a request only while psi
+nodes can each still hold a copy of it.  Both respect a node budget and raise
+``OracleLimitError`` carrying the best incumbent when it runs out.
 
 The module also hosts the availability-blind baseline helpers: strip an
 instance down to single-copy requirements, and re-evaluate a solution against
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import _placement_program, build_relaxed_program, simplex_solve
+from .lp import build_relaxed_program, simplex_solve
 from .model import (RESOURCES, IntegralSolution, ProblemInstance, SolutionMetrics,
                     evaluate_solution)
 
@@ -62,10 +66,26 @@ class ExactResult:
     mode: str
 
 
-def _residual_upper_bound(req_ids, inst, residual):
-    """Relaxed objective of the remaining requests under residual capacity."""
-    lp = _placement_program(inst, req_ids, np.maximum(residual, 0.0))
-    return simplex_solve(lp).objective
+class _KnapsackBound:
+    """The branch-and-bound mode's bound on the reward reachable from search
+    depth k; requests are given in search order (see the module docstring)."""
+
+    def __init__(self, rewards, demand, psi):
+        weight = psi * demand                                    # (4, R)
+        self.by_density = np.argsort(-rewards / weight, axis=1, kind="stable")
+        self.weight = np.take_along_axis(weight, self.by_density, axis=1)
+        self.value = rewards[self.by_density]
+        self.fit_floor = demand - 1e-12    # a copy fits up to float dust
+        self.psi = psi
+
+    def __call__(self, k, residual):
+        fits = (residual[:, None, :] >= self.fit_floor[:, k:, None]).all(axis=0)
+        eligible = np.zeros(self.psi.size, dtype=bool)
+        eligible[k:] = fits.sum(axis=1) >= self.psi[k:]
+        w = np.where(eligible[self.by_density], self.weight, 0.0)
+        room = np.maximum(residual, 0.0).sum(axis=1)[:, None]
+        part = np.clip((room - np.cumsum(w, axis=1) + w) / self.weight, 0.0, 1.0)
+        return (part * (w > 0) * self.value).sum(axis=1).min()
 
 
 def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
@@ -78,47 +98,35 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
     R, M = inst.n_requests, inst.n_mecs
     rewards = inst.reward_vector()
     order = sorted(range(R), key=lambda r: (-rewards[r], r))
-    suffix = np.zeros(R + 1)
-    for k in range(R - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + rewards[order[k]]
+    suffix = np.append(np.cumsum(rewards[order][::-1])[::-1], 0.0)  # reward from k on
 
-    demand = np.array([inst.demand_vector(res) for res in RESOURCES])   # (4, R)
-    capacity = np.array([inst.capacity_vector(res) for res in RESOURCES])  # (4, M)
-    choices = {
-        r: list(itertools.combinations(range(M), inst.replicas[r]))
-        for r in range(R)
-    }
+    # column k of each (resource, request) array describes request order[k]
+    demand = np.array([inst.demand_vector(res) for res in RESOURCES])[:, order]
+    psi = inst.replica_vector()[order]
+    bound = _KnapsackBound(rewards[order], demand, psi)
+    choices = [list(itertools.combinations(range(M), int(n))) for n in psi]
 
-    best_val = 0.0
-    best_assign = [None] * R
-    assign = [None] * R
-    state = {"nodes": 0}
-    use_lp = mode == "branch_and_bound"
-    root_bound = suffix[0]
-    if use_lp and R:
-        root_bound = min(root_bound, simplex_solve(build_relaxed_program(inst)).objective)
+    best_val, best_assign, assign, nodes = 0.0, [None] * R, [None] * R, 0
+    use_bound = mode == "branch_and_bound"
 
     def build_solution(assignment):
         sol = IntegralSolution.empty(inst)
         for r, combo in enumerate(assignment):
-            if combo is None:
-                continue
-            sol.y[r] = 1
-            for m in combo:
-                sol.x[r, m] = 1
+            if combo is not None:
+                sol.y[r] = 1
+                sol.x[r, list(combo)] = 1
         return sol
 
     def dfs(k, residual, current):
-        nonlocal best_val, best_assign
-        state["nodes"] += 1
-        if state["nodes"] > limits.max_nodes:
-            raise OracleLimitError(
-                f"node budget {limits.max_nodes} exhausted",
-                incumbent=build_solution(best_assign),
-                objective=best_val,
-                upper_bound=root_bound,
-                nodes=state["nodes"],
-            )
+        nonlocal best_val, best_assign, nodes
+        nodes += 1
+        if nodes > limits.max_nodes:
+            upper = suffix[0]
+            if use_bound:
+                upper = min(upper, simplex_solve(build_relaxed_program(inst)).objective)
+            raise OracleLimitError(f"node budget {limits.max_nodes} exhausted",
+                                   incumbent=build_solution(best_assign), objective=best_val,
+                                   upper_bound=upper, nodes=nodes)
         if k == R:
             if current > best_val + _PRUNE_EPS:
                 best_val = current
@@ -126,30 +134,33 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
             return
         if current + suffix[k] <= best_val + _PRUNE_EPS:
             return
-        if use_lp:
-            bound = current + _residual_upper_bound(order[k:], inst, residual)
-            if bound <= best_val + _PRUNE_EPS:
-                return
+        if use_bound and current + bound(k, residual) <= best_val + _PRUNE_EPS:
+            return
+        fits = (residual >= bound.fit_floor[:, k, None]).all(axis=0).tolist()
+        # twin[m]: the nearest lower-indexed node whose residual equals m's
+        seen, twin = {}, []
+        for m, col in enumerate(map(tuple, residual.T.tolist())):
+            twin.append(seen.get(col, -1))
+            seen[col] = m
         r = order[k]
-        need = demand[:, r]
-        for combo in choices[r]:
-            cols = list(combo)
-            if (residual[:, cols] >= need[:, None] - 1e-12).all():
+        for combo in choices[k]:
+            # among twins, only the lowest-indexed ones may be picked
+            if all(fits[m] and (twin[m] < 0 or twin[m] in combo) for m in combo):
                 assign[r] = combo
-                residual[:, cols] -= need[:, None]
-                dfs(k + 1, residual, current + rewards[r])
-                residual[:, cols] += need[:, None]
+                child = residual.copy()
+                child[:, combo] -= demand[:, k, None]
+                dfs(k + 1, child, current + rewards[r])
                 assign[r] = None
         dfs(k + 1, residual, current)
 
     if R:
-        dfs(0, capacity.copy(), 0.0)
+        dfs(0, np.array([inst.capacity_vector(res) for res in RESOURCES]), 0.0)
     solution = build_solution(best_assign)
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:
         raise RuntimeError("oracle produced an infeasible solution")
     return ExactResult(solution=solution, objective=best_val,
-                       nodes=state["nodes"], mode=mode)
+                       nodes=nodes, mode=mode)
 
 
 def strip_availability(inst: ProblemInstance) -> ProblemInstance:

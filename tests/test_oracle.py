@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -7,9 +9,11 @@ from helpers import make_instance, slack_caps
 from reference import exhaustive_any_subset_optimum
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
-from vnfplace.model import IntegralSolution, evaluate_solution
+from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
+                            evaluate_solution)
 from vnfplace.oracle import (
     ExactResult,
+    _KnapsackBound,
     OracleLimitError,
     OracleLimits,
     evaluate_with_true_replicas,
@@ -115,6 +119,140 @@ class TestSolveExact:
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):
             OracleLimits(max_nodes=0).validate()
+
+
+def residual_instance(inst, req_ids, residual):
+    """The requests ``req_ids`` alone, on nodes holding ``residual`` capacity."""
+    mecs = [MecNode(m, *np.maximum(residual[:, m], 1e-9)) for m in range(inst.n_mecs)]
+    requests = [dataclasses.replace(inst.requests[r], id=i) for i, r in enumerate(req_ids)]
+    return ProblemInstance(mecs=mecs, requests=requests, failure_model=inst.failure_model,
+                           replicas=[inst.replicas[r] for r in req_ids])
+
+
+class TestKnapsackBound:
+    def test_bound_covers_the_residual_optimum(self):
+        # random partial assignments: the bound over the undecided requests
+        # must reach their optimum under the residual capacities
+        rng = np.random.default_rng(2024)
+        below_reward_sum = 0
+        for seed in range(40):
+            inst = generate(GeneratorConfig(
+                mec_count=int(rng.integers(2, 4)), request_count=6,
+                cpu_range=(10, 18), ram_range=(14, 24),
+                uplink_capacity=float(rng.uniform(25.0, 50.0)),
+                downlink_capacity=float(rng.uniform(80.0, 160.0)), seed=seed,
+            ))
+            R, M = inst.n_requests, inst.n_mecs
+            demand = np.array([inst.demand_vector(res) for res in RESOURCES])
+            residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
+            order = rng.permutation(R)
+            k = int(rng.integers(2, R))
+            for r in order[:k]:
+                fitting = [list(c) for c in itertools.combinations(range(M), inst.replicas[r])
+                           if (residual[:, list(c)] >= demand[:, r, None]).all()]
+                if fitting and rng.random() < 0.7:
+                    residual[:, fitting[rng.integers(len(fitting))]] -= demand[:, r, None]
+            rewards, psi = inst.reward_vector(), inst.replica_vector()
+            bound = _KnapsackBound(rewards[order], demand[:, order], psi[order])(k, residual)
+            want = exhaustive_any_subset_optimum(residual_instance(inst, order[k:], residual))
+            assert bound >= want - 1e-9
+            below_reward_sum += bound < rewards[order[k:]].sum() - 1e-9
+        assert below_reward_sum >= 20   # the bound is tighter than the reward sum
+
+    def test_request_without_enough_fitting_nodes_adds_nothing(self):
+        # two copies needed, one node: the summed capacity would admit it
+        inst = make_instance(caps=[{"c": 10}], reqs=[{"c": 3, "eps": 0.001, "reward": 7.0}])
+        demand = np.array([inst.demand_vector(res) for res in RESOURCES])
+        residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
+        bound = _KnapsackBound(inst.reward_vector(), demand, inst.replica_vector())
+        assert bound(0, residual) == 0.0
+        assert bound(0, 2 * residual) == 0.0
+
+    def test_budget_error_reports_the_relaxed_optimum(self):
+        inst = generate(small_config(4))
+        with pytest.raises(OracleLimitError) as excinfo:
+            solve_exact(inst, limits=OracleLimits(max_nodes=3))
+        relaxed = solve_lp(build_relaxed_program(inst)).objective
+        assert excinfo.value.upper_bound == pytest.approx(
+            min(inst.reward_vector().sum(), relaxed), rel=1e-12)
+
+
+def placement_rows(sol):
+    return ["".join(map(str, row)) for row in sol.x.tolist()]
+
+
+def hetero_config(seed):
+    return GeneratorConfig(mec_count=3, request_count=9, cpu_range=(10, 20),
+                           ram_range=(14, 26), uplink_capacity=45.0,
+                           downlink_capacity=150.0, seed=seed)
+
+
+def identical_config(seed):
+    return GeneratorConfig(mec_count=4, request_count=8, cpu_range=(14, 14),
+                           ram_range=(20, 20), uplink_capacity=40.0,
+                           downlink_capacity=130.0, seed=seed)
+
+
+class TestNodeSymmetry:
+    def test_identical_nodes_are_searched_once(self):
+        # a twin whose capacities differ by 1e-9 m has no interchangeable nodes
+        for seed in range(3):
+            inst = generate(dataclasses.replace(identical_config(seed), request_count=7))
+            mecs = [dataclasses.replace(node, **{f"{res}_capacity": node.capacity(res) + 1e-9 * m
+                                                 for res in RESOURCES})
+                    for m, node in enumerate(inst.mecs)]
+            twin = ProblemInstance(mecs=mecs, requests=inst.requests,
+                                   failure_model=inst.failure_model, replicas=inst.replicas)
+            for mode in ("branch_and_bound", "exhaustive"):
+                same, perturbed = solve_exact(inst, mode=mode), solve_exact(twin, mode=mode)
+                assert same.objective == perturbed.objective
+                assert (same.solution.x == perturbed.solution.x).all()
+                assert same.nodes < perturbed.nodes
+
+
+# optimum and placement rows (one 0/1 digit per node) as found by the search
+# with a simplex bound per node and no symmetry rule, in both modes
+PINNED = [
+    (hetero_config(11), 28.90696567032899,
+     ["000", "000", "010", "000", "101", "000", "001", "000", "010"]),
+    (hetero_config(12), 22.739974384698996,
+     ["000", "110", "101", "000", "000", "000", "011", "000", "000"]),
+    (hetero_config(13), 29.18794913450685,
+     ["000", "000", "001", "000", "000", "100", "110", "000", "001"]),
+    (identical_config(21), 36.54308142168607,
+     ["1100", "0000", "0010", "0000", "0000", "0001", "1100", "0011"]),
+    (identical_config(22), 35.47010574756578,
+     ["0000", "0010", "1100", "0001", "0011", "0000", "0000", "1100"]),
+    (identical_config(23), 29.374977556781687,
+     ["0011", "0000", "0000", "0000", "0110", "1100", "0000", "1000"]),
+]
+
+# the 14-request, 4-node fixed-capacity instance below, as solved by the
+# exhaustive search without the symmetry rule (4.1 million nodes)
+FIXED_14X4_OPTIMUM = 57.9053707857995
+FIXED_14X4_ROWS = ["0000", "1000", "0000", "0000", "0011", "1000", "1100",
+                   "0000", "0110", "0000", "0000", "0001", "0001", "0110"]
+
+
+class TestRegressionPins:
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "exhaustive"])
+    @pytest.mark.parametrize("cfg, objective, rows", PINNED,
+                             ids=[f"{len(rows[0])}x{cfg.seed}" for cfg, _, rows in PINNED])
+    def test_pinned_optimum_and_placement(self, cfg, objective, rows, mode):
+        result = solve_exact(generate(cfg), mode=mode)
+        assert result.objective == pytest.approx(objective, abs=1e-9)
+        assert placement_rows(result.solution) == rows
+
+    def test_fixed_capacity_14x4_within_default_budget(self):
+        inst = generate(GeneratorConfig(
+            mec_count=4, request_count=14, cpu_range=(20, 20), ram_range=(24, 24),
+            uplink_capacity=60.0, downlink_capacity=200.0, seed=0,
+        ))
+        result = solve_exact(inst)
+        assert result.nodes <= OracleLimits().max_nodes
+        assert result.objective == pytest.approx(FIXED_14X4_OPTIMUM, abs=1e-9)
+        assert placement_rows(result.solution) == FIXED_14X4_ROWS
+        assert evaluate_solution(inst, result.solution).feasible
 
 
 class TestBaselineHelpers:
