@@ -19,8 +19,8 @@ from .gen import GeneratorConfig, UpfCatalog, generate
 from .lp import (InfeasibleProgramError, IterationLimitError, LinearProgram,
                  NumericalInstabilityError, SimplexError, UnboundedProgramError,
                  build_relaxed_program, lp_format, simplex_solve, solve_lp)
-from .model import (FailureModel, FractionalSolution, IntegralSolution,
-                    InvalidModelError, MecNode, ProblemInstance, RESOURCES,
+from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
+                    IntegralSolution, InvalidModelError, MecNode, ProblemInstance, RESOURCES,
                     ServiceRequest, SolutionMetrics, evaluate_solution,
                     instance_from_dict, instance_to_dict, load_instance,
                     load_solution, required_replicas, save_instance,

@@ -8,9 +8,16 @@ The simulation accepts solutions that are short of their replica counts
 
 Trials are simulated in fixed-size chunks, each drawn from a stream derived
 from (seed, chunk index), so results are identical whether chunks run
-serially or across worker processes.
+serially or across worker processes.  A chunk draws its (trials, copies)
+uniforms in row blocks of about 4 MB, into buffers reused from block to
+block, so its memory stays fixed whatever the trial count; the stream fills
+rows in order, so the blocks consume exactly the draws one full matrix
+would, and the counts are the same.  Per block, the failure test runs once
+over all copies, and requests with the same number of copies k are counted
+together: k column gathers, one per copy, ANDed and summed per request.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +30,7 @@ from .model import (RESOURCES, IntegralSolution, ProblemInstance,
 
 MIN_TRIALS = 1000
 _CHUNK = 1 << 15
+_BLOCK_BYTES = 1 << 22    # uniforms drawn per row block, about 4 MB of float64
 
 
 @dataclass
@@ -71,11 +79,13 @@ def consistent_with_threshold(delivered: int, trials: int, failure_threshold: fl
     return trials - delivered <= allowed
 
 
+@functools.lru_cache(maxsize=256)
 def _binomial_quantile(q, n, p):
     """Smallest k with P(Binomial(n, p) <= k) >= q, as scipy.stats.binom.ppf.
 
     The inverse of the continuous extension of the CDF lands within one of
-    the answer; one CDF evaluation settles which.
+    the answer; one CDF evaluation settles which.  Cached: a simulation
+    tests every request at the same trial count, against a few thresholds.
     """
     if p == 0.0:
         return 0
@@ -86,15 +96,26 @@ def _binomial_quantile(q, n, p):
 def _chunk_counts(seed, chunk_index, size, eps_m, widths):
     """Delivered counts per request for one chunk of trials."""
     rng = np.random.default_rng([seed, chunk_index])
-    total = int(sum(widths))
-    draws = rng.random((size, total)) < eps_m   # True = copy failed
-    counts = np.zeros(len(widths), dtype=np.int64)
-    col = 0
-    for i, k in enumerate(widths):
-        if k:
-            counts[i] = size - int(draws[:, col:col + k].all(axis=1).sum())
-        col += k
-    return counts
+    widths = np.asarray(widths, dtype=np.int64)
+    total = int(widths.sum())
+    first = np.cumsum(widths) - widths          # column of each request's first copy
+    groups = [(k, np.flatnonzero(widths == k)) for k in np.unique(widths[widths > 0])]
+    failures = np.zeros(widths.size, dtype=np.int64)
+    rows = min(size, max(1, _BLOCK_BYTES // (8 * max(total, 1))))
+    uniforms, failed_buf = np.empty((rows, total)), np.empty((rows, total), dtype=bool)
+    for lo in range(0, size, rows):
+        n = min(rows, size - lo)
+        # the row-major stream fills consecutive row blocks as it would one matrix
+        rng.random(out=uniforms[:n])
+        failed = np.less(uniforms[:n], eps_m, out=failed_buf[:n])   # True = copy failed
+        for k, reqs in groups:
+            cols = first[reqs]
+            lost = failed[:, cols]
+            for j in range(1, k):
+                lost &= failed[:, cols + j]
+            # int32 sums run faster than int64 ones; a block has at most _CHUNK rows
+            failures[reqs] += lost.sum(axis=0, dtype=np.int32)
+    return np.where(widths > 0, size - failures, 0)
 
 
 def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
@@ -108,7 +129,7 @@ def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
         raise ValueError(f"capacity-infeasible solution: {capacity_violations}")
 
     eps_m = service_failure_prob(inst.failure_model)
-    widths = [int(sol.x[r].sum()) for r in range(inst.n_requests)]
+    widths = np.asarray(sol.x).sum(axis=1)
     chunks = [(c, min(_CHUNK, trials - c * _CHUNK))
               for c in range((trials + _CHUNK - 1) // _CHUNK)]
 
@@ -129,7 +150,7 @@ def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
         per_request.append(RequestAvailability(
             request_id=r,
             required_replicas=int(inst.replicas[r]),
-            placements=widths[r],
+            placements=int(widths[r]),
             trials=trials,
             delivered=int(delivered[r]),
             availability=float(avail),

@@ -4,8 +4,9 @@ Subcommands: generate (draw an instance), solve (one scheme on one instance),
 experiment (sweep + confidence intervals to CSV), availsim (Monte Carlo
 availability check of a saved solution).
 
-Exit codes: 0 success, 2 bad config or arguments, 3 solver failure,
-4 search limit exhausted, 5 file IO failure.
+Exit codes: 0 success, 2 bad config or arguments, 3 solver failure (also a
+solution that fails its post-condition check), 4 search limit exhausted,
+5 file IO failure.
 """
 
 import argparse
@@ -19,8 +20,8 @@ from . import gen
 from .bounds import compute_bound_report
 from .experiments import ExperimentConfig, run_experiment
 from .lp import SimplexError, build_relaxed_program, solve_lp
-from .model import (RESOURCES, evaluate_solution, load_instance, load_solution,
-                    save_instance, save_solution, IntegralSolution)
+from .model import (RESOURCES, InfeasibleSolutionError, evaluate_solution, load_instance,
+                    load_solution, save_instance, save_solution, IntegralSolution)
 from .oracle import (OracleLimitError, OracleLimits, evaluate_with_true_replicas,
                      solve_exact, strip_availability)
 from .repair import greedy_repair
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except SimplexError as exc:
+    except (SimplexError, InfeasibleSolutionError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     except (yaml.YAMLError, ValueError, TypeError, KeyError) as exc:

@@ -32,13 +32,16 @@ from scipy import special
 from . import gen
 from .bounds import compute_bound_report
 from .lp import SimplexError, build_relaxed_program, solve_lp
-from .model import RESOURCES, evaluate_solution
+from .model import RESOURCES, InfeasibleSolutionError, evaluate_solution
 from .oracle import OracleLimitError, OracleLimits, evaluate_with_true_replicas, \
     solve_exact, strip_availability
 from .repair import greedy_repair
 from .rounding import randomized_round
 
 EXPERIMENT_SCHEMA_VERSION = 1
+
+# failures of one run that on_error may exclude from the sweep
+_RUN_ERRORS = (SimplexError, OracleLimitError, InfeasibleSolutionError)
 
 SCHEMES = ("lr", "rr", "greedy", "wo-avl", "exact")
 SWEEPS = ("requests", "cpu", "ram", "uplink", "downlink")
@@ -394,13 +397,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for cell in cells:
                 try:
                     results[cell] = futures[cell].result()
-                except (SimplexError, OracleLimitError) as exc:
+                except _RUN_ERRORS as exc:
                     _handle_run_error(cfg, points, cell, exc, failed)
     else:
         for cell in cells:
             try:
                 results[cell] = _execute_run(cfg, *cell)
-            except (SimplexError, OracleLimitError) as exc:
+            except _RUN_ERRORS as exc:
                 _handle_run_error(cfg, points, cell, exc, failed)
 
     run_rows, timing_rows = [], []

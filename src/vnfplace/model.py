@@ -35,6 +35,10 @@ class InvalidModelError(ValueError):
     """Failure probabilities that cannot support replica sizing."""
 
 
+class InfeasibleSolutionError(RuntimeError):
+    """A solver stage returned a solution that fails its own feasibility check."""
+
+
 @dataclass(frozen=True)
 class MecNode:
     """One edge node with four capacity dimensions."""

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import build_relaxed_program, simplex_solve
-from .model import (RESOURCES, IntegralSolution, ProblemInstance, SolutionMetrics,
-                    evaluate_solution)
+from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
+                    SolutionMetrics, evaluate_solution)
 
 _PRUNE_EPS = 1e-9
 
@@ -78,8 +78,13 @@ class _KnapsackBound:
         self.fit_floor = demand - 1e-12    # a copy fits up to float dust
         self.psi = psi
 
-    def __call__(self, k, residual):
-        fits = (residual[:, None, :] >= self.fit_floor[:, k:, None]).all(axis=0)
+    def fits(self, k, residual, stop=None):
+        """fits[i, m]: request k + i (up to request stop - 1) fits on node m."""
+        return (residual[:, None, :] >= self.fit_floor[:, k:stop, None]).all(axis=0)
+
+    def __call__(self, k, residual, fits=None):
+        if fits is None:
+            fits = self.fits(k, residual)
         eligible = np.zeros(self.psi.size, dtype=bool)
         eligible[k:] = fits.sum(axis=1) >= self.psi[k:]
         w = np.where(eligible[self.by_density], self.weight, 0.0)
@@ -134,9 +139,12 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
             return
         if current + suffix[k] <= best_val + _PRUNE_EPS:
             return
-        if use_bound and current + bound(k, residual) <= best_val + _PRUNE_EPS:
+        # one fit test per node: the bound needs every undecided request,
+        # the branching below only request k
+        fits = bound.fits(k, residual, None if use_bound else k + 1)
+        if use_bound and current + bound(k, residual, fits) <= best_val + _PRUNE_EPS:
             return
-        fits = (residual >= bound.fit_floor[:, k, None]).all(axis=0).tolist()
+        fits = fits[0].tolist()
         # twin[m]: the nearest lower-indexed node whose residual equals m's
         seen, twin = {}, []
         for m, col in enumerate(map(tuple, residual.T.tolist())):
@@ -158,7 +166,7 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
     solution = build_solution(best_assign)
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:
-        raise RuntimeError("oracle produced an infeasible solution")
+        raise InfeasibleSolutionError("oracle produced an infeasible solution")
     return ExactResult(solution=solution, objective=best_val,
                        nodes=nodes, mode=mode)
 

@@ -11,7 +11,8 @@ serves a request the input did not serve.
 
 import numpy as np
 
-from .model import FEAS_EPS, RESOURCES, IntegralSolution, ProblemInstance, evaluate_solution
+from .model import (FEAS_EPS, RESOURCES, InfeasibleSolutionError, IntegralSolution,
+                    ProblemInstance, evaluate_solution)
 
 
 def greedy_repair(inst: ProblemInstance, sol: IntegralSolution,
@@ -59,5 +60,5 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution,
     repaired = IntegralSolution(x=x, y=y)
     metrics = evaluate_solution(inst, repaired)
     if not metrics.feasible:
-        raise RuntimeError(f"repair left violations: {metrics.violated_constraints}")
+        raise InfeasibleSolutionError(f"repair left violations: {metrics.violated_constraints}")
     return repaired

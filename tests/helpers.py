@@ -1,5 +1,7 @@
 """Compact builders shared across test modules."""
 
+import dataclasses
+
 from vnfplace.model import FailureModel, MecNode, ProblemInstance, ServiceRequest
 
 
@@ -43,3 +45,10 @@ def make_instance(caps, reqs, fm=(0.001, 0.004), replicas=None):
 def slack_caps(n, value=1000.0):
     """n nodes with ample capacity everywhere."""
     return [(value, value, value, value)] * n
+
+
+def force_infeasible(monkeypatch, module):
+    """Make ``module``'s post-condition check see every solution as infeasible."""
+    real = module.evaluate_solution
+    monkeypatch.setattr(module, "evaluate_solution",
+                        lambda inst, sol: dataclasses.replace(real(inst, sol), feasible=False))

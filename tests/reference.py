@@ -4,7 +4,8 @@ Everything here recomputes results straight from definitions, sharing no
 algorithmic code with the package: constraint checking walks the constraint
 families one by one, linear programs are maximized by enumerating candidate
 vertices, and the exact placement optimum enumerates every subset assignment
-(including oversized ones, to exercise the package's exactly-k reduction).
+(including oversized ones, to exercise the package's exactly-k reduction),
+and Monte Carlo delivery counts come from one full draw matrix per chunk.
 """
 
 import itertools
@@ -118,3 +119,21 @@ def exhaustive_any_subset_optimum(inst):
         if ok:
             best = max(best, value)
     return best
+
+
+def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
+    """Delivered counts per request for one availability-simulation chunk.
+
+    Draws the whole (size, total copies) uniform matrix from the chunk's
+    stream at once and counts, request by request, the trials in which all
+    of its copies failed.
+    """
+    rng = np.random.default_rng([seed, chunk_index])
+    draws = rng.random((size, int(sum(widths)))) < eps_m   # True = copy failed
+    counts = np.zeros(len(widths), dtype=np.int64)
+    col = 0
+    for i, k in enumerate(widths):
+        if k:
+            counts[i] = size - int(draws[:, col:col + k].all(axis=1).sum())
+        col += k
+    return counts

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from helpers import make_instance, slack_caps
+from reference import reference_chunk_counts
+from vnfplace import availsim
 from vnfplace.availsim import (
     MIN_TRIALS,
     _binomial_quantile,
+    _chunk_counts,
     consistent_with_threshold,
     simulate_availability,
 )
@@ -145,3 +150,48 @@ class TestSimulation:
         first = rows[1].split(",")
         assert first[0] == "0" and first[1] == "2" and first[2] == "2"
         assert first[7] in ("true", "false")
+
+
+class TestChunkCounts:
+    """The row-blocked counts against one full draw matrix per chunk."""
+
+    def test_counts_match_full_matrix_reference(self):
+        rng = np.random.default_rng(55)
+        ragged = 0
+        for case in range(24):
+            widths = [int(w) for w in rng.integers(0, 6, int(rng.integers(1, 40)))]
+            widths[0] = 0                          # always an unplaced request
+            total = sum(widths)
+            rows = availsim._BLOCK_BYTES // (8 * max(total, 1))
+            size = int(rng.integers(rows + 1, 3 * rows)) if case % 2 else 1 << 15
+            ragged += size % rows != 0
+            eps = float(10 ** rng.uniform(-4, np.log10(0.9)))
+            got = _chunk_counts(case, 3, size, eps, widths)
+            assert np.array_equal(got, reference_chunk_counts(case, 3, size, eps, widths)), \
+                (widths, size, eps)
+            assert got[0] == 0
+        assert ragged >= 12          # several chunks end in a partial row block
+
+    def test_one_row_blocks_match_reference(self, monkeypatch):
+        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1)    # floor: one row a block
+        widths = [2, 0, 1, 3, 2, 2, 1]
+        got = _chunk_counts(8, 1, 37, 0.4, widths)
+        assert np.array_equal(got, reference_chunk_counts(8, 1, 37, 0.4, widths))
+
+    def test_zero_copy_solution_delivers_nothing(self):
+        widths = [0, 0, 0]
+        got = _chunk_counts(2, 0, 5000, 0.01, widths)
+        assert np.array_equal(got, reference_chunk_counts(2, 0, 5000, 0.01, widths))
+        assert not got.any()
+
+    def test_chunk_memory_stays_bounded(self):
+        # a full draw matrix of 32,768 trials x 330 copies is 86.5 MB of float64
+        widths = [1, 2, 3, 4, 5] * 22
+        assert sum(widths) == 330
+        tracemalloc.start()
+        try:
+            _chunk_counts(0, 0, 1 << 15, 0.005, widths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak

@@ -1,11 +1,14 @@
 import numpy as np
 import yaml
 
+from helpers import force_infeasible
+from vnfplace import oracle, repair
 from vnfplace.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_LIMIT,
     EXIT_OK,
+    EXIT_SOLVE,
     main,
 )
 from vnfplace.model import (
@@ -188,3 +191,31 @@ class TestAvailsim:
                      "--seed", "1"])
         assert code == EXIT_CONFIG
         assert "integral" in capsys.readouterr().err
+
+
+class TestPostConditionErrors:
+    def test_repair_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        force_infeasible(monkeypatch, repair)
+        path, _ = small_instance_file(tmp_path)
+        assert main(["solve", "--instance", path, "--scheme", "greedy",
+                     "--seed", "9"]) == EXIT_SOLVE
+        err = capsys.readouterr().err
+        assert "solver error: repair left violations" in err
+        assert "Traceback" not in err
+
+    def test_infeasible_oracle_result_exits_3(self, tmp_path, capsys, monkeypatch):
+        force_infeasible(monkeypatch, oracle)
+        path, _ = small_instance_file(tmp_path, requests=5)
+        assert main(["solve", "--instance", path, "--scheme", "exact"]) == EXIT_SOLVE
+        assert "oracle produced an infeasible solution" in capsys.readouterr().err
+
+    def test_experiment_abort_on_repair_violation_exits_3(self, tmp_path, capsys,
+                                                          monkeypatch):
+        force_infeasible(monkeypatch, repair)
+        cfg = write_yaml(tmp_path / "exp.yaml", {
+            "schemes": ["greedy"], "request_counts": [4], "runs": 2,
+            "generator": {"mec_count": 3},
+        })
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_SOLVE
+        assert "failed: repair left violations" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import force_infeasible
+from vnfplace import oracle, repair
 from vnfplace.experiments import (
     METRICS,
     ExperimentConfig,
@@ -15,6 +17,7 @@ from vnfplace.experiments import (
     run_experiment,
 )
 from vnfplace.gen import GeneratorConfig
+from vnfplace.model import InfeasibleSolutionError
 from vnfplace.oracle import OracleLimitError, OracleLimits
 
 
@@ -253,3 +256,25 @@ class TestCsvOutput:
             a = (tmp_path / "a" / fname).read_bytes()
             b = (tmp_path / "b" / fname).read_bytes()
             assert a == b
+
+
+class TestPostConditionErrors:
+    def test_repair_violation_excluded_like_a_solver_failure(self, monkeypatch):
+        force_infeasible(monkeypatch, repair)
+        report = run_experiment(tiny_config(schemes=("lr", "greedy"), on_error="exclude"))
+        assert len(report.failed_runs) == 6
+        assert all("repair left violations" in reason for *_, reason in report.failed_runs)
+        assert not report.run_rows
+
+    def test_repair_violation_aborts_with_its_class(self, monkeypatch):
+        force_infeasible(monkeypatch, repair)
+        with pytest.raises(InfeasibleSolutionError,
+                           match="run 0 at sweep point 4 failed: repair left violations"):
+            run_experiment(tiny_config(schemes=("greedy",)))
+
+    def test_infeasible_oracle_result_excluded(self, monkeypatch):
+        force_infeasible(monkeypatch, oracle)
+        report = run_experiment(tiny_config(request_counts=(4,), schemes=("lr", "exact"),
+                                            on_error="exclude"))
+        assert [reason for *_, reason in report.failed_runs] == \
+            ["oracle produced an infeasible solution"] * 3
