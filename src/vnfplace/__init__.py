@@ -4,9 +4,9 @@ Pipeline: relax the binary placement problem to a box-constrained linear
 program (``lp``), round the fractional optimum (``rounding``), repair any
 capacity overshoot greedily (``repair``), and report concentration bounds on
 the overshoot and the reward (``bounds``).  ``oracle`` solves small instances
-exactly, ``availsim`` checks delivered availability by Monte Carlo, and
-``experiments`` batches the whole pipeline into seeded sweeps with
-confidence intervals.
+exactly, and ``availsim`` checks delivered availability by Monte Carlo.
+``schemes`` runs the schemes the paper compares on one instance, and
+``experiments`` batches them into seeded sweeps with confidence intervals.
 """
 
 from .availsim import AvailabilityReport, consistent_with_threshold, simulate_availability
@@ -18,7 +18,7 @@ from .experiments import (ExperimentConfig, ExperimentReport, confidence_interva
 from .gen import GeneratorConfig, UpfCatalog, generate
 from .lp import (InfeasibleProgramError, IterationLimitError, LinearProgram,
                  NumericalInstabilityError, SimplexError, UnboundedProgramError,
-                 build_relaxed_program, lp_format, simplex_solve, solve_lp)
+                 build_relaxed_program, simplex_solve, solve_lp)
 from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
                     IntegralSolution, InvalidModelError, MecNode, ProblemInstance, RESOURCES,
                     ServiceRequest, SolutionMetrics, evaluate_solution,
@@ -30,5 +30,6 @@ from .oracle import (ExactResult, OracleLimitError, OracleLimits,
                      evaluate_with_true_replicas, solve_exact, strip_availability)
 from .repair import greedy_repair
 from .rounding import randomized_round, rounding_ensemble
+from .schemes import SCHEMES, SchemeOutcome, run_schemes
 
 __version__ = "0.1.0"

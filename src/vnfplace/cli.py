@@ -17,23 +17,18 @@ import yaml
 
 from . import availsim as availsim_mod
 from . import gen
-from .bounds import compute_bound_report
 from .experiments import ExperimentConfig, run_experiment
-from .lp import SimplexError, build_relaxed_program, solve_lp
-from .model import (RESOURCES, InfeasibleSolutionError, evaluate_solution, load_instance,
-                    load_solution, save_instance, save_solution, IntegralSolution)
-from .oracle import (OracleLimitError, OracleLimits, evaluate_with_true_replicas,
-                     solve_exact, strip_availability)
-from .repair import greedy_repair
-from .rounding import randomized_round
+from .lp import SimplexError
+from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, load_instance,
+                    load_solution, save_instance, save_solution)
+from .oracle import OracleLimitError, OracleLimits
+from .schemes import SCHEMES, run_schemes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVE = 3
 EXIT_LIMIT = 4
 EXIT_IO = 5
-
-SOLVE_SCHEMES = ("lr", "rr", "greedy", "wo-avl", "exact")
 
 
 def _resolve_seed(value, label):
@@ -49,18 +44,33 @@ def _load_yaml(path):
         return yaml.safe_load(fh)
 
 
-def _print_metrics(metrics, inst, label):
-    print(f"scheme: {label}")
-    print(f"reward: {metrics.total_reward:.6g}")
-    served_pct = 100.0 * metrics.served_count / max(1, inst.n_requests)
-    print(f"served: {metrics.served_count} / {inst.n_requests} ({served_pct:.1f}%)")
-    print(f"feasible: {str(metrics.feasible).lower()}")
-    if metrics.wasted_placements:
-        print(f"wasted placements: {len(metrics.wasted_placements)}")
-    print("utilization (capacity-weighted mean):")
+def _print_outcome(out, inst):
+    print(f"scheme: {out.scheme}")
+    metrics = out.metrics
+    if metrics is None:     # lr: the fractional optimum
+        print(f"objective: {out.reward:.6g}")
+        print(f"served (fractional sum): {float(out.solution.y.sum()):.4g} / {inst.n_requests}")
+    else:
+        print(f"reward: {metrics.total_reward:.6g}")
+        print(f"served: {metrics.served_count} / {inst.n_requests} ({out.served_pct:.1f}%)")
+        print(f"feasible: {str(metrics.feasible).lower()}")
+        if metrics.wasted_placements:
+            print(f"wasted placements: {len(metrics.wasted_placements)}")
+        print("utilization (capacity-weighted mean):")
     for res in RESOURCES:
-        pct = 100.0 * metrics.aggregate_utilization(res, inst.capacity_vector(res))
-        print(f"  {res}: {pct:.1f}%")
+        print(f"  {res}: {out.utilization_pct[res]:.1f}%")
+    report = out.bounds
+    if report is not None:
+        print("load ceilings (multiple of relaxed load):")
+        for res in RESOURCES:
+            worst = report.worst_factor(res)
+            print(f"  {res}: {'undefined' if worst is None else format(worst, '.4g')}")
+        if report.vacuous_objective:
+            print(f"reward floor factor: {report.objective_factor:.4g} (vacuous)")
+        else:
+            print(f"reward floor factor: {report.objective_factor:.4g}")
+    if out.nodes is not None:
+        print(f"nodes explored: {out.nodes}")
 
 
 def _cmd_generate(args):
@@ -79,71 +89,15 @@ def _cmd_generate(args):
 
 def _cmd_solve(args):
     inst = load_instance(args.instance)
-    tol = args.tol
-
-    if args.scheme == "exact":
-        try:
-            result = solve_exact(inst, limits=OracleLimits(max_nodes=args.max_nodes))
-        except OracleLimitError as exc:
-            print(f"search limit exhausted after {exc.nodes} nodes; "
-                  f"best incumbent {exc.objective:.6g}, upper bound "
-                  f"{exc.upper_bound:.6g}", file=sys.stderr)
-            return EXIT_LIMIT
-        metrics = evaluate_solution(inst, result.solution)
-        _print_metrics(metrics, inst, "exact")
-        print(f"nodes explored: {result.nodes}")
-        if args.output:
-            save_solution(result.solution, args.output)
-        return EXIT_OK
-
-    if args.scheme == "wo-avl":
-        blind = strip_availability(inst)
-        frac = solve_lp(build_relaxed_program(blind), tol=tol)
-        seed = _resolve_seed(args.seed, "rounding")
-        sol = greedy_repair(blind, randomized_round(frac, blind, seed))
-        adjusted, metrics = evaluate_with_true_replicas(inst, sol)
-        _print_metrics(metrics, inst, "wo-avl")
-        if args.output:
-            save_solution(adjusted, args.output)
-        return EXIT_OK
-
-    frac = solve_lp(build_relaxed_program(inst), tol=tol)
-    if args.scheme == "lr":
-        print("scheme: lr")
-        print(f"objective: {frac.objective:.6g}")
-        print(f"served (fractional sum): {float(frac.y.sum()):.4g} / {inst.n_requests}")
-        for res in RESOURCES:
-            load = inst.demand_vector(res) @ frac.x
-            pct = 100.0 * float(load.sum() / inst.capacity_vector(res).sum())
-            print(f"  {res}: {pct:.1f}%")
-        if args.output:
-            save_solution(frac, args.output)
-        return EXIT_OK
-
-    seed = _resolve_seed(args.seed, "rounding")
-    rounded = randomized_round(frac, inst, seed)
-    if args.scheme == "rr":
-        metrics = evaluate_solution(inst, rounded)
-        _print_metrics(metrics, inst, "rr")
-        report = compute_bound_report(frac, inst)
-        print("load ceilings (multiple of relaxed load):")
-        for res in RESOURCES:
-            worst = report.worst_factor(res)
-            print(f"  {res}: {'undefined' if worst is None else format(worst, '.4g')}")
-        if report.vacuous_objective:
-            print(f"reward floor factor: {report.objective_factor:.4g} (vacuous)")
-        else:
-            print(f"reward floor factor: {report.objective_factor:.4g}")
-        if args.output:
-            save_solution(rounded, args.output)
-        return EXIT_OK
-
-    # greedy
-    repaired = greedy_repair(inst, rounded)
-    metrics = evaluate_solution(inst, repaired)
-    _print_metrics(metrics, inst, "greedy")
+    seed = args.seed
+    if args.scheme in ("rr", "greedy", "wo-avl"):
+        seed = _resolve_seed(seed, "rounding")
+    [outcome] = run_schemes(inst, [args.scheme], round_seed=seed, baseline_seed=seed,
+                            oracle_limits=OracleLimits(max_nodes=args.max_nodes),
+                            tol=args.tol)
+    _print_outcome(outcome, inst)
     if args.output:
-        save_solution(repaired, args.output)
+        save_solution(outcome.solution, args.output)
     return EXIT_OK
 
 
@@ -203,7 +157,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run one scheme on a saved instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--scheme", choices=SOLVE_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--seed", type=int, help="rounding seed (drawn if omitted)")
     p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
     p.add_argument("--max-nodes", type=int, default=1_000_000,

@@ -4,13 +4,8 @@ One experiment sweeps either the request count or one capacity axis, runs a
 set of solution schemes on freshly generated instances at every sweep point,
 and aggregates per-run metrics into Student-t confidence intervals.
 
-Schemes:
-  lr      relaxed optimum (fractional; reward is the relaxation objective)
-  rr      randomized rounding of the relaxation (may overload nodes)
-  greedy  rounding followed by the greedy capacity repair
-  wo-avl  availability-blind baseline: plan with single copies, then score
-          against the true replica requirements
-  exact   reference optimum, only on instances within the oracle limits
+The schemes are described and implemented in ``schemes``; here exact runs
+only on instances within ``oracle_max_requests`` and ``oracle_max_mecs``.
 
 Per-run seeds are derived by mixing the base seed with the sweep-point and
 run indices through a splitmix-style hash, so adding runs or points never
@@ -21,8 +16,9 @@ is the one file that legitimately differs between repeat runs.
 
 import csv
 import math
-import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,20 +26,16 @@ import numpy as np
 from scipy import special
 
 from . import gen
-from .bounds import compute_bound_report
-from .lp import SimplexError, build_relaxed_program, solve_lp
-from .model import RESOURCES, InfeasibleSolutionError, evaluate_solution
-from .oracle import OracleLimitError, OracleLimits, evaluate_with_true_replicas, \
-    solve_exact, strip_availability
-from .repair import greedy_repair
-from .rounding import randomized_round
+from .lp import SimplexError
+from .model import RESOURCES, InfeasibleSolutionError
+from .oracle import OracleLimitError, OracleLimits
+from .schemes import SCHEMES, run_schemes
 
 EXPERIMENT_SCHEMA_VERSION = 1
 
 # failures of one run that on_error may exclude from the sweep
 _RUN_ERRORS = (SimplexError, OracleLimitError, InfeasibleSolutionError)
 
-SCHEMES = ("lr", "rr", "greedy", "wo-avl", "exact")
 SWEEPS = ("requests", "cpu", "ram", "uplink", "downlink")
 METRICS = ("reward", "served_pct", "util_cpu_pct", "util_ram_pct",
            "util_uplink_pct", "util_downlink_pct")
@@ -202,34 +194,25 @@ def _point_generator(cfg: ExperimentConfig, point_value, seed: int) -> gen.Gener
     return gen.GeneratorConfig(**kwargs)
 
 
-def _utilization_pcts(metrics, inst):
-    out = {}
-    for res in RESOURCES:
-        caps = inst.capacity_vector(res)
-        out[f"util_{res}_pct"] = 100.0 * metrics.aggregate_utilization(res, caps)
-    return out
-
-
-def _lp_utilization_pcts(frac, inst):
-    out = {}
-    for res in RESOURCES:
-        load = inst.demand_vector(res) @ frac.x
-        caps = inst.capacity_vector(res)
-        out[f"util_{res}_pct"] = 100.0 * float(load.sum() / caps.sum())
-    return out
-
-
-def _base_row(cfg, point_value, run):
-    return {
+def _run_row(cfg, point_value, run, outcome):
+    """One runs.csv row; bound factors are defined for rr alone."""
+    metrics, report = outcome.metrics, outcome.bounds
+    row = {
         "sweep": cfg.sweep,
         "sweep_value": point_value,
         "run": run,
-        "feasible": True,
-        "capacity_violated": False,
-        "factor_cpu": None, "factor_ram": None,
-        "factor_uplink": None, "factor_downlink": None,
-        "objective_factor": None,
+        "scheme": outcome.scheme,
+        "reward": outcome.reward,
+        "served_pct": outcome.served_pct,
+        "feasible": metrics is None or metrics.feasible,
+        "capacity_violated": metrics is not None and any(
+            v[0] in RESOURCES for v in metrics.violated_constraints),
+        "objective_factor": None if report is None else report.objective_factor,
     }
+    for res in RESOURCES:
+        row[f"util_{res}_pct"] = outcome.utilization_pct[res]
+        row[f"factor_{res}"] = None if report is None else report.worst_factor(res)
+    return row
 
 
 def _execute_run(cfg: ExperimentConfig, point_index: int, run: int):
@@ -240,87 +223,13 @@ def _execute_run(cfg: ExperimentConfig, point_index: int, run: int):
     baseline_seed = derive_seed(cfg.base_seed, _STREAM_BASELINE, point_index, run)
     inst = gen.generate(_point_generator(cfg, point_value, inst_seed))
 
-    rows, timings = [], []
-    want = set(cfg.schemes)
-    need_lp = want & {"lr", "rr", "greedy"}
-
-    frac = None
-    t_lp = 0.0
-    if need_lp:
-        t0 = time.perf_counter()
-        frac = solve_lp(build_relaxed_program(inst))
-        t_lp = time.perf_counter() - t0
-
-    if "lr" in want:
-        row = _base_row(cfg, point_value, run)
-        row.update(scheme="lr", reward=frac.objective,
-                   served_pct=100.0 * float(frac.y.sum()) / max(1, inst.n_requests),
-                   **_lp_utilization_pcts(frac, inst))
-        rows.append(row)
-        timings.append((point_value, run, "lr", t_lp))
-
-    rounded = None
-    t_round = 0.0
-    if want & {"rr", "greedy"}:
-        t0 = time.perf_counter()
-        rounded = randomized_round(frac, inst, round_seed)
-        t_round = time.perf_counter() - t0
-
-    if "rr" in want:
-        metrics = evaluate_solution(inst, rounded)
-        report = compute_bound_report(frac, inst)
-        row = _base_row(cfg, point_value, run)
-        row.update(scheme="rr", reward=metrics.total_reward,
-                   served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
-                   feasible=metrics.feasible,
-                   capacity_violated=any(v[0] in RESOURCES
-                                         for v in metrics.violated_constraints),
-                   objective_factor=report.objective_factor,
-                   **_utilization_pcts(metrics, inst))
-        for res in RESOURCES:
-            row[f"factor_{res}"] = report.worst_factor(res)
-        rows.append(row)
-        timings.append((point_value, run, "rr", t_lp + t_round))
-
-    if "greedy" in want:
-        t0 = time.perf_counter()
-        repaired = greedy_repair(inst, rounded)
-        t_repair = time.perf_counter() - t0
-        metrics = evaluate_solution(inst, repaired)
-        row = _base_row(cfg, point_value, run)
-        row.update(scheme="greedy", reward=metrics.total_reward,
-                   served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
-                   **_utilization_pcts(metrics, inst))
-        rows.append(row)
-        timings.append((point_value, run, "greedy", t_lp + t_round + t_repair))
-
-    if "wo-avl" in want:
-        t0 = time.perf_counter()
-        blind = strip_availability(inst)
-        blind_frac = solve_lp(build_relaxed_program(blind))
-        blind_sol = greedy_repair(blind, randomized_round(blind_frac, blind, baseline_seed))
-        _, metrics = evaluate_with_true_replicas(inst, blind_sol)
-        t_blind = time.perf_counter() - t0
-        row = _base_row(cfg, point_value, run)
-        row.update(scheme="wo-avl", reward=metrics.total_reward,
-                   served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
-                   **_utilization_pcts(metrics, inst))
-        rows.append(row)
-        timings.append((point_value, run, "wo-avl", t_blind))
-
-    if "exact" in want and inst.n_requests <= cfg.oracle_max_requests \
-            and inst.n_mecs <= cfg.oracle_max_mecs:
-        t0 = time.perf_counter()
-        result = solve_exact(inst, limits=cfg.oracle_limits)
-        t_exact = time.perf_counter() - t0
-        metrics = evaluate_solution(inst, result.solution)
-        row = _base_row(cfg, point_value, run)
-        row.update(scheme="exact", reward=result.objective,
-                   served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
-                   **_utilization_pcts(metrics, inst))
-        rows.append(row)
-        timings.append((point_value, run, "exact", t_exact))
-
+    schemes = cfg.schemes
+    if inst.n_requests > cfg.oracle_max_requests or inst.n_mecs > cfg.oracle_max_mecs:
+        schemes = [s for s in schemes if s != "exact"]
+    outcomes = run_schemes(inst, schemes, round_seed, baseline_seed, cfg.oracle_limits)
+    rows = [_run_row(cfg, point_value, run, out) for out in outcomes]
+    timings = [{"sweep": cfg.sweep, "sweep_value": point_value, "run": run,
+                "scheme": out.scheme, "seconds": out.seconds} for out in outcomes]
     return rows, timings
 
 
@@ -347,27 +256,16 @@ class ExperimentReport:
         """Write summary.csv, runs.csv and timings.csv; returns their paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "summary": out / "summary.csv",
-            "runs": out / "runs.csv",
-            "timings": out / "timings.csv",
-        }
-        with open(paths["runs"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.RUN_COLUMNS)
-            for row in self.run_rows:
-                writer.writerow([_fmt(row[c]) for c in self.RUN_COLUMNS])
-        with open(paths["summary"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.SUMMARY_COLUMNS)
-            for row in self.summary_rows:
-                writer.writerow([_fmt(row[c]) for c in self.SUMMARY_COLUMNS])
-        with open(paths["timings"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.TIMING_COLUMNS)
-            for sweep_value, run, scheme, seconds in self.timing_rows:
-                writer.writerow([self.config.sweep, _fmt(sweep_value), run,
-                                 scheme, _fmt(seconds)])
+        tables = {"runs": (self.RUN_COLUMNS, self.run_rows),
+                  "summary": (self.SUMMARY_COLUMNS, self.summary_rows),
+                  "timings": (self.TIMING_COLUMNS, self.timing_rows)}
+        paths = {name: out / f"{name}.csv" for name in tables}
+        for name, (columns, rows) in tables.items():
+            with open(paths[name], "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow([_fmt(row[c]) for c in columns])
         return paths
 
 
@@ -389,37 +287,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     points = cfg.points()
     cells = [(pi, run) for pi in range(len(points)) for run in range(cfg.runs)]
 
-    results = {}
-    failed = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    run_rows, timing_rows, failed = [], [], []
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        if pool is not None:    # start every cell; results are still taken in cell order
             futures = {cell: pool.submit(_execute_run, cfg, *cell) for cell in cells}
-            for cell in cells:
-                try:
-                    results[cell] = futures[cell].result()
-                except _RUN_ERRORS as exc:
-                    _handle_run_error(cfg, points, cell, exc, failed)
-    else:
         for cell in cells:
             try:
-                results[cell] = _execute_run(cfg, *cell)
+                rows, timings = (_execute_run(cfg, *cell) if pool is None
+                                 else futures[cell].result())
             except _RUN_ERRORS as exc:
                 _handle_run_error(cfg, points, cell, exc, failed)
+                continue
+            run_rows.extend(rows)
+            timing_rows.extend(timings)
 
-    run_rows, timing_rows = [], []
-    for cell in cells:
-        if cell not in results:
-            continue
-        rows, timings = results[cell]
-        run_rows.extend(rows)
-        timing_rows.extend(timings)
-
-    failed_by_point = {}
-    for point_value, _run, _reason in failed:
-        failed_by_point[point_value] = failed_by_point.get(point_value, 0) + 1
+    failed_by_point = Counter(point_value for point_value, _run, _reason in failed)
 
     summary_rows = []
-    for pi, point_value in enumerate(points):
+    for point_value in points:
         for scheme in cfg.schemes:
             samples = {metric: [] for metric in METRICS}
             for row in run_rows:
@@ -435,7 +320,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     "scheme": scheme, "metric": metric,
                     "mean": mean, "ci_half_width": half,
                     "runs": len(samples[metric]),
-                    "failed": failed_by_point.get(point_value, 0),
+                    "failed": failed_by_point[point_value],
                 })
 
     return ExperimentReport(config=cfg, run_rows=run_rows,

@@ -79,7 +79,6 @@ class LinearProgram:
     rows: list = field(default_factory=list)
     lower: np.ndarray = None
     upper: np.ndarray = None
-    names: list = None
     shape: tuple = None
 
     def __post_init__(self):
@@ -113,18 +112,12 @@ class LinearProgram:
                 raise ValueError("row coefficients must be finite")
         self.rows.append((list(coeffs), sense, float(rhs)))
 
-    def var_name(self, j: int) -> str:
-        if self.names is not None:
-            return self.names[j]
-        return f"v{j}"
-
 
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     """Relax the placement problem: binary requirements become [0, 1] boxes."""
     R, M = inst.n_requests, inst.n_mecs
-    names = [f"x_{r}_{m}" for r in range(R) for m in range(M)] + [f"y_{r}" for r in range(R)]
     objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
-    lp = LinearProgram(n_vars=R * M + R, objective=objective, names=names, shape=(R, M))
+    lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M))
     for r in range(R):
         # served requests must reach their replica count
         coeffs = [(r * M + m, 1.0) for m in range(M)] + [(R * M + r, -float(inst.replicas[r]))]
@@ -415,30 +408,3 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL, **kwargs) -> Fractiona
     x = result.values[: R * M].reshape(R, M)
     y = result.values[R * M : R * M + R]
     return FractionalSolution(x=x, y=y, objective=result.objective)
-
-
-def lp_format(lp: LinearProgram) -> str:
-    """Dump the program in a standard text interchange layout."""
-    def term(j, a, lead):
-        name = lp.var_name(j)
-        if lead:
-            return f"{a:.12g} {name}"
-        sign = "-" if a < 0 else "+"
-        return f"{sign} {abs(a):.12g} {name}"
-
-    lines = ["Maximize"]
-    obj_terms = [(j, a) for j, a in enumerate(lp.objective) if a != 0.0]
-    if not obj_terms:
-        obj_terms = [(0, 0.0)] if lp.n_vars else []
-    parts = [term(j, a, i == 0) for i, (j, a) in enumerate(obj_terms)]
-    lines.append(" obj: " + (" ".join(parts) if parts else "0"))
-    lines.append("Subject To")
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        parts = [term(j, a, k == 0) for k, (j, a) in enumerate(coeffs)]
-        lines.append(f" c{i}: " + " ".join(parts) + f" {sense} {rhs:.12g}")
-    lines.append("Bounds")
-    for j in range(lp.n_vars):
-        hi = "+inf" if not np.isfinite(lp.upper[j]) else f"{lp.upper[j]:.12g}"
-        lines.append(f" {lp.lower[j]:.12g} <= {lp.var_name(j)} <= {hi}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ reward sum, ``branch_and_bound`` (the default) also with an O(4R) bound: per
 resource, a fractional knapsack of the undecided requests (weight psi times
 demand) in the summed residual capacity, counting a request only while psi
 nodes can each still hold a copy of it.  Both respect a node budget and raise
-``OracleLimitError`` carrying the best incumbent when it runs out.
+``OracleLimitError`` carrying the best incumbent and an upper bound when it
+runs out; its message states both and the nodes explored.
 
 The module also hosts the availability-blind baseline helpers: strip an
 instance down to single-copy requirements, and re-evaluate a solution against
@@ -129,7 +130,9 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
             upper = suffix[0]
             if use_bound:
                 upper = min(upper, simplex_solve(build_relaxed_program(inst)).objective)
-            raise OracleLimitError(f"node budget {limits.max_nodes} exhausted",
+            raise OracleLimitError(f"node budget {limits.max_nodes} exhausted after {nodes} "
+                                   f"nodes; best incumbent {best_val:.6g}, upper bound "
+                                   f"{upper:.6g}",
                                    incumbent=build_solution(best_assign), objective=best_val,
                                    upper_bound=upper, nodes=nodes)
         if k == R:

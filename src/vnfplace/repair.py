@@ -15,13 +15,11 @@ from .model import (FEAS_EPS, RESOURCES, InfeasibleSolutionError, IntegralSoluti
                     ProblemInstance, evaluate_solution)
 
 
-def greedy_repair(inst: ProblemInstance, sol: IntegralSolution,
-                  trim_excess_replicas: bool = False) -> IntegralSolution:
+def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolution:
     """Drop low-reward requests until every node fits its capacities.
 
-    With ``trim_excess_replicas`` set, copies beyond a request's replica
-    count are removed from overloaded nodes before any request is dropped
-    outright; the default keeps every copy of a surviving request.
+    Every copy of a surviving request is kept, including copies beyond its
+    replica count: only whole requests are evicted.
     """
     x = np.asarray(sol.x, dtype=np.int8).copy()
     y = np.asarray(sol.y, dtype=np.int8).copy()
@@ -30,7 +28,6 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution,
 
     x[y == 0] = 0  # wasted placements cost capacity and earn nothing
     rewards = inst.reward_vector()
-    need = inst.replica_vector()
     demands = {res: inst.demand_vector(res) for res in RESOURCES}
     caps = {res: inst.capacity_vector(res) for res in RESOURCES}
     loads = {res: demands[res] @ x for res in RESOURCES}
@@ -39,15 +36,6 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution,
         return any(loads[res][m] > caps[res][m] + FEAS_EPS for res in RESOURCES)
 
     for m in range(inst.n_mecs):
-        if trim_excess_replicas:
-            while overloaded(m):
-                extra = np.flatnonzero((x[:, m] == 1) & (x.sum(axis=1) > need))
-                if extra.size == 0:
-                    break
-                r = min(extra, key=lambda i: (rewards[i], -i))
-                x[r, m] = 0
-                for res in RESOURCES:
-                    loads[res][m] -= demands[res][r]
         while overloaded(m):
             hosted = np.flatnonzero(x[:, m] == 1)
             # lowest reward goes first; ties drop the higher id

@@ -1,0 +1,127 @@
+"""The solution schemes the paper compares, each implemented once.
+
+Schemes:
+  lr      relaxed optimum (fractional; reward is the relaxation objective)
+  rr      randomized rounding of the relaxation (may overload nodes)
+  greedy  rounding followed by the greedy capacity repair
+  wo-avl  availability-blind baseline: plan with single copies, then score
+          against the true replica requirements
+  exact   reference optimum by the ``oracle`` search (small instances only)
+
+``run_schemes`` runs any subset of them on one instance; lr, rr and greedy
+share one relaxation solve and one rounding.  ``vnfplace solve`` and the
+experiment runner both go through it.  The stage functions are called
+through this module's globals at call time, so a tracer or test that rebinds
+them here sees every call.
+"""
+
+import time
+from dataclasses import dataclass
+
+from .bounds import BoundReport, compute_bound_report
+from .lp import DEFAULT_TOL, build_relaxed_program, solve_lp
+from .model import RESOURCES, SolutionMetrics, evaluate_solution
+from .oracle import evaluate_with_true_replicas, solve_exact, strip_availability
+from .repair import greedy_repair
+from .rounding import randomized_round
+
+SCHEMES = ("lr", "rr", "greedy", "wo-avl", "exact")
+
+
+@dataclass
+class SchemeOutcome:
+    """What one scheme produced on one instance.
+
+    ``solution`` is what ``solve --output`` saves: fractional for lr, and for
+    wo-avl the blind plan re-scored against the true replica counts.
+    ``seconds`` is cumulative from the start of the scheme's own work, so
+    greedy counts the relaxation, the rounding and the repair.
+    """
+
+    scheme: str
+    solution: object
+    reward: float
+    served_pct: float
+    utilization_pct: dict       # resource -> capacity-weighted mean, percent
+    seconds: float
+    metrics: SolutionMetrics = None     # absent for lr
+    bounds: BoundReport = None          # rr only
+    nodes: int = None                   # exact only
+
+
+def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):
+    """The outcome of an integral scheme, scored by its ``metrics``."""
+    caps = {res: inst.capacity_vector(res) for res in RESOURCES}
+    return SchemeOutcome(
+        scheme=scheme, solution=solution,
+        reward=metrics.total_reward if reward is None else reward,
+        served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
+        utilization_pct={res: 100.0 * metrics.aggregate_utilization(res, caps[res])
+                         for res in RESOURCES},
+        seconds=seconds, metrics=metrics, **extra)
+
+
+def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
+                oracle_limits=None, tol=DEFAULT_TOL) -> list:
+    """Run ``schemes`` on ``inst``; the outcomes come in ``SCHEMES`` order.
+
+    rr and greedy round with ``round_seed``, wo-avl with ``baseline_seed``;
+    exact searches within ``oracle_limits`` and raises ``OracleLimitError``
+    when they run out.
+    """
+    want = set(schemes)
+    unknown = want - set(SCHEMES)
+    if unknown:
+        raise ValueError(f"unknown schemes: {sorted(unknown)}")
+    outcomes = []
+
+    if want & {"lr", "rr", "greedy"}:
+        t0 = time.perf_counter()
+        frac = solve_lp(build_relaxed_program(inst), tol=tol)
+        t_lp = time.perf_counter() - t0
+
+    if "lr" in want:
+        load_pct = {res: 100.0 * float((inst.demand_vector(res) @ frac.x).sum()
+                                       / inst.capacity_vector(res).sum())
+                    for res in RESOURCES}
+        outcomes.append(SchemeOutcome(
+            scheme="lr", solution=frac, reward=frac.objective,
+            served_pct=100.0 * float(frac.y.sum()) / max(1, inst.n_requests),
+            utilization_pct=load_pct, seconds=t_lp))
+
+    if want & {"rr", "greedy"}:
+        t0 = time.perf_counter()
+        rounded = randomized_round(frac, inst, round_seed)
+        t_round = time.perf_counter() - t0
+
+    if "rr" in want:
+        metrics = evaluate_solution(inst, rounded)
+        report = compute_bound_report(frac, inst)
+        outcomes.append(_scored("rr", inst, rounded, metrics, t_lp + t_round,
+                                bounds=report))
+
+    if "greedy" in want:
+        t0 = time.perf_counter()
+        repaired = greedy_repair(inst, rounded)
+        t_repair = time.perf_counter() - t0
+        outcomes.append(_scored("greedy", inst, repaired, evaluate_solution(inst, repaired),
+                                t_lp + t_round + t_repair))
+
+    if "wo-avl" in want:
+        t0 = time.perf_counter()
+        blind = strip_availability(inst)
+        blind_frac = solve_lp(build_relaxed_program(blind), tol=tol)
+        blind_sol = greedy_repair(blind, randomized_round(blind_frac, blind, baseline_seed))
+        adjusted, metrics = evaluate_with_true_replicas(inst, blind_sol)
+        outcomes.append(_scored("wo-avl", inst, adjusted, metrics,
+                                time.perf_counter() - t0))
+
+    if "exact" in want:
+        t0 = time.perf_counter()
+        result = solve_exact(inst, limits=oracle_limits)
+        t_exact = time.perf_counter() - t0
+        # the search's own sum, not rewards @ y, which may differ in the last bit
+        outcomes.append(_scored("exact", inst, result.solution,
+                                evaluate_solution(inst, result.solution), t_exact,
+                                reward=result.objective, nodes=result.nodes))
+    return outcomes

@@ -16,7 +16,6 @@ from vnfplace.model import (
     load_instance,
     load_solution,
     save_instance,
-    save_solution,
 )
 from vnfplace.gen import GeneratorConfig, generate
 
@@ -125,7 +124,9 @@ class TestSolve:
         code = main(["solve", "--instance", path, "--scheme", "exact",
                      "--max-nodes", "2"])
         assert code == EXIT_LIMIT
-        assert "incumbent" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "incumbent" in err
+        assert "upper bound" in err and "after 3 nodes" in err
 
     def test_missing_instance_exits_5(self, tmp_path):
         assert main(["solve", "--instance", str(tmp_path / "nope.yaml"),

@@ -14,7 +14,6 @@ from vnfplace.lp import (
     UnboundedProgramError,
     _BoundedSimplex,
     build_relaxed_program,
-    lp_format,
     simplex_solve,
     solve_lp,
 )
@@ -263,13 +262,3 @@ class TestAgainstHighs:
         assert seen["optimal"] >= 40 and seen["infeasible"] >= 10
         assert seen["unbounded"] >= 5
         assert phase_one >= 20
-
-
-class TestFormatting:
-    def test_lp_format_sections(self):
-        inst = make_instance(caps=slack_caps(1), reqs=[{"reward": 7.0}])
-        text = lp_format(build_relaxed_program(inst))
-        assert "Maximize" in text
-        assert "Subject To" in text
-        assert "Bounds" in text
-        assert text.rstrip().endswith("End")

@@ -12,7 +12,6 @@ from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
                             evaluate_solution)
 from vnfplace.oracle import (
-    ExactResult,
     _KnapsackBound,
     OracleLimitError,
     OracleLimits,

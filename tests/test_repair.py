@@ -70,19 +70,6 @@ class TestBasics:
 
 
 class TestTrimming:
-    def test_excess_copy_trimmed_before_eviction(self):
-        # request 0 holds 2 copies but needs 1; trimming the node-0 copy
-        # makes room for request 1 without dropping anyone
-        inst = make_instance(
-            caps=[{"c": 5}, {"c": 5}],
-            reqs=[{"c": 3, "eps": 0.01, "reward": 9.0},
-                  {"c": 3, "eps": 0.01, "reward": 8.0}],
-        )
-        start = sol([[1, 1], [1, 0]], [1, 1])
-        trimmed = greedy_repair(inst, start, trim_excess_replicas=True)
-        assert trimmed.y.tolist() == [1, 1]
-        assert trimmed.x[0].sum() == 1
-
     def test_default_keeps_extra_copies(self):
         inst = make_instance(
             caps=[{"c": 5}, {"c": 5}],
@@ -91,22 +78,10 @@ class TestTrimming:
         )
         start = sol([[1, 1], [1, 0]], [1, 1])
         fixed = greedy_repair(inst, start)
-        # without trimming the only cure is evicting the cheaper request
+        # repair never trims a surplus copy, so the only cure is evicting
+        # the cheaper request
         assert fixed.y.tolist() == [1, 0]
         assert fixed.x[0].sum() == 2
-
-    def test_trim_never_cuts_below_replica_count(self):
-        inst = make_instance(
-            caps=[{"c": 4}, {"c": 10}],
-            reqs=[{"c": 3, "eps": 0.001, "reward": 9.0},
-                  {"c": 3, "eps": 0.01, "reward": 1.0}],
-        )
-        start = sol([[1, 1], [1, 0]], [1, 1])
-        trimmed = greedy_repair(inst, start, trim_excess_replicas=True)
-        # request 0 sits at exactly 2 copies, so node 0 relief must come
-        # from evicting request 1 instead
-        assert trimmed.x[0].sum() == 2
-        assert trimmed.y.tolist() == [1, 0]
 
 
 class TestOnRoundedSolutions:
@@ -122,14 +97,3 @@ class TestOnRoundedSolutions:
             assert np.all(fixed.x <= rounded.x)
             assert metrics.total_reward <= evaluate_solution(
                 inst, rounded).total_reward + 1e-9
-
-    def test_trimming_never_hurts_reward(self):
-        inst = generate(GeneratorConfig(request_count=40, seed=34))
-        frac = solve_lp(build_relaxed_program(inst))
-        for seed in range(15):
-            rounded = randomized_round(frac, inst, seed=seed)
-            plain = evaluate_solution(inst, greedy_repair(inst, rounded))
-            trimmed = evaluate_solution(
-                inst, greedy_repair(inst, rounded, trim_excess_replicas=True))
-            assert trimmed.feasible
-            assert trimmed.total_reward >= plain.total_reward - 1e-9

@@ -1,0 +1,99 @@
+import numpy as np
+import pytest
+
+from vnfplace import schemes
+from vnfplace.gen import GeneratorConfig, generate
+from vnfplace.lp import build_relaxed_program, solve_lp
+from vnfplace.model import FractionalSolution, evaluate_solution
+from vnfplace.oracle import (OracleLimitError, OracleLimits, evaluate_with_true_replicas,
+                             solve_exact, strip_availability)
+from vnfplace.repair import greedy_repair
+from vnfplace.rounding import randomized_round
+from vnfplace.schemes import SCHEMES, run_schemes
+
+CASES = [(0, 3, 11), (1, 5, 12), (2, 8, 13)]   # (generator, rounding, baseline) seeds
+
+
+def tight_instance(seed):
+    # capacities tight enough that rounding overloads and repair evicts
+    return generate(GeneratorConfig(
+        mec_count=3, request_count=8, cpu_range=(14, 20), ram_range=(18, 26),
+        uplink_capacity=40.0, downlink_capacity=130.0, seed=seed))
+
+
+def same_solution(a, b):
+    return np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("gen_seed, round_seed, baseline_seed", CASES)
+def test_all_at_once_matches_each_alone(gen_seed, round_seed, baseline_seed):
+    inst = tight_instance(gen_seed)
+    together = run_schemes(inst, SCHEMES, round_seed, baseline_seed)
+    assert [out.scheme for out in together] == list(SCHEMES)
+    for out in together:
+        [alone] = run_schemes(inst, [out.scheme], round_seed, baseline_seed)
+        assert same_solution(out.solution, alone.solution)
+        assert out.reward == alone.reward
+        assert out.served_pct == alone.served_pct
+        assert out.utilization_pct == alone.utilization_pct
+
+
+@pytest.mark.parametrize("gen_seed, round_seed, baseline_seed", CASES)
+def test_outcomes_equal_the_direct_stage_calls(gen_seed, round_seed, baseline_seed):
+    inst = tight_instance(gen_seed)
+    out = {o.scheme: o for o in run_schemes(inst, SCHEMES, round_seed, baseline_seed)}
+
+    frac = solve_lp(build_relaxed_program(inst))
+    rounded = randomized_round(frac, inst, round_seed)
+    repaired = greedy_repair(inst, rounded)
+    blind = strip_availability(inst)
+    blind_sol = greedy_repair(blind, randomized_round(
+        solve_lp(build_relaxed_program(blind)), blind, baseline_seed))
+    adjusted, blind_metrics = evaluate_with_true_replicas(inst, blind_sol)
+    exact = solve_exact(inst)
+
+    assert isinstance(out["lr"].solution, FractionalSolution)
+    assert np.array_equal(out["lr"].solution.x, frac.x)
+    assert out["lr"].reward == frac.objective and out["lr"].metrics is None
+    assert same_solution(out["rr"].solution, rounded)
+    assert out["rr"].reward == evaluate_solution(inst, rounded).total_reward
+    assert same_solution(out["greedy"].solution, repaired)
+    assert out["greedy"].reward == evaluate_solution(inst, repaired).total_reward
+    assert same_solution(out["wo-avl"].solution, adjusted)
+    assert out["wo-avl"].reward == blind_metrics.total_reward
+    assert same_solution(out["exact"].solution, exact.solution)
+    assert out["exact"].reward == exact.objective
+    assert out["exact"].nodes == exact.nodes
+
+    # scheme-specific fields, and cumulative times along lp -> round -> repair
+    assert out["rr"].bounds is not None
+    assert all(out[s].bounds is None for s in SCHEMES if s != "rr")
+    assert all(out[s].nodes is None for s in SCHEMES if s != "exact")
+    assert out["lr"].seconds <= out["rr"].seconds <= out["greedy"].seconds
+
+
+def test_lr_rr_greedy_share_one_relaxation(monkeypatch):
+    solves = []
+
+    def counting(lp, **kwargs):
+        solves.append(lp.shape)
+        return solve_lp(lp, **kwargs)
+
+    # the stage functions are looked up on the module at call time
+    monkeypatch.setattr(schemes, "solve_lp", counting)
+    inst = tight_instance(0)
+    run_schemes(inst, ("lr", "rr", "greedy"), 1, 2)
+    assert len(solves) == 1
+    run_schemes(inst, SCHEMES, 1, 2)
+    assert len(solves) == 3     # one more for the relaxation, one for wo-avl
+
+
+def test_unknown_scheme_rejected():
+    with pytest.raises(ValueError, match="unknown schemes"):
+        run_schemes(tight_instance(0), ["lr", "best"])
+
+
+def test_exact_budget_exhaustion_raises_with_its_bound():
+    with pytest.raises(OracleLimitError, match="upper bound") as info:
+        run_schemes(tight_instance(0), ["exact"], oracle_limits=OracleLimits(max_nodes=2))
+    assert info.value.nodes == 3
