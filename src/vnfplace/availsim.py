@@ -8,13 +8,18 @@ The simulation accepts solutions that are short of their replica counts
 
 Trials are simulated in fixed-size chunks, each drawn from a stream derived
 from (seed, chunk index), so results are identical whether chunks run
-serially or across worker processes.  A chunk draws its (trials, copies)
-uniforms in row blocks of about 4 MB, into buffers reused from block to
-block, so its memory stays fixed whatever the trial count; the stream fills
-rows in order, so the blocks consume exactly the draws one full matrix
-would, and the counts are the same.  Per block, the failure test runs once
-over all copies, and requests with the same number of copies k are counted
-together: k column gathers, one per copy, ANDed and summed per request.
+serially or across worker processes.  A chunk draws only the minority
+outcome of its row-major (trial, copy) cells: the failed copies when
+eps_m <= 0.5, the surviving ones otherwise.  These hits form a Bernoulli
+process, drawn as geometric gaps between successive hit positions, so the
+work is trials x copies x min(eps_m, 1 - eps_m) draws in place of one
+uniform per cell.  Positions are drawn and counted in row blocks holding
+about 1 MB of expected hits, with the hits past a block's end carried over
+to the next, so memory stays fixed at any eps_m and trial count, and the
+counts do not depend on the block size.  A (trial, request) is counted by
+its run of hits: with failures drawn it is lost when the run covers all of
+the request's copies; with survivals drawn it is delivered when the run
+exists.
 """
 
 import functools
@@ -30,7 +35,7 @@ from .model import (RESOURCES, IntegralSolution, ProblemInstance,
 
 MIN_TRIALS = 1000
 _CHUNK = 1 << 15
-_BLOCK_BYTES = 1 << 22    # uniforms drawn per row block, about 4 MB of float64
+_BLOCK_BYTES = 1 << 20    # expected hit positions per row block, about 1 MB of int64
 
 
 @dataclass
@@ -98,24 +103,51 @@ def _chunk_counts(seed, chunk_index, size, eps_m, widths):
     rng = np.random.default_rng([seed, chunk_index])
     widths = np.asarray(widths, dtype=np.int64)
     total = int(widths.sum())
-    first = np.cumsum(widths) - widths          # column of each request's first copy
-    groups = [(k, np.flatnonzero(widths == k)) for k in np.unique(widths[widths > 0])]
-    failures = np.zeros(widths.size, dtype=np.int64)
-    rows = min(size, max(1, _BLOCK_BYTES // (8 * max(total, 1))))
-    uniforms, failed_buf = np.empty((rows, total)), np.empty((rows, total), dtype=bool)
-    for lo in range(0, size, rows):
-        n = min(rows, size - lo)
-        # the row-major stream fills consecutive row blocks as it would one matrix
-        rng.random(out=uniforms[:n])
-        failed = np.less(uniforms[:n], eps_m, out=failed_buf[:n])   # True = copy failed
-        for k, reqs in groups:
-            cols = first[reqs]
-            lost = failed[:, cols]
-            for j in range(1, k):
-                lost &= failed[:, cols + j]
-            # int32 sums run faster than int64 ones; a block has at most _CHUNK rows
-            failures[reqs] += lost.sum(axis=0, dtype=np.int32)
-    return np.where(widths > 0, size - failures, 0)
+    count_failures = eps_m <= 0.5       # hits mark failed copies, else surviving ones
+    p = eps_m if count_failures else 1.0 - eps_m
+    counts = np.zeros(widths.size, dtype=np.int64)
+    if total and p > 0.0:
+        req = np.repeat(np.arange(widths.size), widths)        # request of each copy
+        offset = np.arange(total) - (np.cumsum(widths) - widths)[req]  # copy's index in it
+        cells = size * total
+        rows = min(size, max(1, int(_BLOCK_BYTES / (8 * total * p))))
+        pending = np.empty(0, dtype=np.int64)   # drawn hit positions not yet counted
+        last = -1                               # the latest drawn position
+        for lo in range(0, size, rows):
+            end = min(lo + rows, size) * total
+            drawn = [pending]
+            while last < end:
+                expected = (end - last) * p
+                gaps = rng.geometric(p, int(expected + 4 * math.sqrt(expected)) + 16)
+                # a gap past the chunk ends it; capping it keeps the sums in range
+                np.minimum(gaps, cells + 1, out=gaps)
+                positions = np.cumsum(gaps, out=gaps)
+                positions += last
+                last = int(positions[-1])
+                drawn.append(positions)
+            pending = np.concatenate(drawn)
+            split = int(np.searchsorted(pending, end))
+            pos, pending = pending[:split], pending[split:]
+            col = pos % total
+            if count_failures:
+                # a trial loses a request of k copies when its first copy's
+                # hit is followed by hits on the next k - 1 cells
+                start = np.flatnonzero(offset[col] == 0)
+                k = widths[req[col[start]]]
+                stop = start + k - 1
+                whole = stop < pos.size
+                start, k, stop = start[whole], k[whole], stop[whole]
+                lost = start[pos[stop] - pos[start] == k - 1]
+                counts += np.bincount(req[col[lost]], minlength=widths.size)
+            else:
+                # a trial delivers a request when any copy survived: count the
+                # first hit of each (trial, request) run
+                first = np.ones(pos.size, dtype=bool)
+                first[1:] = pos[:-1] < pos[1:] - offset[col[1:]]
+                counts += np.bincount(req[col[first]], minlength=widths.size)
+    if count_failures:
+        return np.where(widths > 0, size - counts, 0)
+    return counts
 
 
 def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,

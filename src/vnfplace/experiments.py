@@ -123,6 +123,10 @@ class ExperimentConfig:
         if self.generator is not None:
             self.generator.validate()
         self.oracle_limits.validate()
+        if "exact" in self.schemes and not any(_oracle_fits(self, v) for v in self.points()):
+            raise ValueError(
+                f"exact is listed but no sweep point fits oracle_max_requests="
+                f"{self.oracle_max_requests} and oracle_max_mecs={self.oracle_max_mecs}")
 
     def points(self):
         if self.sweep == "requests":
@@ -194,6 +198,13 @@ def _point_generator(cfg: ExperimentConfig, point_value, seed: int) -> gen.Gener
     return gen.GeneratorConfig(**kwargs)
 
 
+def _oracle_fits(cfg: ExperimentConfig, point_value) -> bool:
+    """Whether instances at this sweep point are within the oracle limits."""
+    point = _point_generator(cfg, point_value, seed=0)
+    return (point.request_count <= cfg.oracle_max_requests
+            and point.mec_count <= cfg.oracle_max_mecs)
+
+
 def _run_row(cfg, point_value, run, outcome):
     """One runs.csv row; bound factors are defined for rr alone."""
     metrics, report = outcome.metrics, outcome.bounds
@@ -224,7 +235,7 @@ def _execute_run(cfg: ExperimentConfig, point_index: int, run: int):
     inst = gen.generate(_point_generator(cfg, point_value, inst_seed))
 
     schemes = cfg.schemes
-    if inst.n_requests > cfg.oracle_max_requests or inst.n_mecs > cfg.oracle_max_mecs:
+    if not _oracle_fits(cfg, point_value):
         schemes = [s for s in schemes if s != "exact"]
     outcomes = run_schemes(inst, schemes, round_seed, baseline_seed, cfg.oracle_limits)
     rows = [_run_row(cfg, point_value, run, out) for out in outcomes]

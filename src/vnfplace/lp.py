@@ -15,15 +15,33 @@ slack starts infeasible (the placement relaxation never needs any, since the
 all-zero point is feasible).  Entering variable: largest reduced cost,
 switching to Bland's smallest-index rule after a long degenerate streak.
 
-The constraint matrix is stored column-wise in plain numpy arrays, so
-pricing is one pass over the nonzeros and the entering column costs one
-small product with the basis inverse.  That inverse is a dense array,
+The constraint matrix is stored column-wise in plain numpy arrays, so the
+entering column costs one small product with the basis inverse.  Pricing
+reads the same entries from a padded (width x columns) layout, width being
+the most entries of any column (5 for the placement program), and sums it
+over the first axis: one pass with the additions, in the order, of a
+``bincount`` over the entry list.  The basis inverse is a dense array,
 updated in place by a rank-1 BLAS update after each pivot and recomputed
 from scratch every 64 pivots.  The basic values are updated incrementally
 along each step, with the leaving variable pinned exactly at the bound it
-hit, and recomputed from the factorization whenever it is rebuilt.
+hit, and recomputed from the factorization whenever it is rebuilt.  The
+cost and bounds of each basic variable and the improving sign of every
+column are kept as arrays that a pivot or a bound flip updates in at most
+two places, and a bound flip, which leaves the basis as it was, reuses the
+reduced costs.
+
+The pivots follow from BLAS products, whose summation order depends on
+the BLAS thread count, so another count can end at another optimal vertex.
+``simplex_solve`` therefore holds both bundled OpenBLAS libraries (numpy's
+and scipy's) at one thread while it runs and restores their counts after:
+a solve returns the same vertex whatever ``OPENBLAS_NUM_THREADS`` says.
+Where those libraries are not found the pin does nothing.  The pin is
+process-wide, so it does not cover solves run concurrently in threads.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -142,8 +160,9 @@ class _BoundedSimplex:
     Columns are the structural variables, one slack per row, then one
     artificial per row whose slack starts infeasible.  They are stored as
     column-wise arrays (``indptr``, ``indices``, ``data``, plus ``col_of``,
-    the column of every entry, for pricing), the basis inverse ``Binv`` as a
-    Fortran-ordered dense array, and the basic values ``xb`` incrementally.
+    the column of every entry), again padded for pricing (``padded_rows``,
+    ``padded_data``), the basis inverse ``Binv`` as a Fortran-ordered dense
+    array, and the basic values ``xb`` incrementally.
     """
 
     def __init__(self, lp, tol, pivot_floor, max_iterations):
@@ -178,6 +197,14 @@ class _BoundedSimplex:
         self.col_of = np.concatenate([cols, n + slack_rows, self.n_real + np.arange(k)])
         self.indptr = np.zeros(total + 1, dtype=np.intp)
         np.cumsum(np.bincount(self.col_of, minlength=total), out=self.indptr[1:])
+        # pricing layout: a column's entries fill its slots in storage order;
+        # padding slots hold row 0 with a zero value, adding a zero term
+        width = int(np.diff(self.indptr).max(initial=0))
+        slot = np.arange(self.col_of.size) - self.indptr[self.col_of]
+        self.padded_rows = np.zeros((width, total), dtype=np.intp)
+        self.padded_rows[slot, self.col_of] = self.indices
+        self.padded_data = np.zeros((width, total))
+        self.padded_data[slot, self.col_of] = self.data
 
         self.lower = np.zeros(total)
         self.upper = np.full(total, np.inf)
@@ -202,17 +229,20 @@ class _BoundedSimplex:
                            minlength=self.m)
 
     def _transposed_product(self, y) -> np.ndarray:
-        """y @ A."""
-        return np.bincount(self.col_of, weights=y[self.indices] * self.data,
-                           minlength=self.status.size)
+        """y @ A, each column summed from zero over its entries in storage
+        order, the additions ``np.bincount`` makes over the entry list."""
+        terms = y[self.padded_rows]
+        terms *= self.padded_data
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     def _column(self, q) -> np.ndarray:
         """FTRAN: Binv @ A[:, q]."""
         lo, hi = self.indptr[q], self.indptr[q + 1]
         return self.Binv[:, self.indices[lo:hi]] @ self.data[lo:hi]
 
-    def _reduced_costs(self, cost) -> np.ndarray:
-        return cost - self._transposed_product(cost[self.basis] @ self.Binv)
+    def _reduced_costs(self, cost, basic_cost) -> np.ndarray:
+        """Reduced costs; basic_cost is cost[basis]."""
+        return cost - self._transposed_product(basic_cost @ self.Binv)
 
     # -- basis -----------------------------------------------------------------
 
@@ -259,14 +289,25 @@ class _BoundedSimplex:
         bland = False
         movable = (self.upper - self.lower > 0.0).astype(float)
         since_refactor = 0
+        # per basis row: its cost and bounds; per column: the sign of an
+        # improving move off its bound (0 if basic or fixed).  A pivot or a
+        # bound flip changes at most two entries of each.
+        basic_cost = cost[self.basis]
+        basic_lower = self.lower[self.basis]
+        basic_upper = self.upper[self.basis]
+        sign = _DIRECTION[self.status] * movable
+        steps = np.empty(self.m)
+        reduced = None           # valid while the basis is unchanged
         while True:
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise IterationLimitError(
                     f"no optimum within {self.max_iterations} iterations"
                 )
+            if reduced is None:
+                reduced = self._reduced_costs(cost, basic_cost)
             # positive exactly where moving off the current bound improves
-            gain = self._reduced_costs(cost) * _DIRECTION[self.status] * movable
+            gain = reduced * sign
             if bland:
                 candidates = np.flatnonzero(gain > self.tol)
                 if candidates.size == 0:
@@ -278,24 +319,26 @@ class _BoundedSimplex:
                     return
 
             w = self._column(q)
-            direction = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            delta = direction * w          # basic values move as xb - t*delta
+            entering_lower = self.status[q] == _AT_LOWER
+            delta = w if entering_lower else -w   # basic values move as xb - t*delta
             xb = self.xb
             # each basic value heads for the bound on its side of the move;
             # an infinite upper bound yields an infinite step
-            bound = np.where(delta > 0.0, self.lower[self.basis], self.upper[self.basis])
-            steps = np.divide(xb - bound, delta, out=np.full(self.m, np.inf),
-                              where=np.abs(delta) > self.pivot_floor)
+            bound = np.where(delta > 0.0, basic_lower, basic_upper)
+            steps.fill(np.inf)
+            np.divide(xb - bound, delta, out=steps, where=np.abs(delta) > self.pivot_floor)
             np.maximum(steps, 0.0, out=steps)
 
             t_flip = self.upper[q] - self.lower[q]
             t_row = steps.min() if self.m else np.inf
-            if not np.isfinite(t_row) and not np.isfinite(t_flip):
+            if not math.isfinite(t_row) and not math.isfinite(t_flip):
                 raise UnboundedProgramError("objective unbounded above")
 
             if t_flip <= t_row:
                 # entering variable runs to its opposite bound; basis unchanged
-                self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
+                flipped = _AT_UPPER if entering_lower else _AT_LOWER
+                self.status[q] = flipped
+                sign[q] = _DIRECTION[flipped] * movable[q]
                 step = t_flip
                 xb -= step * delta
             else:
@@ -306,15 +349,22 @@ class _BoundedSimplex:
                         f"pivot magnitude {abs(w[r]):.3e} below floor"
                     )
                 step = steps[r]
-                entering = (self.lower[q] + step if direction > 0
+                entering = (self.lower[q] + step if entering_lower
                             else self.upper[q] - step)
                 # the leaving variable is pinned exactly at the bound it hit
                 leaving = self.basis[r]
-                self.status[leaving] = _AT_UPPER if delta[r] < 0 else _AT_LOWER
+                left = _AT_UPPER if delta[r] < 0 else _AT_LOWER
+                self.status[leaving] = left
+                sign[leaving] = _DIRECTION[left] * movable[leaving]
                 self.status[q] = _BASIC
+                sign[q] = 0.0
+                basic_cost[r] = cost[q]
+                basic_lower[r] = self.lower[q]
+                basic_upper[r] = self.upper[q]
                 xb -= step * delta
                 xb[r] = entering
                 self._pivot(r, q, w)
+                reduced = None
                 since_refactor += 1
                 if since_refactor >= _REFACTOR_EVERY:
                     self._refactorize()
@@ -379,12 +429,53 @@ class _BoundedSimplex:
         row_resid = self._product(v) - self.b
         if np.abs(row_resid).max(initial=0.0) > 1e-6 * scale:
             raise NumericalInstabilityError("final basis violates row equations")
-        reduced = self._reduced_costs(cost)
+        reduced = self._reduced_costs(cost, cost[self.basis])
         bad_low = (self.status == _AT_LOWER) & (reduced > 10 * self.tol)
         bad_up = (self.status == _AT_UPPER) & (reduced < -10 * self.tol)
         movable = self.upper - self.lower > 0.0
         if ((bad_low | bad_up) & movable).any():
             raise NumericalInstabilityError("reduced costs fail the optimality test")
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(getter, setter) of the thread count of each bundled OpenBLAS loaded in
+    this process: numpy's ``scipy_openblas_*64_`` and scipy's
+    ``scipy_openblas_*``.  Empty where they cannot be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every bundled OpenBLAS at one thread; restore the counts after."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
@@ -396,7 +487,8 @@ def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
             if (sense == LE and rhs < 0) or (sense == GE and rhs > 0):
                 raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
-    return _BoundedSimplex(lp, tol, pivot_floor, max_iterations).solve()
+    with _one_blas_thread():
+        return _BoundedSimplex(lp, tol, pivot_floor, max_iterations).solve()
 
 
 def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL, **kwargs) -> FractionalSolution:

@@ -5,7 +5,8 @@ algorithmic code with the package: constraint checking walks the constraint
 families one by one, linear programs are maximized by enumerating candidate
 vertices, and the exact placement optimum enumerates every subset assignment
 (including oversized ones, to exercise the package's exactly-k reduction),
-and Monte Carlo delivery counts come from one full draw matrix per chunk.
+and Monte Carlo delivery counts come from one full failure matrix per
+chunk.
 """
 
 import itertools
@@ -121,19 +122,37 @@ def exhaustive_any_subset_optimum(inst):
     return best
 
 
+def bincount_transposed_product(indices, data, col_of, y, columns):
+    """y @ A for a matrix stored as entry lists (row, value, column): every
+    entry's term added, in list order, into its column's bin."""
+    return np.bincount(col_of, weights=y[indices] * data, minlength=columns)
+
+
 def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
     """Delivered counts per request for one availability-simulation chunk.
 
-    Draws the whole (size, total copies) uniform matrix from the chunk's
-    stream at once and counts, request by request, the trials in which all
+    The chunk's stream places the minority outcome (failure when eps_m is at
+    most 0.5, survival otherwise) on the row-major (trial, copy) cells by
+    geometric gaps.  Here every hit is drawn at once, expanded into one full
+    failure matrix, and counted request by request: the trials in which all
     of its copies failed.
     """
     rng = np.random.default_rng([seed, chunk_index])
-    draws = rng.random((size, int(sum(widths)))) < eps_m   # True = copy failed
+    total = int(sum(widths))
+    cells = size * total
+    p = min(eps_m, 1.0 - eps_m)
+    hit = np.zeros(cells, dtype=bool)
+    position = -1
+    while p > 0.0 and position < cells:
+        gaps = np.minimum(rng.geometric(p, 4096), cells + 1)
+        positions = position + np.cumsum(gaps)
+        hit[positions[positions < cells]] = True
+        position = int(positions[-1])
+    failed = (hit if eps_m <= 0.5 else ~hit).reshape(size, total)
     counts = np.zeros(len(widths), dtype=np.int64)
     col = 0
     for i, k in enumerate(widths):
         if k:
-            counts[i] = size - int(draws[:, col:col + k].all(axis=1).sum())
+            counts[i] = size - int(failed[:, col:col + k].all(axis=1).sum())
         col += k
     return counts

@@ -153,7 +153,7 @@ class TestSimulation:
 
 
 class TestChunkCounts:
-    """The row-blocked counts against one full draw matrix per chunk."""
+    """The row-blocked counts against one full failure matrix per chunk."""
 
     def test_counts_match_full_matrix_reference(self):
         rng = np.random.default_rng(55)
@@ -191,6 +191,47 @@ class TestChunkCounts:
         tracemalloc.start()
         try:
             _chunk_counts(0, 0, 1 << 15, 0.005, widths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
+    def test_counts_match_reference_on_both_sides_of_one_half(self, monkeypatch):
+        # small blocks, so that hits drawn for one block carry over to the next
+        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1 << 10)
+        widths = [0, 1, 3, 2, 1, 4, 0, 2]
+        for case, eps in enumerate((1e-4, 0.02, 0.3, 0.5, 0.5 + 1e-9, 0.7, 0.97)):
+            for size in (1, 613, 4099):
+                got = _chunk_counts(case, size, size, eps, widths)
+                assert np.array_equal(
+                    got, reference_chunk_counts(case, size, size, eps, widths)), (eps, size)
+
+    def test_certain_outcomes(self):
+        widths = [2, 0, 1]
+        assert np.array_equal(_chunk_counts(1, 0, 777, 0.0, widths), [777, 0, 777])
+        assert np.array_equal(_chunk_counts(1, 0, 777, 1.0, widths), [0, 0, 0])
+
+    def test_delivery_follows_survival_law_at_any_eps(self):
+        # k copies deliver with probability 1 - eps**k: each of the 18 counts
+        # lies in its binomial band, Bonferroni-corrected to a 1e-3 family
+        widths = [1, 2, 3]
+        epsilons = (1e-4, 0.005, 0.3, 0.5, 0.7, 0.9)
+        chunks, size = 4, 1 << 15
+        trials = chunks * size
+        alpha = 1e-3 / (len(epsilons) * len(widths))
+        for e, eps in enumerate(epsilons):
+            delivered = sum(_chunk_counts(100 + e, c, size, eps, widths)
+                            for c in range(chunks))
+            for k, count in zip(widths, delivered):
+                low, high = stats.binom.interval(1 - alpha, trials, 1.0 - eps**k)
+                assert low <= count <= high, (eps, k, count, trials)
+
+    def test_chunk_memory_stays_bounded_at_one_half(self):
+        # half of 32,768 trials x 330 copies fail: 43 MB of int64 positions
+        widths = [1, 2, 3, 4, 5] * 22
+        tracemalloc.start()
+        try:
+            _chunk_counts(0, 0, 1 << 15, 0.5, widths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -164,6 +164,15 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
 
+    def test_exact_on_oversized_instances_exits_2(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "exp.yaml", {
+            "schemes": ["lr", "exact"], "request_counts": [6], "runs": 2,
+        })
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert "no sweep point fits" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestAvailsim:
     def test_round_trip_via_files(self, tmp_path, capsys):

@@ -205,6 +205,16 @@ class TestRunExperiment:
                       and r["run"] == row["run"])
             assert row["reward"] <= lr + 1e-6
 
+    def test_exact_without_a_fitting_point_is_rejected(self):
+        # the default generator has 10 nodes, above oracle_max_mecs = 3
+        cfg = ExperimentConfig(request_counts=(6,), runs=3, schemes=("lr", "exact"),
+                               oracle_limits=OracleLimits(max_nodes=2), on_error="exclude")
+        with pytest.raises(ValueError, match="no sweep point fits"):
+            run_experiment(cfg)
+        with pytest.raises(ValueError, match="oracle_max_requests=10"):
+            tiny_config(request_counts=(12, 14), schemes=("exact",)).validate()
+        tiny_config(request_counts=(4, 12), schemes=("exact",)).validate()
+
     def test_oracle_budget_abort_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("exact",),
                           oracle_limits=OracleLimits(max_nodes=2))

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import vnfplace
 from helpers import make_instance, slack_caps
-from reference import vertex_enumeration_max
+from reference import bincount_transposed_product, vertex_enumeration_max
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import (
     GE,
@@ -262,3 +268,62 @@ class TestAgainstHighs:
         assert seen["optimal"] >= 40 and seen["infeasible"] >= 10
         assert seen["unbounded"] >= 5
         assert phase_one >= 20
+
+
+class TestPricingProduct:
+    """The padded pricing product against the entry-list bincount, bit for bit."""
+
+    @staticmethod
+    def assert_matches_bincount(simplex, y):
+        got = simplex._transposed_product(y)
+        expected = bincount_transposed_product(simplex.indices, simplex.data,
+                                               simplex.col_of, y, simplex.status.size)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_random_box_programs(self):
+        rng = np.random.default_rng(77)
+        phase_one = 0
+        for _ in range(200):
+            simplex = _BoundedSimplex(random_box_program(rng), 1e-7, 1e-10, None)
+            phase_one += simplex.artificials.size > 0
+            for scale in (1e-6, 1.0, 1e6):
+                self.assert_matches_bincount(simplex, scale * rng.normal(size=simplex.m))
+            self.assert_matches_bincount(simplex, np.zeros(simplex.m))
+            self.assert_matches_bincount(simplex, -np.ones(simplex.m))
+        assert phase_one >= 50
+
+    @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
+    def test_placement_ladder(self, requests, mecs):
+        inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=3))
+        simplex = _BoundedSimplex(build_relaxed_program(inst), 1e-7, 1e-10, None)
+        assert simplex.padded_rows.shape == (5, simplex.status.size)
+        rng = np.random.default_rng(requests)
+        for _ in range(5):
+            self.assert_matches_bincount(simplex, rng.normal(size=simplex.m))
+        # rows of a basis inverse met during a solve
+        simplex._optimize(np.concatenate([simplex.objective_coeffs,
+                                          np.zeros(simplex.status.size - simplex.n_struct)]))
+        for r in range(0, simplex.m, 7):
+            self.assert_matches_bincount(simplex, simplex.Binv[r])
+
+
+_SOLVE_200x20 = """
+import sys
+from vnfplace.gen import GeneratorConfig, generate
+from vnfplace.lp import build_relaxed_program, simplex_solve
+inst = generate(GeneratorConfig(request_count=200, mec_count=20, seed=0))
+sys.stdout.write(simplex_solve(build_relaxed_program(inst)).values.tobytes().hex())
+"""
+
+
+class TestBlasThreads:
+    def test_vertex_independent_of_blas_thread_count(self):
+        src = str(Path(vnfplace.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", _SOLVE_200x20], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
