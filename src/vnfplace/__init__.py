@@ -21,7 +21,7 @@ from .lp import (InfeasibleProgramError, IterationLimitError, LinearProgram,
                  build_relaxed_program, simplex_solve, solve_lp)
 from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
                     IntegralSolution, InvalidModelError, MecNode, ProblemInstance, RESOURCES,
-                    ServiceRequest, SolutionMetrics, evaluate_solution,
+                    ServiceRequest, SolutionMetrics, VnfplaceError, evaluate_solution,
                     instance_from_dict, instance_to_dict, load_instance,
                     load_solution, required_replicas, save_instance,
                     save_solution, service_failure_prob, solution_from_dict,

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RESOURCES, FractionalSolution, ProblemInstance
+from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 from .rounding import rounding_ensemble
 
 
-class UndefinedBoundError(ValueError):
+class UndefinedBoundError(VnfplaceError, ValueError):
     """No fractional load, hence no multiplicative bound to state."""
 
 

@@ -17,10 +17,11 @@ import yaml
 
 from . import availsim as availsim_mod
 from . import gen
+from .bounds import UndefinedBoundError
 from .experiments import ExperimentConfig, run_experiment
 from .lp import SimplexError
-from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, load_instance,
-                    load_solution, save_instance, save_solution)
+from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, InvalidModelError,
+                    load_instance, load_solution, save_instance, save_solution)
 from .oracle import OracleLimitError, OracleLimits
 from .schemes import SCHEMES, run_schemes
 
@@ -29,6 +30,16 @@ EXIT_CONFIG = 2
 EXIT_SOLVE = 3
 EXIT_LIMIT = 4
 EXIT_IO = 5
+
+# (error classes, exit code, message prefix); the first row that matches wins
+_EXIT_CODES = (
+    ((OracleLimitError,), EXIT_LIMIT, "error"),
+    ((SimplexError, InfeasibleSolutionError), EXIT_SOLVE, "solver error"),
+    ((InvalidModelError, UndefinedBoundError, yaml.YAMLError, ValueError, TypeError,
+      KeyError), EXIT_CONFIG, "config error"),
+    ((OSError,), EXIT_IO, "io error"),
+)
+_HANDLED = tuple(cls for classes, _, _ in _EXIT_CODES for cls in classes)
 
 
 def _resolve_seed(value, label):
@@ -187,18 +198,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (SimplexError, InfeasibleSolutionError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    except (yaml.YAMLError, ValueError, TypeError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except _HANDLED as exc:
+        code, prefix = next((code, prefix) for classes, code, prefix in _EXIT_CODES
+                            if isinstance(exc, classes))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -22,9 +22,14 @@ the most entries of any column (5 for the placement program), and sums it
 over the first axis: one pass with the additions, in the order, of a
 ``bincount`` over the entry list.  The basis inverse is a dense array,
 updated in place by a rank-1 BLAS update after each pivot and recomputed
-from scratch every 64 pivots.  The basic values are updated incrementally
-along each step, with the leaving variable pinned exactly at the bound it
-hit, and recomputed from the factorization whenever it is rebuilt.  The
+from scratch every 64 pivots.  A recomputation inverts densely only the
+basis nucleus: basic columns with one entry (slacks, artificials, the y[r]
+columns) are singletons whose rows and inverse entries follow by
+substitution, so only the remaining columns over the remaining rows, under
+half the basis on the placement program, go through ``np.linalg.inv``.
+The basic values are updated incrementally along each step, with the
+leaving variable pinned exactly at the bound it hit, and recomputed from
+the factorization whenever it is rebuilt.  The
 cost and bounds of each basic variable and the improving sign of every
 column are kept as arrays that a pivot or a bound flip updates in at most
 two places, and a bound flip, which leaves the basis as it was, reuses the
@@ -48,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .model import RESOURCES, FractionalSolution, ProblemInstance
+from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 
 DEFAULT_TOL = 1e-7
 DEFAULT_PIVOT_FLOOR = 1e-10
@@ -62,7 +67,7 @@ _REFACTOR_EVERY = 64
 _DEGENERATE_STREAK = 40
 
 
-class SimplexError(RuntimeError):
+class SimplexError(VnfplaceError, RuntimeError):
     """Base class for solver failures."""
 
 
@@ -123,12 +128,15 @@ class LinearProgram:
             raise ValueError(f"row sense must be {LE!r} or {GE!r}")
         if not math.isfinite(rhs):
             raise ValueError("row rhs must be finite")
-        for j, a in coeffs:
-            if not 0 <= j < self.n_vars:
-                raise ValueError(f"row references unknown variable {j}")
-            if not math.isfinite(a):
+        coeffs = list(coeffs)
+        if coeffs:
+            idx, vals = zip(*coeffs)
+            lo, hi = min(idx), max(idx)
+            if lo < 0 or hi >= self.n_vars:
+                raise ValueError(f"row references unknown variable {lo if lo < 0 else hi}")
+            if not all(map(math.isfinite, vals)):
                 raise ValueError("row coefficients must be finite")
-        self.rows.append((list(coeffs), sense, float(rhs)))
+        self.rows.append((coeffs, sense, float(rhs)))
 
 
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
@@ -136,14 +144,17 @@ def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     R, M = inst.n_requests, inst.n_mecs
     objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
     lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M))
-    for r in range(R):
+    x = np.arange(R * M).reshape(R, M)
+    ones = [1.0] * M
+    psi = (-np.asarray(inst.replicas, dtype=float)).tolist()
+    for r, (x_r, psi_r) in enumerate(zip(x.tolist(), psi)):
         # served requests must reach their replica count
-        coeffs = [(r * M + m, 1.0) for m in range(M)] + [(R * M + r, -float(inst.replicas[r]))]
-        lp.add_row(coeffs, GE, 0.0)
+        lp.add_row(list(zip(x_r, ones)) + [(R * M + r, psi_r)], GE, 0.0)
+    x_by_node = x.T.tolist()
     for res in RESOURCES:
-        demand, cap = inst.demand_vector(res), inst.capacity_vector(res)
-        for m in range(M):
-            lp.add_row([(r * M + m, float(demand[r])) for r in range(R)], LE, float(cap[m]))
+        demand = inst.demand_vector(res).tolist()
+        for x_m, cap in zip(x_by_node, inst.capacity_vector(res).tolist()):
+            lp.add_row(list(zip(x_m, demand)), LE, cap)
     return lp
 
 
@@ -247,17 +258,50 @@ class _BoundedSimplex:
     # -- basis -----------------------------------------------------------------
 
     def _refactorize(self):
-        """Invert the basis afresh and recompute the basic values from it."""
+        """Invert the basis afresh and recompute the basic values from it.
+
+        A basic column with one entry (a slack, an artificial, an admission
+        column) is a singleton: at basis positions S its entries a_S sit in
+        rows t_S, the set T.  Setting those rows and positions aside leaves
+        the nucleus, the other positions K over the other rows N, and B is
+        block triangular, so only the nucleus is inverted densely:
+
+            Binv[K, N] = inv(B[N, K])     Binv[S, t_S] = 1 / a_S
+            Binv[K, T] = 0                Binv[S, N] = -B[t_S, K] @ Binv[K, N] / a_S
+        """
         starts = self.indptr[self.basis]
         lens = self.indptr[self.basis + 1] - starts
-        nz = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
-        basis_t = np.zeros((self.m, self.m))
-        np.add.at(basis_t, (np.repeat(np.arange(self.m), lens), self.indices[nz]),
-                  self.data[nz])
+        single = lens == 1
+        S, K = np.flatnonzero(single), np.flatnonzero(~single)
+        t, a = self.indices[starts[S]], self.data[starts[S]]
+        in_t = np.zeros(self.m, dtype=bool)
+        in_t[t] = True
+        if np.count_nonzero(in_t) < S.size or not a.all():
+            raise NumericalInstabilityError(
+                "basis matrix is singular: singleton columns clash on a row or hold a zero")
+        N = np.flatnonzero(~in_t)
+        place = np.empty(self.m, dtype=np.intp)   # a row's index within N or within t
+        place[N] = np.arange(N.size)
+        place[t] = np.arange(S.size)
+        lens = lens[K]
+        nz = np.arange(lens.sum()) + np.repeat(starts[K] - np.cumsum(lens) + lens, lens)
+        rows, vals = self.indices[nz], self.data[nz]
+        cols = np.repeat(np.arange(K.size), lens)
+        on_t = in_t[rows]
+        nucleus = np.zeros((N.size, K.size))
+        np.add.at(nucleus, (place[rows[~on_t]], cols[~on_t]), vals[~on_t])
+        coupling = np.zeros((S.size, K.size))
+        np.add.at(coupling, (place[rows[on_t]], cols[on_t]), vals[on_t])
         try:
-            self.Binv = np.linalg.inv(basis_t).T   # Fortran-ordered for dger
+            nucleus_inv = np.linalg.inv(nucleus)
         except np.linalg.LinAlgError as exc:
             raise NumericalInstabilityError("basis matrix is singular") from exc
+        self.Binv = np.zeros((self.m, self.m), order="F")   # Fortran-ordered for dger
+        self.Binv[np.ix_(K, N)] = nucleus_inv
+        self.Binv[S, t] = 1.0 / a
+        # only singleton rows that some nucleus column touches couple to N
+        hit = np.flatnonzero(coupling.any(axis=1))
+        self.Binv[np.ix_(S[hit], N)] = (coupling[hit] @ nucleus_inv) / -a[hit, None]
         v = self._nonbasic_values()
         self.xb = self.Binv @ (self.b - self._product(v))
 

@@ -31,11 +31,17 @@ SOLUTION_SCHEMA_VERSION = 1
 FEAS_EPS = 1e-9
 
 
-class InvalidModelError(ValueError):
+class VnfplaceError(Exception):
+    """Base class of the errors this package raises.  Each subclass also
+    keeps the builtin base (``ValueError`` or ``RuntimeError``) it is caught
+    by elsewhere; ``cli.main`` maps each to an exit code."""
+
+
+class InvalidModelError(VnfplaceError, ValueError):
     """Failure probabilities that cannot support replica sizing."""
 
 
-class InfeasibleSolutionError(RuntimeError):
+class InfeasibleSolutionError(VnfplaceError, RuntimeError):
     """A solver stage returned a solution that fails its own feasibility check."""
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .lp import build_relaxed_program, simplex_solve
 from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
-                    SolutionMetrics, evaluate_solution)
+                    SolutionMetrics, VnfplaceError, evaluate_solution)
 
 _PRUNE_EPS = 1e-9
 
@@ -43,7 +43,7 @@ class OracleLimits:
             raise ValueError("max_nodes must be positive")
 
 
-class OracleLimitError(RuntimeError):
+class OracleLimitError(VnfplaceError, RuntimeError):
     """Search budget exhausted; carries the best incumbent found so far."""
 
     def __init__(self, message, incumbent, objective, upper_bound, nodes):

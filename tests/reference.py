@@ -128,6 +128,16 @@ def bincount_transposed_product(indices, data, col_of, y, columns):
     return np.bincount(col_of, weights=y[indices] * data, minlength=columns)
 
 
+def dense_basis(indptr, indices, data, basis):
+    """The basis matrix whose column i is the stored column basis[i],
+    repeated entries added up, built one entry at a time."""
+    B = np.zeros((len(basis), len(basis)))
+    for i, j in enumerate(basis):
+        for k in range(indptr[j], indptr[j + 1]):
+            B[indices[k], i] += data[k]
+    return B
+
+
 def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
     """Delivered counts per request for one availability-simulation chunk.
 

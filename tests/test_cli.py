@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 import yaml
 
 from helpers import force_infeasible
-from vnfplace import oracle, repair
+from vnfplace import cli, oracle, repair
+from vnfplace.bounds import UndefinedBoundError
 from vnfplace.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -11,12 +13,17 @@ from vnfplace.cli import (
     EXIT_SOLVE,
     main,
 )
+from vnfplace.lp import IterationLimitError, SimplexError
 from vnfplace.model import (
+    InfeasibleSolutionError,
     IntegralSolution,
+    InvalidModelError,
+    VnfplaceError,
     load_instance,
     load_solution,
     save_instance,
 )
+from vnfplace.oracle import OracleLimitError
 from vnfplace.gen import GeneratorConfig, generate
 
 
@@ -229,3 +236,27 @@ class TestPostConditionErrors:
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_SOLVE
         assert "failed: repair left violations" in capsys.readouterr().err
+
+
+class TestErrorHierarchy:
+    @pytest.mark.parametrize("error,builtin,code,prefix", [
+        (SimplexError("stalled"), RuntimeError, EXIT_SOLVE, "solver error"),
+        (IterationLimitError("stalled"), RuntimeError, EXIT_SOLVE, "solver error"),
+        (InfeasibleSolutionError("overloaded"), RuntimeError, EXIT_SOLVE, "solver error"),
+        (OracleLimitError("budget spent", None, 1.0, 2.0, 10), RuntimeError, EXIT_LIMIT,
+         "error"),
+        (InvalidModelError("bad eps"), ValueError, EXIT_CONFIG, "config error"),
+        (UndefinedBoundError("no load"), ValueError, EXIT_CONFIG, "config error"),
+    ])
+    def test_each_class_maps_to_its_exit_code(self, tmp_path, capsys, monkeypatch,
+                                             error, builtin, code, prefix):
+        assert isinstance(error, VnfplaceError) and isinstance(error, builtin)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_schemes", fail)
+        path, _ = small_instance_file(tmp_path, requests=4)
+        assert main(["solve", "--instance", path, "--scheme", "lr"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}: {error}") and "Traceback" not in err

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -5,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import vnfplace
 from helpers import make_instance, slack_caps
-from reference import bincount_transposed_product, vertex_enumeration_max
+from reference import bincount_transposed_product, dense_basis, vertex_enumeration_max
+from vnfplace import lp as lp_module
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import (
     GE,
@@ -17,6 +21,8 @@ from vnfplace.lp import (
     InfeasibleProgramError,
     IterationLimitError,
     LinearProgram,
+    NumericalInstabilityError,
+    SimplexError,
     UnboundedProgramError,
     _BoundedSimplex,
     build_relaxed_program,
@@ -41,6 +47,23 @@ class TestProgramConstruction:
         coeffs, sense, rhs = lp.rows[1]
         assert sense == GE and rhs == 0.0
         assert dict(coeffs) == {2: 1.0, 3: 1.0, 7: -2.0}
+
+    def test_row_from_a_generator_keeps_its_coefficients(self):
+        lp = LinearProgram(n_vars=3)
+        lp.add_row(((j, 2.0) for j in range(3)), LE, 1.0)
+        assert lp.rows == [([(0, 2.0), (1, 2.0), (2, 2.0)], LE, 1.0)]
+
+    @pytest.mark.parametrize("coeffs,message", [
+        ([(0, 1.0), (3, 1.0)], "unknown variable 3"),
+        ([(-1, 1.0)], "unknown variable -1"),
+        ([(0, float("nan"))], "must be finite"),
+        ([(1, float("inf"))], "must be finite"),
+    ])
+    def test_bad_row_rejected(self, coeffs, message):
+        lp = LinearProgram(n_vars=3)
+        with pytest.raises(ValueError, match=message):
+            lp.add_row(coeffs, LE, 1.0)
+        assert lp.rows == []
 
     def test_bounds_are_unit_box(self):
         inst = make_instance(caps=slack_caps(2), reqs=[{}, {}])
@@ -233,7 +256,7 @@ def random_box_program(rng):
 
 
 class TestAgainstHighs:
-    @pytest.mark.parametrize("requests,mecs", [(50, 10), (100, 10), (200, 20)])
+    @pytest.mark.parametrize("requests,mecs", [(50, 10), (100, 10), (200, 20), (400, 20)])
     def test_placement_objective_matches(self, requests, mecs):
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs,
                                         seed=requests + mecs))
@@ -268,6 +291,50 @@ class TestAgainstHighs:
         assert seen["optimal"] >= 40 and seen["infeasible"] >= 10
         assert seen["unbounded"] >= 5
         assert phase_one >= 20
+
+
+_SMALL = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def bounded_programs(draw):
+    """Small LPs with integer data: zero right-hand sides make degenerate
+    vertices, a copied column ties two variables, and >= rows and infinite
+    upper bounds make some programs infeasible or unbounded."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    objective = draw(st.lists(_SMALL, min_size=n, max_size=n))
+    lower = draw(st.lists(st.sampled_from([-1.0, 0.0]), min_size=n, max_size=n))
+    upper = draw(st.lists(st.sampled_from([1.0, 2.0, np.inf]), min_size=n, max_size=n))
+    matrix = draw(st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
+    if n >= 2 and draw(st.booleans()):
+        objective[-1], lower[-1], upper[-1] = objective[0], lower[0], upper[0]
+        for row in matrix:
+            row[-1] = row[0]
+    lp = LinearProgram(n_vars=n, objective=objective, lower=lower, upper=upper)
+    for row in matrix:
+        lp.add_row([(j, a) for j, a in enumerate(row) if a], draw(st.sampled_from([LE, GE])),
+                   draw(st.sampled_from([0.0, 0.0, -1.0, 1.0, 3.0])))
+    return lp
+
+
+class TestProperties:
+    def test_status_and_objective_match_highs(self):
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+
+        @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @given(bounded_programs())
+        def check(lp):
+            status, expected = highs_solve(lp)
+            seen[status] += 1
+            if status == "optimal":
+                assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
+            else:
+                error = InfeasibleProgramError if status == "infeasible" else UnboundedProgramError
+                with pytest.raises(error):
+                    simplex_solve(lp)
+
+        check()
+        assert min(seen.values()) >= 20, seen
 
 
 class TestPricingProduct:
@@ -305,6 +372,89 @@ class TestPricingProduct:
                                           np.zeros(simplex.status.size - simplex.n_struct)]))
         for r in range(0, simplex.m, 7):
             self.assert_matches_bincount(simplex, simplex.Binv[r])
+
+
+def placement_program(requests, mecs):
+    return build_relaxed_program(generate(GeneratorConfig(request_count=requests,
+                                                          mec_count=mecs, seed=0)))
+
+
+class TestNucleusRefactorization:
+    """The basis inverse built from singleton columns plus the inverted
+    nucleus, against the inverse of the whole basis."""
+
+    @staticmethod
+    def check_every_refactorization(monkeypatch):
+        """Check Binv at every _refactorize call; returns, per call, the
+        number of basic artificials."""
+        seen = []
+        refactorize = _BoundedSimplex._refactorize
+
+        def checked(self):
+            refactorize(self)
+            B = dense_basis(self.indptr, self.indices, self.data, self.basis)
+            assert self.Binv.flags.f_contiguous
+            assert np.abs(self.Binv @ B - np.eye(self.m)).max() <= 1e-9
+            assert np.abs(self.Binv - np.linalg.inv(B)).max() <= 1e-9
+            seen.append(int(np.count_nonzero(self.basis >= self.n_real)))
+
+        monkeypatch.setattr(_BoundedSimplex, "_refactorize", checked)
+        return seen
+
+    @pytest.mark.parametrize("requests,mecs", [(50, 10), (200, 20)])
+    def test_placement_solves(self, monkeypatch, requests, mecs):
+        seen = self.check_every_refactorization(monkeypatch)
+        simplex_solve(placement_program(requests, mecs))
+        assert len(seen) >= 5
+
+    def test_phase_one_with_basic_artificials(self, monkeypatch):
+        # refactorize every other pivot, so that phase 1 refactorizes
+        # while artificials are still basic
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 2)
+        seen = self.check_every_refactorization(monkeypatch)
+        rng = np.random.default_rng(5)
+        draws = 0
+        for _ in range(100):
+            start = len(seen)
+            with contextlib.suppress(SimplexError):
+                simplex_solve(random_box_program(rng))
+            draws += any(seen[start:])
+        assert draws >= 30
+
+    @staticmethod
+    def two_row_solver(columns):
+        """Solver state on two <= rows whose structural columns are given as
+        {row: value} maps, with those columns made basic."""
+        lp = LinearProgram(n_vars=len(columns))
+        for row in range(2):
+            lp.add_row([(j, col[row]) for j, col in enumerate(columns) if row in col], LE, 1.0)
+        solver = _BoundedSimplex(lp, 1e-7, 1e-10, None)
+        solver.basis[:] = np.arange(len(columns))
+        return solver
+
+    def test_singletons_on_one_row_raise(self):
+        # x0 and x1 each have one entry, both in row 0
+        solver = self.two_row_solver([{0: 1.0}, {0: 2.0}])
+        with pytest.raises(NumericalInstabilityError, match="clash"):
+            solver._refactorize()
+
+    def test_singular_nucleus_raises(self):
+        solver = self.two_row_solver([{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}])
+        with pytest.raises(NumericalInstabilityError):
+            solver._refactorize()
+
+    def test_inverted_blocks_stay_below_half_the_rows(self, monkeypatch):
+        sizes = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            sizes.append(a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        lp = placement_program(200, 20)
+        simplex_solve(lp)
+        assert sizes and max(sizes) <= len(lp.rows) // 2
 
 
 _SOLVE_200x20 = """
