@@ -16,10 +16,10 @@ work is trials x copies x min(eps_m, 1 - eps_m) draws in place of one
 uniform per cell.  Positions are drawn and counted in row blocks holding
 about 1 MB of expected hits, with the hits past a block's end carried over
 to the next, so memory stays fixed at any eps_m and trial count, and the
-counts do not depend on the block size.  A (trial, request) is counted by
-its run of hits: with failures drawn it is lost when the run covers all of
-the request's copies; with survivals drawn it is delivered when the run
-exists.
+counts do not depend on the block size.  The hits of one (trial, request)
+form a group: with survivals drawn every group delivers its trial, and with
+failures drawn a group loses its trial when its length equals the request's
+copy count.
 """
 
 import functools
@@ -108,7 +108,6 @@ def _chunk_counts(seed, chunk_index, size, eps_m, widths):
     counts = np.zeros(widths.size, dtype=np.int64)
     if total and p > 0.0:
         req = np.repeat(np.arange(widths.size), widths)        # request of each copy
-        offset = np.arange(total) - (np.cumsum(widths) - widths)[req]  # copy's index in it
         cells = size * total
         rows = min(size, max(1, int(_BLOCK_BYTES / (8 * total * p))))
         pending = np.empty(0, dtype=np.int64)   # drawn hit positions not yet counted
@@ -128,23 +127,16 @@ def _chunk_counts(seed, chunk_index, size, eps_m, widths):
             pending = np.concatenate(drawn)
             split = int(np.searchsorted(pending, end))
             pos, pending = pending[:split], pending[split:]
-            col = pos % total
+            # the hits of one (trial, request) share a key and, since the
+            # positions are sorted, lie next to each other
+            key = pos // total * widths.size + req[pos % total]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            hit_req = key[first] % widths.size
             if count_failures:
-                # a trial loses a request of k copies when its first copy's
-                # hit is followed by hits on the next k - 1 cells
-                start = np.flatnonzero(offset[col] == 0)
-                k = widths[req[col[start]]]
-                stop = start + k - 1
-                whole = stop < pos.size
-                start, k, stop = start[whole], k[whole], stop[whole]
-                lost = start[pos[stop] - pos[start] == k - 1]
-                counts += np.bincount(req[col[lost]], minlength=widths.size)
-            else:
-                # a trial delivers a request when any copy survived: count the
-                # first hit of each (trial, request) run
-                first = np.ones(pos.size, dtype=bool)
-                first[1:] = pos[:-1] < pos[1:] - offset[col[1:]]
-                counts += np.bincount(req[col[first]], minlength=widths.size)
+                # lost when every copy failed: the group is as long as the request is wide
+                length = np.diff(first, append=key.size)
+                hit_req = hit_req[length == widths[hit_req]]
+            counts += np.bincount(hit_req, minlength=widths.size)
     if count_failures:
         return np.where(widths > 0, size - counts, 0)
     return counts

@@ -29,28 +29,20 @@ class UndefinedBoundError(VnfplaceError, ValueError):
 def violation_factor(frac: FractionalSolution, inst: ProblemInstance,
                      resource: str, mec_id: int) -> float:
     """Multiplicative load ceiling (1 + delta) for one node and resource."""
-    demand = inst.demand_vector(resource)
-    alpha = float(demand.max())
-    mu = float(frac.x[:, mec_id] @ demand) / alpha
-    if mu <= 0.0:
+    factor = float(compute_bound_report(frac, inst).resource_factor[resource][mec_id])
+    if math.isnan(factor):
         raise UndefinedBoundError(
             f"{resource} load on mec {mec_id} is zero in the relaxation"
         )
-    delta = 3.0 * math.log(inst.n_requests) / mu + 3.0
-    return 1.0 + delta
+    return factor
 
 
 def objective_bound_factor(frac: FractionalSolution, inst: ProblemInstance) -> float:
     """Multiplicative reward floor (1 - delta_opt); may be <= 0 (vacuous)."""
-    rewards = inst.reward_vector()
-    alpha = float(rewards.max())
-    if alpha <= 0.0:
-        raise UndefinedBoundError("all rewards are zero")
-    mu = float(rewards @ frac.y) / alpha
-    if mu <= 0.0:
+    factor = compute_bound_report(frac, inst).objective_factor
+    if math.isnan(factor):
         raise UndefinedBoundError("relaxed objective is zero")
-    delta_opt = math.sqrt(4.0 * math.log(inst.n_requests) / mu)
-    return 1.0 - delta_opt
+    return factor
 
 
 @dataclass

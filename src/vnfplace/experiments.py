@@ -134,44 +134,14 @@ class ExperimentConfig:
         return list(self.sweep_values or ())
 
     def to_dict(self) -> dict:
-        out = {"version": EXPERIMENT_SCHEMA_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "generator":
-                out[f.name] = None if value is None else value.to_dict()
-            elif f.name == "oracle_limits":
-                out[f.name] = {"max_nodes": value.max_nodes}
-            elif isinstance(value, tuple):
-                out[f.name] = list(value)
-            else:
-                out[f.name] = value
-        return out
+        return gen.config_to_dict(self, EXPERIMENT_SCHEMA_VERSION)
 
     @classmethod
     def from_dict(cls, data: dict):
-        if not isinstance(data, dict):
-            raise ValueError("experiment config must be a mapping")
-        data = dict(data)
-        version = data.pop("version", EXPERIMENT_SCHEMA_VERSION)
-        if version != EXPERIMENT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported experiment config version: {version!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, value in data.items():
-            if name == "generator" and value is not None:
-                kwargs[name] = gen.GeneratorConfig.from_dict(value)
-            elif name == "oracle_limits" and value is not None:
-                kwargs[name] = OracleLimits(**value)
-            elif isinstance(value, list):
-                kwargs[name] = tuple(value)
-            else:
-                kwargs[name] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        nested = {"generator": gen.GeneratorConfig.from_dict,
+                  "oracle_limits": lambda value: OracleLimits(**value)}
+        return gen.config_from_dict(cls, data, EXPERIMENT_SCHEMA_VERSION, "experiment",
+                                    nested)
 
 
 def _point_generator(cfg: ExperimentConfig, point_value, seed: int) -> gen.GeneratorConfig:

@@ -10,7 +10,7 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -98,30 +98,47 @@ class GeneratorConfig:
         FailureModel(self.vnf_failure, self.pm_failure)
 
     def to_dict(self) -> dict:
-        out = {"version": GENERATOR_SCHEMA_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return config_to_dict(self, GENERATOR_SCHEMA_VERSION)
 
     @classmethod
     def from_dict(cls, data: dict):
-        if not isinstance(data, dict):
-            raise ValueError("generator config must be a mapping")
-        data = dict(data)
-        version = data.pop("version", GENERATOR_SCHEMA_VERSION)
-        if version != GENERATOR_SCHEMA_VERSION:
-            raise ValueError(f"unsupported generator config version: {version!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, value in data.items():
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return config_from_dict(cls, data, GENERATOR_SCHEMA_VERSION, "generator")
+
+
+def config_to_dict(cfg, version: int) -> dict:
+    """A config dataclass as a versioned mapping of plain values: tuples as
+    lists, a nested config as its ``to_dict()`` or else its fields."""
+    out = {"version": version}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif is_dataclass(value):
+            value = asdict(value)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def config_from_dict(cls, data, version: int, kind: str, nested=None):
+    """The validated ``cls`` config that ``config_to_dict`` wrote as ``data``.
+    ``nested`` maps a field to the parser of its value, if not None."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} config must be a mapping")
+    data = dict(data)
+    found = data.pop("version", version)
+    if found != version:
+        raise ValueError(f"unsupported {kind} config version: {found!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        if value is not None and name in (nested or {}):
+            value = nested[name](value)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    cfg = cls(**kwargs)
+    cfg.validate()
+    return cfg
 
 
 def generate(cfg: GeneratorConfig, catalog: UpfCatalog = None) -> ProblemInstance:

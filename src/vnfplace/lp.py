@@ -56,13 +56,13 @@ from scipy.linalg.blas import dger
 from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 
 DEFAULT_TOL = 1e-7
-DEFAULT_PIVOT_FLOOR = 1e-10
 
 LE = "<="
 GE = ">="
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 _DIRECTION = np.array([1.0, -1.0, 0.0])   # improving move, by status
+_PIVOT_FLOOR = 1e-10                        # smallest usable pivot magnitude
 _REFACTOR_EVERY = 64
 _DEGENERATE_STREAK = 40
 
@@ -176,9 +176,8 @@ class _BoundedSimplex:
     array, and the basic values ``xb`` incrementally.
     """
 
-    def __init__(self, lp, tol, pivot_floor, max_iterations):
+    def __init__(self, lp, tol, max_iterations):
         self.tol = tol
-        self.pivot_floor = pivot_floor
         self.objective_coeffs = lp.objective
         m, n = len(lp.rows), lp.n_vars
         self.m = m
@@ -226,11 +225,8 @@ class _BoundedSimplex:
         self.basis[art_rows] = self.artificials
         self.status = np.full(total, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
-        # the starting basis is diagonal with +-1 entries, its own inverse
-        diagonal = sigma.copy()
-        diagonal[art_rows] = art_signs
-        self.Binv = np.asfortranarray(np.diag(diagonal))
-        self.xb = diagonal * (self.b - self._product(self._nonbasic_values()))
+        # slacks and artificials are singletons: no nucleus to invert
+        self._refactorize()
 
     # -- sparse products -------------------------------------------------------
 
@@ -370,7 +366,7 @@ class _BoundedSimplex:
             # an infinite upper bound yields an infinite step
             bound = np.where(delta > 0.0, basic_lower, basic_upper)
             steps.fill(np.inf)
-            np.divide(xb - bound, delta, out=steps, where=np.abs(delta) > self.pivot_floor)
+            np.divide(xb - bound, delta, out=steps, where=np.abs(delta) > _PIVOT_FLOOR)
             np.maximum(steps, 0.0, out=steps)
 
             t_flip = self.upper[q] - self.lower[q]
@@ -388,7 +384,7 @@ class _BoundedSimplex:
             else:
                 tie = np.flatnonzero(steps <= t_row + self.tol)
                 r = int(tie[np.argmax(np.abs(delta[tie]))])
-                if abs(w[r]) < self.pivot_floor:
+                if abs(w[r]) < _PIVOT_FLOOR:
                     raise NumericalInstabilityError(
                         f"pivot magnitude {abs(w[r]):.3e} below floor"
                     )
@@ -458,7 +454,7 @@ class _BoundedSimplex:
         for r in np.flatnonzero(self.basis >= self.n_real):
             row = self._transposed_product(self.Binv[r])[: self.n_real]
             nonbasic = self.status[: self.n_real] != _BASIC
-            usable = np.flatnonzero(nonbasic & (np.abs(row) > self.pivot_floor))
+            usable = np.flatnonzero(nonbasic & (np.abs(row) > _PIVOT_FLOOR))
             if usable.size == 0:
                 continue  # dependent row; artificial stays basic at zero
             q = int(usable[0])
@@ -523,7 +519,6 @@ def _one_blas_thread():
 
 
 def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
-                  pivot_floor: float = DEFAULT_PIVOT_FLOOR,
                   max_iterations: int = None) -> SimplexResult:
     """Maximize the program; raises on infeasible/unbounded/stalled solves."""
     if lp.n_vars == 0:
@@ -532,7 +527,7 @@ def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
                 raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
     with _one_blas_thread():
-        return _BoundedSimplex(lp, tol, pivot_floor, max_iterations).solve()
+        return _BoundedSimplex(lp, tol, max_iterations).solve()
 
 
 def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL, **kwargs) -> FractionalSolution:

@@ -238,12 +238,6 @@ class SolutionMetrics:
     violated_constraints: list
     wasted_placements: list
 
-    def aggregate_utilization(self, resource: str, capacities: np.ndarray) -> float:
-        """Capacity-weighted mean utilization: total load over total capacity."""
-        frac = self.utilization[resource]
-        total_cap = float(capacities.sum())
-        return float((frac * capacities).sum() / total_cap)
-
 
 def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionMetrics:
     """Score a binary solution: reward, feasibility, utilization, waste."""

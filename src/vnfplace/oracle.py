@@ -83,9 +83,8 @@ class _KnapsackBound:
         """fits[i, m]: request k + i (up to request stop - 1) fits on node m."""
         return (residual[:, None, :] >= self.fit_floor[:, k:stop, None]).all(axis=0)
 
-    def __call__(self, k, residual, fits=None):
-        if fits is None:
-            fits = self.fits(k, residual)
+    def __call__(self, k, residual, fits):
+        """The bound at depth k; ``fits`` is ``self.fits(k, residual)``."""
         eligible = np.zeros(self.psi.size, dtype=bool)
         eligible[k:] = fits.sum(axis=1) >= self.psi[k:]
         w = np.where(eligible[self.by_density], self.weight, 0.0)

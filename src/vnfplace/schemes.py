@@ -49,15 +49,20 @@ class SchemeOutcome:
     nodes: int = None                   # exact only
 
 
+def _load_pct(inst, x):
+    """Total load over total capacity per resource, in percent."""
+    return {res: 100.0 * float((inst.demand_vector(res) @ x).sum()
+                               / inst.capacity_vector(res).sum())
+            for res in RESOURCES}
+
+
 def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):
     """The outcome of an integral scheme, scored by its ``metrics``."""
-    caps = {res: inst.capacity_vector(res) for res in RESOURCES}
     return SchemeOutcome(
         scheme=scheme, solution=solution,
         reward=metrics.total_reward if reward is None else reward,
         served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
-        utilization_pct={res: 100.0 * metrics.aggregate_utilization(res, caps[res])
-                         for res in RESOURCES},
+        utilization_pct=_load_pct(inst, solution.x),
         seconds=seconds, metrics=metrics, **extra)
 
 
@@ -81,13 +86,10 @@ def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
         t_lp = time.perf_counter() - t0
 
     if "lr" in want:
-        load_pct = {res: 100.0 * float((inst.demand_vector(res) @ frac.x).sum()
-                                       / inst.capacity_vector(res).sum())
-                    for res in RESOURCES}
         outcomes.append(SchemeOutcome(
             scheme="lr", solution=frac, reward=frac.objective,
             served_pct=100.0 * float(frac.y.sum()) / max(1, inst.n_requests),
-            utilization_pct=load_pct, seconds=t_lp))
+            utilization_pct=_load_pct(inst, frac.x), seconds=t_lp))
 
     if want & {"rr", "greedy"}:
         t0 = time.perf_counter()

@@ -155,17 +155,21 @@ class TestSimulation:
 class TestChunkCounts:
     """The row-blocked counts against one full failure matrix per chunk."""
 
-    def test_counts_match_full_matrix_reference(self):
+    def test_counts_match_full_matrix_reference(self, monkeypatch):
+        # 4 KB blocks keep every chunk below a million trials
+        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1 << 12)
         rng = np.random.default_rng(55)
         ragged = 0
         for case in range(24):
             widths = [int(w) for w in rng.integers(0, 6, int(rng.integers(1, 40)))]
             widths[0] = 0                          # always an unplaced request
             total = sum(widths)
-            rows = availsim._BLOCK_BYTES // (8 * max(total, 1))
-            size = int(rng.integers(rows + 1, 3 * rows)) if case % 2 else 1 << 15
-            ragged += size % rows != 0
             eps = float(10 ** rng.uniform(-4, np.log10(0.9)))
+            # the sampler's rows per block, from the expected hits per row
+            p = min(eps, 1.0 - eps)
+            rows = max(1, int(availsim._BLOCK_BYTES / (8 * max(total, 1) * p)))
+            size = int(rng.integers(rows + 1, 3 * rows)) if case % 2 else 1 << 15
+            ragged += size % min(size, rows) != 0
             got = _chunk_counts(case, 3, size, eps, widths)
             assert np.array_equal(got, reference_chunk_counts(case, 3, size, eps, widths)), \
                 (widths, size, eps)

@@ -216,6 +216,19 @@ class TestSimplexCore:
         assert result.objective == pytest.approx(3.0, abs=1e-7)
         assert result.values[0] == pytest.approx(1.0, abs=1e-7)
 
+    def test_ratio_test_ignores_drift_past_a_bound(self):
+        # maximize x0 + x1 with x0 - x1 <= 0 and x0 + x1 <= 1.5; the first
+        # slack has drifted 1e-9 below zero, so its raw step is negative
+        lp = LinearProgram(n_vars=2, objective=np.array([1.0, 1.0]))
+        lp.add_row([(0, 1.0), (1, -1.0)], LE, 0.0)
+        lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.5)
+        solver = _BoundedSimplex(lp, 1e-7, 1)
+        solver.xb[0] = -1e-9
+        with pytest.raises(IterationLimitError):
+            solver._optimize(np.array([1.0, 1.0, 0.0, 0.0]))
+        # a zero step, not a backward one, so x0 enters at its lower bound
+        assert (solver._values()[:2] >= 0.0).all()
+
 
 def highs_solve(lp):
     """Status ("optimal", "infeasible" or "unbounded") and objective of the
@@ -268,7 +281,7 @@ class TestAgainstHighs:
 
     def test_placement_program_needs_no_artificials(self):
         inst = generate(GeneratorConfig(request_count=50, seed=1))
-        solver = _BoundedSimplex(build_relaxed_program(inst), 1e-7, 1e-10, None)
+        solver = _BoundedSimplex(build_relaxed_program(inst), 1e-7, None)
         assert solver.artificials.size == 0
 
     def test_random_box_programs_with_phase_one(self):
@@ -280,7 +293,7 @@ class TestAgainstHighs:
             status, expected = highs_solve(lp)
             seen[status] += 1
             if status == "optimal":
-                phase_one += _BoundedSimplex(lp, 1e-7, 1e-10, None).artificials.size > 0
+                phase_one += _BoundedSimplex(lp, 1e-7, None).artificials.size > 0
                 assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
             elif status == "infeasible":
                 with pytest.raises(InfeasibleProgramError):
@@ -351,7 +364,7 @@ class TestPricingProduct:
         rng = np.random.default_rng(77)
         phase_one = 0
         for _ in range(200):
-            simplex = _BoundedSimplex(random_box_program(rng), 1e-7, 1e-10, None)
+            simplex = _BoundedSimplex(random_box_program(rng), 1e-7, None)
             phase_one += simplex.artificials.size > 0
             for scale in (1e-6, 1.0, 1e6):
                 self.assert_matches_bincount(simplex, scale * rng.normal(size=simplex.m))
@@ -362,7 +375,7 @@ class TestPricingProduct:
     @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
     def test_placement_ladder(self, requests, mecs):
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=3))
-        simplex = _BoundedSimplex(build_relaxed_program(inst), 1e-7, 1e-10, None)
+        simplex = _BoundedSimplex(build_relaxed_program(inst), 1e-7, None)
         assert simplex.padded_rows.shape == (5, simplex.status.size)
         rng = np.random.default_rng(requests)
         for _ in range(5):
@@ -386,7 +399,8 @@ class TestNucleusRefactorization:
     @staticmethod
     def check_every_refactorization(monkeypatch):
         """Check Binv at every _refactorize call; returns, per call, the
-        number of basic artificials."""
+        number of basic artificials, counted as 0 at the starting basis,
+        which is refactorized before any pivot."""
         seen = []
         refactorize = _BoundedSimplex._refactorize
 
@@ -396,7 +410,8 @@ class TestNucleusRefactorization:
             assert self.Binv.flags.f_contiguous
             assert np.abs(self.Binv @ B - np.eye(self.m)).max() <= 1e-9
             assert np.abs(self.Binv - np.linalg.inv(B)).max() <= 1e-9
-            seen.append(int(np.count_nonzero(self.basis >= self.n_real)))
+            seen.append(int(np.count_nonzero(self.basis >= self.n_real))
+                        if self.iterations else 0)
 
         monkeypatch.setattr(_BoundedSimplex, "_refactorize", checked)
         return seen
@@ -428,7 +443,7 @@ class TestNucleusRefactorization:
         lp = LinearProgram(n_vars=len(columns))
         for row in range(2):
             lp.add_row([(j, col[row]) for j, col in enumerate(columns) if row in col], LE, 1.0)
-        solver = _BoundedSimplex(lp, 1e-7, 1e-10, None)
+        solver = _BoundedSimplex(lp, 1e-7, None)
         solver.basis[:] = np.arange(len(columns))
         return solver
 

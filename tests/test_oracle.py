@@ -152,7 +152,8 @@ class TestKnapsackBound:
                 if fitting and rng.random() < 0.7:
                     residual[:, fitting[rng.integers(len(fitting))]] -= demand[:, r, None]
             rewards, psi = inst.reward_vector(), inst.replica_vector()
-            bound = _KnapsackBound(rewards[order], demand[:, order], psi[order])(k, residual)
+            knapsack = _KnapsackBound(rewards[order], demand[:, order], psi[order])
+            bound = knapsack(k, residual, knapsack.fits(k, residual))
             want = exhaustive_any_subset_optimum(residual_instance(inst, order[k:], residual))
             assert bound >= want - 1e-9
             below_reward_sum += bound < rewards[order[k:]].sum() - 1e-9
@@ -164,8 +165,8 @@ class TestKnapsackBound:
         demand = np.array([inst.demand_vector(res) for res in RESOURCES])
         residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
         bound = _KnapsackBound(inst.reward_vector(), demand, inst.replica_vector())
-        assert bound(0, residual) == 0.0
-        assert bound(0, 2 * residual) == 0.0
+        assert bound(0, residual, bound.fits(0, residual)) == 0.0
+        assert bound(0, 2 * residual, bound.fits(0, 2 * residual)) == 0.0
 
     def test_budget_error_reports_the_relaxed_optimum(self):
         inst = generate(small_config(4))
