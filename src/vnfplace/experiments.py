@@ -122,6 +122,9 @@ class ExperimentConfig:
             raise ValueError("sweep has no points")
         if self.generator is not None:
             self.generator.validate()
+        if self.oracle_limits is None:
+            raise ValueError("oracle_limits must be a mapping such as {max_nodes: 1000}, "
+                             "not null")
         self.oracle_limits.validate()
         if "exact" in self.schemes and not any(_oracle_fits(self, v) for v in self.points()):
             raise ValueError(

@@ -12,9 +12,10 @@ Two modes share that skeleton: ``exhaustive`` prunes only with the remaining
 reward sum, ``branch_and_bound`` (the default) also with an O(4R) bound: per
 resource, a fractional knapsack of the undecided requests (weight psi times
 demand) in the summed residual capacity, counting a request only while psi
-nodes can each still hold a copy of it.  Both respect a node budget and raise
-``OracleLimitError`` carrying the best incumbent and an upper bound when it
-runs out; its message states both and the nodes explored.
+nodes can each still hold a copy of it.  Residuals are per-node tuples of
+floats, and no numpy call runs per search node.  Both respect a node budget
+and raise ``OracleLimitError`` carrying the best incumbent and an upper bound
+when it runs out; its message states both and the nodes explored.
 
 The module also hosts the availability-blind baseline helpers: strip an
 instance down to single-copy requirements, and re-evaluate a solution against
@@ -68,29 +69,42 @@ class ExactResult:
 
 
 class _KnapsackBound:
-    """The branch-and-bound mode's bound on the reward reachable from search
-    depth k; requests are given in search order (see the module docstring)."""
+    """The branch-and-bound mode's bound on the reward from search depth k on
+    (requests in search order): scalar loops over the residual tuples and, per
+    resource, over (request, weight, reward) items sorted once by density."""
 
     def __init__(self, rewards, demand, psi):
-        weight = psi * demand                                    # (4, R)
-        self.by_density = np.argsort(-rewards / weight, axis=1, kind="stable")
-        self.weight = np.take_along_axis(weight, self.by_density, axis=1)
-        self.value = rewards[self.by_density]
-        self.fit_floor = demand - 1e-12    # a copy fits up to float dust
-        self.psi = psi
+        self.items = [sorted(zip(range(psi.size), w, rewards.tolist()),
+                             key=lambda t: -t[2] / t[1]) for w in (psi * demand).tolist()]
+        # per request: the residual a copy needs, up to float dust, and psi
+        self.floors_psi = list(zip((demand - 1e-12).T.tolist(), psi.tolist()))
 
-    def fits(self, k, residual, stop=None):
-        """fits[i, m]: request k + i (up to request stop - 1) fits on node m."""
-        return (residual[:, None, :] >= self.fit_floor[:, k:stop, None]).all(axis=0)
+    def fits(self, k, residual):
+        """fits[m]: request k fits on node m."""
+        (f0, f1, f2, f3), _ = self.floors_psi[k]
+        return [c0 >= f0 and c1 >= f1 and c2 >= f2 and c3 >= f3 for c0, c1, c2, c3 in residual]
 
-    def __call__(self, k, residual, fits):
-        """The bound at depth k; ``fits`` is ``self.fits(k, residual)``."""
-        eligible = np.zeros(self.psi.size, dtype=bool)
-        eligible[k:] = fits.sum(axis=1) >= self.psi[k:]
-        w = np.where(eligible[self.by_density], self.weight, 0.0)
-        room = np.maximum(residual, 0.0).sum(axis=1)[:, None]
-        part = np.clip((room - np.cumsum(w, axis=1) + w) / self.weight, 0.0, 1.0)
-        return (part * (w > 0) * self.value).sum(axis=1).min()
+    def __call__(self, k, residual):
+        """The bound at depth k: the smallest of the four knapsack values."""
+        eligible = [False] * k
+        for (f0, f1, f2, f3), n in self.floors_psi[k:]:
+            for c0, c1, c2, c3 in residual:
+                if c0 >= f0 and c1 >= f1 and c2 >= f2 and c3 >= f3:
+                    n -= 1
+            eligible.append(n <= 0)
+        values = []
+        for items, column in zip(self.items, zip(*residual)):
+            room = sum([c for c in column if c > 0.0])
+            used = value = 0.0
+            for i, w, v in items:
+                if eligible[i]:
+                    used += w
+                    part = (room - used + w) / w
+                    value += v if part >= 1.0 else max(part, 0.0) * v
+                    if part < 1.0:                  # the knapsack is full
+                        break
+            values.append(value)
+        return min(values)
 
 
 def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
@@ -103,12 +117,14 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
     R, M = inst.n_requests, inst.n_mecs
     rewards = inst.reward_vector()
     order = sorted(range(R), key=lambda r: (-rewards[r], r))
-    suffix = np.append(np.cumsum(rewards[order][::-1])[::-1], 0.0)  # reward from k on
+    gain = rewards[order].tolist()                                  # reward at depth k
+    suffix = np.append(np.cumsum(rewards[order][::-1])[::-1], 0.0).tolist()  # from k on
 
     # column k of each (resource, request) array describes request order[k]
     demand = np.array([inst.demand_vector(res) for res in RESOURCES])[:, order]
     psi = inst.replica_vector()[order]
     bound = _KnapsackBound(rewards[order], demand, psi)
+    cost = demand.T.tolist()
     choices = [list(itertools.combinations(range(M), int(n))) for n in psi]
 
     best_val, best_assign, assign, nodes = 0.0, [None] * R, [None] * R, 0
@@ -141,30 +157,29 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
             return
         if current + suffix[k] <= best_val + _PRUNE_EPS:
             return
-        # one fit test per node: the bound needs every undecided request,
-        # the branching below only request k
-        fits = bound.fits(k, residual, None if use_bound else k + 1)
-        if use_bound and current + bound(k, residual, fits) <= best_val + _PRUNE_EPS:
+        if use_bound and current + bound(k, residual) <= best_val + _PRUNE_EPS:
             return
-        fits = fits[0].tolist()
+        fits = bound.fits(k, residual)
         # twin[m]: the nearest lower-indexed node whose residual equals m's
         seen, twin = {}, []
-        for m, col in enumerate(map(tuple, residual.T.tolist())):
+        for m, col in enumerate(residual):
             twin.append(seen.get(col, -1))
             seen[col] = m
-        r = order[k]
+        r, (d0, d1, d2, d3) = order[k], cost[k]
         for combo in choices[k]:
             # among twins, only the lowest-indexed ones may be picked
             if all(fits[m] and (twin[m] < 0 or twin[m] in combo) for m in combo):
                 assign[r] = combo
                 child = residual.copy()
-                child[:, combo] -= demand[:, k, None]
-                dfs(k + 1, child, current + rewards[r])
+                for m in combo:
+                    c0, c1, c2, c3 = child[m]
+                    child[m] = (c0 - d0, c1 - d1, c2 - d2, c3 - d3)
+                dfs(k + 1, child, current + gain[k])
                 assign[r] = None
         dfs(k + 1, residual, current)
 
     if R:
-        dfs(0, np.array([inst.capacity_vector(res) for res in RESOURCES]), 0.0)
+        dfs(0, list(zip(*(inst.capacity_vector(res).tolist() for res in RESOURCES))), 0.0)
     solution = build_solution(best_assign)
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:

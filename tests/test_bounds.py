@@ -94,21 +94,32 @@ class TestObjectiveFactor:
 
 class TestBoundReport:
     def test_report_consistent_with_scalar_functions(self):
+        # every factor recomputed from the module docstring's formulas
         inst = generate(GeneratorConfig(request_count=30, seed=11))
         frac = solve_lp(build_relaxed_program(inst))
         report = compute_bound_report(frac, inst)
+        log_r = math.log(inst.n_requests)
         assert report.mec_request_ratio == pytest.approx(10 / 30)
+        unloaded = 0
         for res in ("cpu", "ram", "uplink", "downlink"):
+            demands = [req.demand(res) for req in inst.requests]
             for m in range(inst.n_mecs):
-                stated = report.resource_factor[res][m]
-                if np.isnan(stated):
+                mu = math.fsum(x * d for x, d in zip(frac.x[:, m], demands)) / max(demands)
+                if mu > 0.0:
+                    want = 3 * log_r / mu + 4
+                    assert report.resource_factor[res][m] == pytest.approx(want, rel=1e-12)
+                    assert violation_factor(frac, inst, res, m) == pytest.approx(want, rel=1e-12)
+                else:
+                    unloaded += 1
+                    assert np.isnan(report.resource_factor[res][m])
                     with pytest.raises(UndefinedBoundError):
                         violation_factor(frac, inst, res, m)
-                else:
-                    assert stated == pytest.approx(
-                        violation_factor(frac, inst, res, m), rel=1e-12)
-        assert report.objective_factor == pytest.approx(
-            objective_bound_factor(frac, inst), rel=1e-12)
+        assert unloaded < 4 * inst.n_mecs
+        rewards = [req.reward for req in inst.requests]
+        mu_opt = math.fsum(w * y for w, y in zip(rewards, frac.y)) / max(rewards)
+        want = 1 - math.sqrt(4 * log_r / mu_opt)
+        assert report.objective_factor == pytest.approx(want, rel=1e-12)
+        assert objective_bound_factor(frac, inst) == pytest.approx(want, rel=1e-12)
 
     def test_worst_factor_picks_maximum(self):
         inst = generate(GeneratorConfig(request_count=30, seed=11))

@@ -171,6 +171,16 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("limits", [None, {"max_nodes": 0}], ids=["null", "zero_nodes"])
+    def test_bad_oracle_limits_exit_2(self, tmp_path, capsys, limits):
+        cfg = write_yaml(tmp_path / "exp.yaml", {"schemes": ["lr"], "request_counts": [6],
+                                                 "runs": 2, "oracle_limits": limits})
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert ("oracle_limits" if limits is None else "max_nodes") in err
+
     def test_exact_on_oversized_instances_exits_2(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "exp.yaml", {
             "schemes": ["lr", "exact"], "request_counts": [6], "runs": 2,

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance, slack_caps
 from reference import exhaustive_any_subset_optimum
@@ -153,7 +155,7 @@ class TestKnapsackBound:
                     residual[:, fitting[rng.integers(len(fitting))]] -= demand[:, r, None]
             rewards, psi = inst.reward_vector(), inst.replica_vector()
             knapsack = _KnapsackBound(rewards[order], demand[:, order], psi[order])
-            bound = knapsack(k, residual, knapsack.fits(k, residual))
+            bound = knapsack(k, [tuple(c) for c in residual.T.tolist()])
             want = exhaustive_any_subset_optimum(residual_instance(inst, order[k:], residual))
             assert bound >= want - 1e-9
             below_reward_sum += bound < rewards[order[k:]].sum() - 1e-9
@@ -165,8 +167,8 @@ class TestKnapsackBound:
         demand = np.array([inst.demand_vector(res) for res in RESOURCES])
         residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
         bound = _KnapsackBound(inst.reward_vector(), demand, inst.replica_vector())
-        assert bound(0, residual, bound.fits(0, residual)) == 0.0
-        assert bound(0, 2 * residual, bound.fits(0, 2 * residual)) == 0.0
+        assert bound(0, [tuple(c) for c in residual.T.tolist()]) == 0.0
+        assert bound(0, [tuple(c) for c in (2 * residual).T.tolist()]) == 0.0
 
     def test_budget_error_reports_the_relaxed_optimum(self):
         inst = generate(small_config(4))
@@ -211,37 +213,47 @@ class TestNodeSymmetry:
 
 
 # optimum and placement rows (one 0/1 digit per node) as found by the search
-# with a simplex bound per node and no symmetry rule, in both modes
+# with a simplex bound per node and no symmetry rule, in both modes; then the
+# nodes the search with the knapsack bound and the symmetry rule visits, per mode
 PINNED = [
     (hetero_config(11), 28.90696567032899,
-     ["000", "000", "010", "000", "101", "000", "001", "000", "010"]),
+     ["000", "000", "010", "000", "101", "000", "001", "000", "010"],
+     {"branch_and_bound": 266, "exhaustive": 573}),
     (hetero_config(12), 22.739974384698996,
-     ["000", "110", "101", "000", "000", "000", "011", "000", "000"]),
+     ["000", "110", "101", "000", "000", "000", "011", "000", "000"],
+     {"branch_and_bound": 937, "exhaustive": 2148}),
     (hetero_config(13), 29.18794913450685,
-     ["000", "000", "001", "000", "000", "100", "110", "000", "001"]),
+     ["000", "000", "001", "000", "000", "100", "110", "000", "001"],
+     {"branch_and_bound": 315, "exhaustive": 926}),
     (identical_config(21), 36.54308142168607,
-     ["1100", "0000", "0010", "0000", "0000", "0001", "1100", "0011"]),
+     ["1100", "0000", "0010", "0000", "0000", "0001", "1100", "0011"],
+     {"branch_and_bound": 234, "exhaustive": 530}),
     (identical_config(22), 35.47010574756578,
-     ["0000", "0010", "1100", "0001", "0011", "0000", "0000", "1100"]),
+     ["0000", "0010", "1100", "0001", "0011", "0000", "0000", "1100"],
+     {"branch_and_bound": 325, "exhaustive": 737}),
     (identical_config(23), 29.374977556781687,
-     ["0011", "0000", "0000", "0000", "0110", "1100", "0000", "1000"]),
+     ["0011", "0000", "0000", "0000", "0110", "1100", "0000", "1000"],
+     {"branch_and_bound": 729, "exhaustive": 1216}),
 ]
 
 # the 14-request, 4-node fixed-capacity instance below, as solved by the
-# exhaustive search without the symmetry rule (4.1 million nodes)
+# exhaustive search without the symmetry rule (4.1 million nodes), and the
+# nodes the default mode visits on it
 FIXED_14X4_OPTIMUM = 57.9053707857995
 FIXED_14X4_ROWS = ["0000", "1000", "0000", "0000", "0011", "1000", "1100",
                    "0000", "0110", "0000", "0000", "0001", "0001", "0110"]
+FIXED_14X4_NODES = 7765
 
 
 class TestRegressionPins:
     @pytest.mark.parametrize("mode", ["branch_and_bound", "exhaustive"])
-    @pytest.mark.parametrize("cfg, objective, rows", PINNED,
-                             ids=[f"{len(rows[0])}x{cfg.seed}" for cfg, _, rows in PINNED])
-    def test_pinned_optimum_and_placement(self, cfg, objective, rows, mode):
+    @pytest.mark.parametrize("cfg, objective, rows, nodes", PINNED,
+                             ids=[f"{len(rows[0])}x{cfg.seed}" for cfg, _, rows, _ in PINNED])
+    def test_pinned_optimum_and_placement(self, cfg, objective, rows, nodes, mode):
         result = solve_exact(generate(cfg), mode=mode)
         assert result.objective == pytest.approx(objective, abs=1e-9)
         assert placement_rows(result.solution) == rows
+        assert result.nodes == nodes[mode]
 
     def test_fixed_capacity_14x4_within_default_budget(self):
         inst = generate(GeneratorConfig(
@@ -249,10 +261,52 @@ class TestRegressionPins:
             uplink_capacity=60.0, downlink_capacity=200.0, seed=0,
         ))
         result = solve_exact(inst)
-        assert result.nodes <= OracleLimits().max_nodes
+        assert result.nodes == FIXED_14X4_NODES <= OracleLimits().max_nodes
         assert result.objective == pytest.approx(FIXED_14X4_OPTIMUM, abs=1e-9)
         assert placement_rows(result.solution) == FIXED_14X4_ROWS
         assert evaluate_solution(inst, result.solution).feasible
+
+
+@st.composite
+def tiny_instances(draw):
+    """Up to 5 requests on up to 3 nodes, demands in tenths (whose sums carry
+    float dust), integer rewards; capacities random, identical on every node,
+    or the sum of two to four requests' demands, so copies can fill a node to
+    within the fit test's 1e-12 floor."""
+    M, R = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    tenths = st.integers(1, 40).map(lambda v: v / 10)
+    demands = [tuple(draw(tenths) for _ in RESOURCES) for _ in range(R)]
+    kind = draw(st.sampled_from(["random", "identical", "exact sums"]))
+    if kind == "random":
+        caps = [tuple(draw(tenths) * 3 for _ in RESOURCES) for _ in range(M)]
+    elif kind == "identical":
+        caps = [tuple(draw(tenths) * 3 for _ in RESOURCES)] * M
+    else:
+        caps = []
+        for _ in range(M):
+            held = draw(st.lists(st.integers(0, R - 1), min_size=2, max_size=4))
+            caps.append(tuple(sum(demands[r][j] for r in reversed(held)) for j in range(4)))
+    reqs = [{"c": c, "d": d, "up": up, "dw": dw, "reward": float(draw(st.integers(0, 9)))}
+            for c, d, up, dw in demands]
+    replicas = [draw(st.integers(1, 3)) for _ in range(R)]
+    return make_instance(caps=caps, reqs=reqs, replicas=replicas)
+
+
+class TestProperties:
+    def test_both_modes_match_the_any_subset_reference(self):
+        @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+        @given(tiny_instances())
+        def check(inst):
+            want = exhaustive_any_subset_optimum(inst)
+            bb, ex = (solve_exact(inst, mode=mode) for mode in ("branch_and_bound", "exhaustive"))
+            for result in (bb, ex):
+                assert result.objective == pytest.approx(want, abs=1e-9)
+                metrics = evaluate_solution(inst, result.solution)
+                assert metrics.feasible
+                assert metrics.total_reward == pytest.approx(result.objective, abs=1e-9)
+            assert bb.nodes <= ex.nodes
+
+        check()
 
 
 class TestBaselineHelpers:
