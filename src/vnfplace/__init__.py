@@ -11,11 +11,10 @@ exactly, and ``availsim`` checks delivered availability by Monte Carlo.
 
 from .availsim import AvailabilityReport, consistent_with_threshold, simulate_availability
 from .bounds import (BoundReport, EmpiricalViolationReport, UndefinedBoundError,
-                     compute_bound_report, empirical_violation_check,
-                     objective_bound_factor, violation_factor)
+                     compute_bound_report, empirical_violation_check)
 from .experiments import (ExperimentConfig, ExperimentReport, confidence_interval,
                           derive_seed, run_experiment)
-from .gen import GeneratorConfig, UpfCatalog, generate
+from .gen import GeneratorConfig, generate
 from .lp import (InfeasibleProgramError, IterationLimitError, LinearProgram,
                  NumericalInstabilityError, SimplexError, UnboundedProgramError,
                  build_relaxed_program, simplex_solve, solve_lp)
@@ -29,7 +28,7 @@ from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
 from .oracle import (ExactResult, OracleLimitError, OracleLimits,
                      evaluate_with_true_replicas, solve_exact, strip_availability)
 from .repair import greedy_repair
-from .rounding import randomized_round, rounding_ensemble
+from .rounding import randomized_round
 from .schemes import SCHEMES, SchemeOutcome, run_schemes
 
 __version__ = "0.1.0"

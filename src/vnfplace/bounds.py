@@ -18,31 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
-from .rounding import rounding_ensemble
+from .model import (RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError,
+                    evaluate_solution)
+from .rounding import randomized_round
 
 
 class UndefinedBoundError(VnfplaceError, ValueError):
     """No fractional load, hence no multiplicative bound to state."""
-
-
-def violation_factor(frac: FractionalSolution, inst: ProblemInstance,
-                     resource: str, mec_id: int) -> float:
-    """Multiplicative load ceiling (1 + delta) for one node and resource."""
-    factor = float(compute_bound_report(frac, inst).resource_factor[resource][mec_id])
-    if math.isnan(factor):
-        raise UndefinedBoundError(
-            f"{resource} load on mec {mec_id} is zero in the relaxation"
-        )
-    return factor
-
-
-def objective_bound_factor(frac: FractionalSolution, inst: ProblemInstance) -> float:
-    """Multiplicative reward floor (1 - delta_opt); may be <= 0 (vacuous)."""
-    factor = compute_bound_report(frac, inst).objective_factor
-    if math.isnan(factor):
-        raise UndefinedBoundError("relaxed objective is zero")
-    return factor
 
 
 @dataclass
@@ -116,8 +98,8 @@ class EmpiricalViolationReport:
 
 
 def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
-                              n_seeds: int, seed0: int = 0) -> EmpiricalViolationReport:
-    """Round n_seeds times and count crossings of (1 + delta) * LP load."""
+                              n_seeds: int) -> EmpiricalViolationReport:
+    """Round under seeds 0..n_seeds-1 and count crossings of (1 + delta) * LP load."""
     if n_seeds < 100:
         raise ValueError("need at least 100 seeds for a meaningful rate")
     report = compute_bound_report(frac, inst)
@@ -126,7 +108,9 @@ def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
 
     exceed_counts = {res: 0 for res in RESOURCES}
     worst_ratio = {res: 0.0 for res in RESOURCES}
-    for sol, metrics in rounding_ensemble(frac, inst, n_seeds, seed0=seed0):
+    for seed in range(n_seeds):
+        sol = randomized_round(frac, inst, seed)
+        metrics = evaluate_solution(inst, sol)
         for res in RESOURCES:
             load = inst.demand_vector(res) @ sol.x
             ceiling = ceilings[res]

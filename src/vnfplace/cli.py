@@ -104,8 +104,7 @@ def _cmd_solve(args):
     if args.scheme in ("rr", "greedy", "wo-avl"):
         seed = _resolve_seed(seed, "rounding")
     [outcome] = run_schemes(inst, [args.scheme], round_seed=seed, baseline_seed=seed,
-                            oracle_limits=OracleLimits(max_nodes=args.max_nodes),
-                            tol=args.tol)
+                            oracle_limits=OracleLimits(max_nodes=args.max_nodes))
     _print_outcome(outcome, inst)
     if args.output:
         save_solution(outcome.solution, args.output)
@@ -170,7 +169,6 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--seed", type=int, help="rounding seed (drawn if omitted)")
-    p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
     p.add_argument("--max-nodes", type=int, default=1_000_000,
                    help="search budget for the exact scheme")
     p.add_argument("--output", help="write the resulting solution here")

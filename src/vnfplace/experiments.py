@@ -18,7 +18,6 @@ import csv
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -122,6 +121,11 @@ class ExperimentConfig:
             raise ValueError("sweep has no points")
         if self.generator is not None:
             self.generator.validate()
+        for value in self.points():
+            try:
+                _point_generator(self, value, seed=0).validate()
+            except ValueError as exc:
+                raise ValueError(f"sweep point {value}: {exc}") from exc
         if self.oracle_limits is None:
             raise ValueError("oracle_limits must be a mapping such as {max_nodes: 1000}, "
                              "not null")
@@ -272,7 +276,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells = [(pi, run) for pi in range(len(points)) for run in range(cfg.runs)]
 
     run_rows, timing_rows, failed = [], [], []
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    try:
         if pool is not None:    # start every cell; results are still taken in cell order
             futures = {cell: pool.submit(_execute_run, cfg, *cell) for cell in cells}
         for cell in cells:
@@ -284,6 +289,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 continue
             run_rows.extend(rows)
             timing_rows.extend(timings)
+    finally:
+        if pool is not None:    # after an abort, the cells not yet started never run
+            pool.shutdown(cancel_futures=True)
 
     failed_by_point = Counter(point_value for point_value, _run, _reason in failed)
 

@@ -1,8 +1,9 @@
 """Seeded random instance generation for the simulated edge deployment.
 
-Every request carries a user-plane function chain: two mandatory functions
-(NAT, FW) plus two optional ones drawn uniformly without replacement, so CPU
-and RAM demands come from the chain catalog rather than free ranges.  Node
+Every request carries a user-plane function chain: the mandatory pair
+``MANDATORY_UPFS`` (NAT, FW) plus two functions of ``OPTIONAL_UPFS`` drawn
+uniformly without replacement, so its CPU and RAM demands are the sums of the
+chain's ``DEFAULT_UPF_SPECS`` footprints rather than free ranges.  Node
 capacities, link demands, availability classes and rewards follow the
 deployment defaults baked into ``GeneratorConfig``.
 
@@ -10,7 +11,7 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -25,36 +26,14 @@ DEFAULT_UPF_SPECS = {
     "VOC": (2, 2),
     "WOC": (1, 2),
 }
+MANDATORY_UPFS = ("NAT", "FW")
+OPTIONAL_UPFS = ("IDPS", "TM", "VOC", "WOC")
 
 GENERATOR_SCHEMA_VERSION = 1
 
 # sub-stream tags so node and request draws never share a stream
 _MEC_STREAM = 0
 _REQUEST_STREAM = 1
-
-
-@dataclass(frozen=True)
-class UpfCatalog:
-    """Catalog of chain building blocks: mandatory pair plus optional pool."""
-
-    specs: dict = field(default_factory=lambda: dict(DEFAULT_UPF_SPECS))
-    mandatory: tuple = ("NAT", "FW")
-    optional: tuple = ("IDPS", "TM", "VOC", "WOC")
-
-    def __post_init__(self):
-        for name in self.mandatory + self.optional:
-            if name not in self.specs:
-                raise ValueError(f"unknown function in catalog layout: {name}")
-        if set(self.mandatory) & set(self.optional):
-            raise ValueError("mandatory and optional pools must be disjoint")
-        for name, (cpu, ram) in self.specs.items():
-            if cpu <= 0 or ram <= 0:
-                raise ValueError(f"{name}: function footprints must be positive")
-
-    def chain_demand(self, chain) -> tuple:
-        cpu = sum(self.specs[u][0] for u in chain)
-        ram = sum(self.specs[u][1] for u in chain)
-        return cpu, ram
 
 
 @dataclass
@@ -141,11 +120,9 @@ def config_from_dict(cls, data, version: int, kind: str, nested=None):
     return cfg
 
 
-def generate(cfg: GeneratorConfig, catalog: UpfCatalog = None) -> ProblemInstance:
+def generate(cfg: GeneratorConfig) -> ProblemInstance:
     """Draw one instance from the config's seeded streams."""
     cfg.validate()
-    if catalog is None:
-        catalog = UpfCatalog()
     fm = FailureModel(cfg.vnf_failure, cfg.pm_failure)
 
     mec_rng = np.random.default_rng([_MEC_STREAM, cfg.seed])
@@ -159,13 +136,13 @@ def generate(cfg: GeneratorConfig, catalog: UpfCatalog = None) -> ProblemInstanc
 
     # exact decimal thresholds, not 1 - level float residue
     thresholds = [round(1.0 - level, 12) for level in cfg.availability_levels]
-    n_opt = len(catalog.optional)
     requests = []
     for k in range(cfg.request_count):
         rng = np.random.default_rng([_REQUEST_STREAM, cfg.seed, k])
-        pick = rng.choice(n_opt, size=2, replace=False)
-        chain = catalog.mandatory + tuple(catalog.optional[i] for i in sorted(pick))
-        cpu, ram = catalog.chain_demand(chain)
+        pick = rng.choice(len(OPTIONAL_UPFS), size=2, replace=False)
+        chain = MANDATORY_UPFS + tuple(OPTIONAL_UPFS[i] for i in sorted(pick))
+        cpu = sum(DEFAULT_UPF_SPECS[u][0] for u in chain)
+        ram = sum(DEFAULT_UPF_SPECS[u][1] for u in chain)
         eps_r = thresholds[int(rng.integers(len(thresholds)))]
         base = float(rng.uniform(*cfg.reward_base_range))
         up = float(rng.uniform(*cfg.uplink_demand_range))

@@ -55,14 +55,13 @@ from scipy.linalg.blas import dger
 
 from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 
-DEFAULT_TOL = 1e-7
-
 LE = "<="
 GE = ">="
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 _DIRECTION = np.array([1.0, -1.0, 0.0])   # improving move, by status
 _PIVOT_FLOOR = 1e-10                        # smallest usable pivot magnitude
+_TOL = 1e-7                                 # pricing, tie, step and feasibility tolerance
 _REFACTOR_EVERY = 64
 _DEGENERATE_STREAK = 40
 
@@ -176,8 +175,7 @@ class _BoundedSimplex:
     array, and the basic values ``xb`` incrementally.
     """
 
-    def __init__(self, lp, tol, max_iterations):
-        self.tol = tol
+    def __init__(self, lp, max_iterations):
         self.objective_coeffs = lp.objective
         m, n = len(lp.rows), lp.n_vars
         self.m = m
@@ -349,13 +347,13 @@ class _BoundedSimplex:
             # positive exactly where moving off the current bound improves
             gain = reduced * sign
             if bland:
-                candidates = np.flatnonzero(gain > self.tol)
+                candidates = np.flatnonzero(gain > _TOL)
                 if candidates.size == 0:
                     return
                 q = int(candidates[0])
             else:
                 q = int(np.argmax(gain))
-                if gain[q] <= self.tol:
+                if gain[q] <= _TOL:
                     return
 
             w = self._column(q)
@@ -382,7 +380,7 @@ class _BoundedSimplex:
                 step = t_flip
                 xb -= step * delta
             else:
-                tie = np.flatnonzero(steps <= t_row + self.tol)
+                tie = np.flatnonzero(steps <= t_row + _TOL)
                 r = int(tie[np.argmax(np.abs(delta[tie]))])
                 if abs(w[r]) < _PIVOT_FLOOR:
                     raise NumericalInstabilityError(
@@ -410,7 +408,7 @@ class _BoundedSimplex:
                     self._refactorize()
                     since_refactor = 0
 
-            if step <= self.tol:
+            if step <= _TOL:
                 degenerate_streak += 1
                 if degenerate_streak >= _DEGENERATE_STREAK:
                     bland = True
@@ -428,7 +426,7 @@ class _BoundedSimplex:
             self._optimize(phase1_cost)
             infeasibility = float(self._values()[self.artificials].sum())
             scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-            if infeasibility > self.tol * scale:
+            if infeasibility > _TOL * scale:
                 raise InfeasibleProgramError(
                     f"phase 1 left total infeasibility {infeasibility:.3e}"
                 )
@@ -470,8 +468,8 @@ class _BoundedSimplex:
         if np.abs(row_resid).max(initial=0.0) > 1e-6 * scale:
             raise NumericalInstabilityError("final basis violates row equations")
         reduced = self._reduced_costs(cost, cost[self.basis])
-        bad_low = (self.status == _AT_LOWER) & (reduced > 10 * self.tol)
-        bad_up = (self.status == _AT_UPPER) & (reduced < -10 * self.tol)
+        bad_low = (self.status == _AT_LOWER) & (reduced > 10 * _TOL)
+        bad_up = (self.status == _AT_UPPER) & (reduced < -10 * _TOL)
         movable = self.upper - self.lower > 0.0
         if ((bad_low | bad_up) & movable).any():
             raise NumericalInstabilityError("reduced costs fail the optimality test")
@@ -518,8 +516,7 @@ def _one_blas_thread():
             put(count)
 
 
-def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
-                  max_iterations: int = None) -> SimplexResult:
+def simplex_solve(lp: LinearProgram, max_iterations: int = None) -> SimplexResult:
     """Maximize the program; raises on infeasible/unbounded/stalled solves."""
     if lp.n_vars == 0:
         for coeffs, sense, rhs in lp.rows:
@@ -527,15 +524,15 @@ def simplex_solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
                 raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
     with _one_blas_thread():
-        return _BoundedSimplex(lp, tol, max_iterations).solve()
+        return _BoundedSimplex(lp, max_iterations).solve()
 
 
-def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL, **kwargs) -> FractionalSolution:
+def solve_lp(lp: LinearProgram, **kwargs) -> FractionalSolution:
     """Solve a relaxed placement program and unpack x, y from the variables."""
     if lp.shape is None:
         raise ValueError("program carries no (requests, mecs) shape to unpack")
     R, M = lp.shape
-    result = simplex_solve(lp, tol=tol, **kwargs)
+    result = simplex_solve(lp, **kwargs)
     x = result.values[: R * M].reshape(R, M)
     y = result.values[R * M : R * M + R]
     return FractionalSolution(x=x, y=y, objective=result.objective)

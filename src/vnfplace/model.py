@@ -207,9 +207,6 @@ class IntegralSolution:
         return cls(x=np.zeros((inst.n_requests, inst.n_mecs), dtype=np.int8),
                    y=np.zeros(inst.n_requests, dtype=np.int8))
 
-    def copy(self):
-        return IntegralSolution(x=self.x.copy(), y=self.y.copy())
-
 
 @dataclass
 class FractionalSolution:

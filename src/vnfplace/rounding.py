@@ -14,7 +14,7 @@ same solution on any platform: one uniform per placement variable in row-major
 
 import numpy as np
 
-from .model import FractionalSolution, IntegralSolution, ProblemInstance, evaluate_solution
+from .model import FractionalSolution, IntegralSolution, ProblemInstance
 
 # probabilities may carry solver dust this far outside [0, 1]
 PROB_SLACK = 1e-7
@@ -46,15 +46,3 @@ def randomized_round(frac: FractionalSolution, inst: ProblemInstance,
         if placed[r] >= need[r] and rng.random() < y_prob[r]:
             y[r] = 1
     return IntegralSolution(x=x, y=y)
-
-
-def rounding_ensemble(frac: FractionalSolution, inst: ProblemInstance,
-                      n_seeds: int, seed0: int = 0) -> list:
-    """Round under seeds seed0..seed0+n-1; returns (solution, metrics) pairs."""
-    if n_seeds < 1:
-        raise ValueError("ensemble needs at least one seed")
-    out = []
-    for i in range(n_seeds):
-        sol = randomized_round(frac, inst, seed0 + i)
-        out.append((sol, evaluate_solution(inst, sol)))
-    return out

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import BoundReport, compute_bound_report
-from .lp import DEFAULT_TOL, build_relaxed_program, solve_lp
+from .lp import build_relaxed_program, solve_lp
 from .model import RESOURCES, SolutionMetrics, evaluate_solution
 from .oracle import evaluate_with_true_replicas, solve_exact, strip_availability
 from .repair import greedy_repair
@@ -67,7 +67,7 @@ def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):
 
 
 def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
-                oracle_limits=None, tol=DEFAULT_TOL) -> list:
+                oracle_limits=None) -> list:
     """Run ``schemes`` on ``inst``; the outcomes come in ``SCHEMES`` order.
 
     rr and greedy round with ``round_seed``, wo-avl with ``baseline_seed``;
@@ -82,7 +82,7 @@ def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
 
     if want & {"lr", "rr", "greedy"}:
         t0 = time.perf_counter()
-        frac = solve_lp(build_relaxed_program(inst), tol=tol)
+        frac = solve_lp(build_relaxed_program(inst))
         t_lp = time.perf_counter() - t0
 
     if "lr" in want:
@@ -112,7 +112,7 @@ def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
     if "wo-avl" in want:
         t0 = time.perf_counter()
         blind = strip_availability(inst)
-        blind_frac = solve_lp(build_relaxed_program(blind), tol=tol)
+        blind_frac = solve_lp(build_relaxed_program(blind))
         blind_sol = greedy_repair(blind, randomized_round(blind_frac, blind, baseline_seed))
         adjusted, metrics = evaluate_with_true_replicas(inst, blind_sol)
         outcomes.append(_scored("wo-avl", inst, adjusted, metrics,

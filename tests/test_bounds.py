@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, slack_caps
-from vnfplace.bounds import (
-    UndefinedBoundError,
-    compute_bound_report,
-    empirical_violation_check,
-    objective_bound_factor,
-    violation_factor,
-)
+from vnfplace.bounds import UndefinedBoundError, compute_bound_report, empirical_violation_check
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
-from vnfplace.model import FractionalSolution
+from vnfplace.model import FractionalSolution, evaluate_solution
+from vnfplace.rounding import randomized_round
 
 
 def uniform_frac(inst, x_val, y_val):
@@ -23,6 +18,11 @@ def uniform_frac(inst, x_val, y_val):
         objective=float(inst.reward_vector().sum() * y_val))
 
 
+def cpu_factor(frac, inst):
+    """The load ceiling of node 0's cpu; nan where it carries no load."""
+    return compute_bound_report(frac, inst).resource_factor["cpu"][0]
+
+
 class TestViolationFactor:
     def test_frozen_value_for_round_numbers(self):
         # 50 requests, unit demands, x = 0.2 everywhere: mu = 10, and the
@@ -30,8 +30,7 @@ class TestViolationFactor:
         inst = make_instance(caps=slack_caps(1),
                              reqs=[{"eps": 0.01} for _ in range(50)])
         frac = uniform_frac(inst, 0.2, 0.2)
-        factor = violation_factor(frac, inst, "cpu", 0)
-        assert factor == pytest.approx(5.173606901628444, abs=1e-12)
+        assert cpu_factor(frac, inst) == pytest.approx(5.173606901628444, abs=1e-12)
 
     def test_alpha_scaling_invariance(self):
         # doubling every demand doubles alpha and leaves mu and the factor alone
@@ -41,21 +40,18 @@ class TestViolationFactor:
                               reqs=[{"c": 4.0, "eps": 0.01} for _ in range(20)])
         frac1 = uniform_frac(inst1, 0.5, 0.5)
         frac2 = uniform_frac(inst2, 0.5, 0.5)
-        assert violation_factor(frac1, inst1, "cpu", 0) == pytest.approx(
-            violation_factor(frac2, inst2, "cpu", 0), rel=1e-12)
+        assert cpu_factor(frac1, inst1) == pytest.approx(cpu_factor(frac2, inst2), rel=1e-12)
 
     def test_factor_decreases_with_load(self):
         inst = make_instance(caps=slack_caps(1),
                              reqs=[{"eps": 0.01} for _ in range(30)])
-        light = violation_factor(uniform_frac(inst, 0.1, 0.1), inst, "cpu", 0)
-        heavy = violation_factor(uniform_frac(inst, 0.9, 0.9), inst, "cpu", 0)
+        light = cpu_factor(uniform_frac(inst, 0.1, 0.1), inst)
+        heavy = cpu_factor(uniform_frac(inst, 0.9, 0.9), inst)
         assert heavy < light
 
     def test_zero_load_has_no_bound(self):
         inst = make_instance(caps=slack_caps(2), reqs=[{"eps": 0.01}] * 5)
-        frac = uniform_frac(inst, 0.0, 0.0)
-        with pytest.raises(UndefinedBoundError):
-            violation_factor(frac, inst, "cpu", 0)
+        assert np.isnan(cpu_factor(uniform_frac(inst, 0.0, 0.0), inst))
 
 
 class TestObjectiveFactor:
@@ -65,7 +61,7 @@ class TestObjectiveFactor:
         inst = make_instance(caps=slack_caps(1),
                              reqs=[{"eps": 0.01, "reward": 1.0} for _ in range(50)])
         frac = uniform_frac(inst, 0.4, 0.4)
-        assert objective_bound_factor(frac, inst) == pytest.approx(
+        assert compute_bound_report(frac, inst).objective_factor == pytest.approx(
             0.11546362365042939, abs=1e-12)
 
     def test_vacuous_threshold(self):
@@ -86,10 +82,10 @@ class TestObjectiveFactor:
         report = compute_bound_report(uniform_frac(inst, 0.1, 0.02), inst)
         assert report.objective_factor < 0  # negative, not clipped to zero
 
-    def test_zero_objective_rejected(self):
+    def test_zero_objective_has_no_floor(self):
         inst = make_instance(caps=slack_caps(1), reqs=[{"eps": 0.01}] * 5)
-        with pytest.raises(UndefinedBoundError):
-            objective_bound_factor(uniform_frac(inst, 0.5, 0.0), inst)
+        report = compute_bound_report(uniform_frac(inst, 0.5, 0.0), inst)
+        assert np.isnan(report.objective_factor)
 
 
 class TestBoundReport:
@@ -108,18 +104,14 @@ class TestBoundReport:
                 if mu > 0.0:
                     want = 3 * log_r / mu + 4
                     assert report.resource_factor[res][m] == pytest.approx(want, rel=1e-12)
-                    assert violation_factor(frac, inst, res, m) == pytest.approx(want, rel=1e-12)
                 else:
                     unloaded += 1
                     assert np.isnan(report.resource_factor[res][m])
-                    with pytest.raises(UndefinedBoundError):
-                        violation_factor(frac, inst, res, m)
         assert unloaded < 4 * inst.n_mecs
         rewards = [req.reward for req in inst.requests]
         mu_opt = math.fsum(w * y for w, y in zip(rewards, frac.y)) / max(rewards)
         want = 1 - math.sqrt(4 * log_r / mu_opt)
         assert report.objective_factor == pytest.approx(want, rel=1e-12)
-        assert objective_bound_factor(frac, inst) == pytest.approx(want, rel=1e-12)
 
     def test_worst_factor_picks_maximum(self):
         inst = generate(GeneratorConfig(request_count=30, seed=11))
@@ -155,6 +147,16 @@ class TestEmpiricalCheck:
             # the stated ceilings are loose; crossings should be rare
             assert report.exceed_fraction[res] <= 0.05
         assert report.n_seeds == 200
+
+    def test_worst_loads_come_from_seeds_zero_to_n(self):
+        inst = generate(GeneratorConfig(request_count=15, seed=21))
+        frac = solve_lp(build_relaxed_program(inst))
+        report = empirical_violation_check(inst, frac, n_seeds=100)
+        rounded = [evaluate_solution(inst, randomized_round(frac, inst, seed))
+                   for seed in range(100)]
+        for res in ("cpu", "ram", "uplink", "downlink"):
+            want = max(metrics.utilization[res].max() for metrics in rounded)
+            assert report.max_load_over_capacity[res] == want
 
     def test_requires_enough_seeds(self):
         inst = generate(GeneratorConfig(request_count=10, seed=1))

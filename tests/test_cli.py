@@ -181,6 +181,17 @@ class TestExperiment:
         assert err.startswith("config error:") and "Traceback" not in err
         assert ("oracle_limits" if limits is None else "max_nodes") in err
 
+    @pytest.mark.parametrize("sweep", [
+        {"sweep": "ram", "sweep_values": [48, 0]},
+        {"sweep": "cpu", "sweep_values": [24, 40], "fixed_ram": -1},
+    ], ids=["swept_value", "fixed_value"])
+    def test_bad_sweep_point_exits_2_before_any_run(self, tmp_path, capsys, sweep):
+        cfg = write_yaml(tmp_path / "exp.yaml", dict(sweep, schemes=["lr"], runs=2))
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sweep point ")
+        assert not (tmp_path / "r").exists()
+
     def test_exact_on_oversized_instances_exits_2(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "exp.yaml", {
             "schemes": ["lr", "exact"], "request_counts": [6], "runs": 2,

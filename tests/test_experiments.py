@@ -1,15 +1,18 @@
 import csv
+import functools
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from helpers import force_infeasible
-from vnfplace import oracle, repair
+from vnfplace import experiments, oracle, repair
 from vnfplace.experiments import (
     METRICS,
     ExperimentConfig,
     ExperimentReport,
+    _execute_run,
     _point_generator,
     _splitmix64,
     confidence_interval,
@@ -35,6 +38,15 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def marked_run(marker_dir, cfg, point_index, run):
+    """``_execute_run`` that leaves a marker file for its cell, then takes
+    long enough that the cells queued behind it are still queued when the
+    first cell fails."""
+    (marker_dir / f"{point_index}-{run}").touch()
+    time.sleep(0.1)
+    return _execute_run(cfg, point_index, run)
 
 
 class TestSeedDerivation:
@@ -116,6 +128,16 @@ class TestConfigValidation:
     def test_bad_error_policy(self):
         with pytest.raises(ValueError, match="on_error"):
             ExperimentConfig(on_error="retry").validate()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"sweep": "ram", "sweep_values": (48, 0)},
+         r"sweep point 0: ram_range: bad range \(0, 0\)"),
+        ({"sweep": "cpu", "sweep_values": (24, 40), "fixed_ram": -1},
+         r"sweep point 24: ram_range: bad range \(-1, -1\)"),
+    ], ids=["swept_value", "fixed_value"])
+    def test_every_sweep_point_is_validated(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**overrides).validate()
 
     def test_roundtrip_through_dict(self):
         cfg = tiny_config(sweep="cpu", sweep_values=(20, 30), on_error="exclude")
@@ -228,6 +250,15 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert info.value.nodes == 3
         assert info.value.incumbent is not None
+
+    def test_abort_cancels_the_queued_cells(self, monkeypatch, tmp_path):
+        # every cell exhausts its budget; the first failure must not wait for the other 39
+        monkeypatch.setattr(experiments, "_execute_run", functools.partial(marked_run, tmp_path))
+        cfg = tiny_config(request_counts=(6,), runs=40, schemes=("exact",),
+                          oracle_limits=OracleLimits(max_nodes=1), jobs=2)
+        with pytest.raises(OracleLimitError, match="run 0 at sweep point 6"):
+            run_experiment(cfg)
+        assert len(list(tmp_path.iterdir())) < 20
 
     def test_oracle_budget_exclude_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("lr", "exact"),

@@ -4,40 +4,35 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vnfplace.gen import DEFAULT_UPF_SPECS, GeneratorConfig, UpfCatalog, generate
+from vnfplace.gen import (DEFAULT_UPF_SPECS, MANDATORY_UPFS, OPTIONAL_UPFS, GeneratorConfig,
+                          generate)
 from vnfplace.model import instance_to_dict, required_replicas
 
 
 class TestCatalog:
     def test_default_footprints(self):
-        cat = UpfCatalog()
-        assert cat.specs["NAT"] == (1, 1)
-        assert cat.specs["FW"] == (2, 3)
-        assert cat.specs["IDPS"] == (2, 2)
-        assert cat.specs["TM"] == (1, 3)
-        assert cat.specs["VOC"] == (2, 2)
-        assert cat.specs["WOC"] == (1, 2)
+        assert DEFAULT_UPF_SPECS["NAT"] == (1, 1)
+        assert DEFAULT_UPF_SPECS["FW"] == (2, 3)
+        assert DEFAULT_UPF_SPECS["IDPS"] == (2, 2)
+        assert DEFAULT_UPF_SPECS["TM"] == (1, 3)
+        assert DEFAULT_UPF_SPECS["VOC"] == (2, 2)
+        assert DEFAULT_UPF_SPECS["WOC"] == (1, 2)
 
     def test_exemplar_chain_sums(self):
-        cat = UpfCatalog()
-        assert cat.chain_demand(("NAT", "FW", "IDPS", "TM")) == (6, 9)
-        assert cat.chain_demand(("NAT", "FW", "VOC", "WOC")) == (6, 8)
+        inst = generate(GeneratorConfig(mec_count=1, request_count=60, seed=9))
+        demands = {req.upf_chain: (req.cpu_demand, req.ram_demand) for req in inst.requests}
+        assert demands[("NAT", "FW", "IDPS", "TM")] == (6, 9)
+        assert demands[("NAT", "FW", "VOC", "WOC")] == (6, 8)
 
     def test_chain_hull_from_exhaustive_enumeration(self):
         # all C(4,2)=6 chains, enumerated here independently of the generator
-        cat = UpfCatalog()
         cpus, rams = set(), set()
-        for pair in itertools.combinations(cat.optional, 2):
-            c, d = cat.chain_demand(cat.mandatory + pair)
-            cpus.add(c)
-            rams.add(d)
+        for pair in itertools.combinations(OPTIONAL_UPFS, 2):
+            chain = MANDATORY_UPFS + pair
+            cpus.add(sum(DEFAULT_UPF_SPECS[u][0] for u in chain))
+            rams.add(sum(DEFAULT_UPF_SPECS[u][1] for u in chain))
         assert cpus == {5, 6, 7}
         assert rams == {8, 9}
-
-    def test_overlapping_pools_rejected(self):
-        with pytest.raises(ValueError):
-            UpfCatalog(specs=dict(DEFAULT_UPF_SPECS),
-                       mandatory=("NAT", "FW"), optional=("NAT", "TM", "VOC", "WOC"))
 
 
 class TestGenerate:

@@ -1,11 +1,15 @@
-"""No module-level import in the package or the tests goes unused, and no
-module-level private name in the package goes unreferenced.
+"""No module-level import in the package or the tests goes unused, no
+module-level private name in the package goes unreferenced, and every name
+and keyword that the benchmark in ``perfbench/`` calls on the package exists.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import vnfplace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +65,51 @@ def dead_private_names(paths):
 
 def test_no_dead_private_names_in_the_package():
     assert dead_private_names(sorted((ROOT / "src" / "vnfplace").glob("*.py"))) == []
+
+
+def keyword_names(tree, call):
+    """The keywords ``call`` passes by name, including those of a ``**name``
+    built in the same file as ``name = dict(k=...)`` or ``name["k"] = ...``."""
+    names = [kw.arg for kw in call.keywords if kw.arg]
+    packed = {kw.value.id for kw in call.keywords
+              if kw.arg is None and isinstance(kw.value, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in packed and isinstance(node.slice, ast.Constant)):
+            names.append(node.slice.value)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and any(isinstance(t, ast.Name) and t.id in packed for t in node.targets)):
+            names += [kw.arg for kw in node.value.keywords if kw.arg]
+    return names
+
+
+def perfbench_uses():
+    """(place, name, keywords) of every ``vp.<name>`` and ``self.vp.<name>``
+    in ``perfbench/*.py``, where ``vp`` is the imported package; keywords are
+    empty unless the name is called."""
+    uses = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    isinstance(node.value, ast.Name) and node.value.id == "vp"
+                    or isinstance(node.value, ast.Attribute) and node.value.attr == "vp"):
+                call = calls.get(id(node))
+                keywords = keyword_names(tree, call) if call else []
+                uses.append((f"{path.name}:{node.lineno}", node.attr, keywords))
+    return uses
+
+
+def test_perfbench_calls_only_what_the_package_exports():
+    uses = perfbench_uses()
+    assert {"solve_lp", "ExperimentConfig", "simulate_availability"} <= {n for _, n, _ in uses}
+    bad = []
+    for place, name, keywords in uses:
+        try:
+            target = getattr(vnfplace, name)
+            if keywords:
+                inspect.signature(target).bind_partial(**dict.fromkeys(keywords))
+        except (AttributeError, TypeError) as exc:
+            bad.append(f"{place} vp.{name}: {exc}")
+    assert bad == []

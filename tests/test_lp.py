@@ -181,6 +181,23 @@ class TestSimplexCore:
         with pytest.raises(InfeasibleProgramError):
             simplex_solve(lp)
 
+    @pytest.mark.parametrize("rows", [[], [(LE, 0.0), (LE, 2.0), (GE, 0.0), (GE, -2.0)]],
+                             ids=["no_rows", "satisfied_rows"])
+    def test_no_variables_and_satisfied_constant_rows(self, rows):
+        lp = LinearProgram(n_vars=0)
+        for sense, rhs in rows:
+            lp.add_row([], sense, rhs)
+        result = simplex_solve(lp)
+        assert (result.objective, result.iterations, result.values.shape) == (0.0, 0, (0,))
+
+    @pytest.mark.parametrize("sense,rhs", [(LE, -1e-9), (GE, 1e-9)])
+    def test_no_variables_and_a_violated_constant_row(self, sense, rhs):
+        lp = LinearProgram(n_vars=0)
+        lp.add_row([], LE, 1.0)
+        lp.add_row([], sense, rhs)
+        with pytest.raises(InfeasibleProgramError):
+            simplex_solve(lp)
+
     def test_unbounded_detected(self):
         lp = LinearProgram(
             n_vars=1,
@@ -222,7 +239,7 @@ class TestSimplexCore:
         lp = LinearProgram(n_vars=2, objective=np.array([1.0, 1.0]))
         lp.add_row([(0, 1.0), (1, -1.0)], LE, 0.0)
         lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.5)
-        solver = _BoundedSimplex(lp, 1e-7, 1)
+        solver = _BoundedSimplex(lp, 1)
         solver.xb[0] = -1e-9
         with pytest.raises(IterationLimitError):
             solver._optimize(np.array([1.0, 1.0, 0.0, 0.0]))
@@ -281,7 +298,7 @@ class TestAgainstHighs:
 
     def test_placement_program_needs_no_artificials(self):
         inst = generate(GeneratorConfig(request_count=50, seed=1))
-        solver = _BoundedSimplex(build_relaxed_program(inst), 1e-7, None)
+        solver = _BoundedSimplex(build_relaxed_program(inst), None)
         assert solver.artificials.size == 0
 
     def test_random_box_programs_with_phase_one(self):
@@ -293,7 +310,7 @@ class TestAgainstHighs:
             status, expected = highs_solve(lp)
             seen[status] += 1
             if status == "optimal":
-                phase_one += _BoundedSimplex(lp, 1e-7, None).artificials.size > 0
+                phase_one += _BoundedSimplex(lp, None).artificials.size > 0
                 assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
             elif status == "infeasible":
                 with pytest.raises(InfeasibleProgramError):
@@ -364,7 +381,7 @@ class TestPricingProduct:
         rng = np.random.default_rng(77)
         phase_one = 0
         for _ in range(200):
-            simplex = _BoundedSimplex(random_box_program(rng), 1e-7, None)
+            simplex = _BoundedSimplex(random_box_program(rng), None)
             phase_one += simplex.artificials.size > 0
             for scale in (1e-6, 1.0, 1e6):
                 self.assert_matches_bincount(simplex, scale * rng.normal(size=simplex.m))
@@ -375,7 +392,7 @@ class TestPricingProduct:
     @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
     def test_placement_ladder(self, requests, mecs):
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=3))
-        simplex = _BoundedSimplex(build_relaxed_program(inst), 1e-7, None)
+        simplex = _BoundedSimplex(build_relaxed_program(inst), None)
         assert simplex.padded_rows.shape == (5, simplex.status.size)
         rng = np.random.default_rng(requests)
         for _ in range(5):
@@ -443,7 +460,7 @@ class TestNucleusRefactorization:
         lp = LinearProgram(n_vars=len(columns))
         for row in range(2):
             lp.add_row([(j, col[row]) for j, col in enumerate(columns) if row in col], LE, 1.0)
-        solver = _BoundedSimplex(lp, 1e-7, None)
+        solver = _BoundedSimplex(lp, None)
         solver.basis[:] = np.arange(len(columns))
         return solver
 

@@ -170,6 +170,15 @@ class TestKnapsackBound:
         assert bound(0, [tuple(c) for c in residual.T.tolist()]) == 0.0
         assert bound(0, [tuple(c) for c in (2 * residual).T.tolist()]) == 0.0
 
+    def test_negative_residual_adds_no_room(self):
+        # node 0's cpu has gone below zero by float dust; the room is node 1's
+        # 6 cores, so two 4-core requests bound 10 + 10 * (6 - 4) / 4 = 15
+        demand = np.array([[4.0, 4.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        bound = _KnapsackBound(np.array([10.0, 10.0]), demand, np.array([1, 1]))
+        dust, zero = (-1e-12, 10.0, 10.0, 10.0), (0.0, 10.0, 10.0, 10.0)
+        free = (6.0, 10.0, 10.0, 10.0)
+        assert bound(0, [dust, free]) == bound(0, [zero, free]) == 15.0
+
     def test_budget_error_reports_the_relaxed_optimum(self):
         inst = generate(small_config(4))
         with pytest.raises(OracleLimitError) as excinfo:

@@ -5,7 +5,7 @@ from helpers import make_instance, slack_caps
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import FractionalSolution, evaluate_solution
-from vnfplace.rounding import randomized_round, rounding_ensemble
+from vnfplace.rounding import randomized_round
 
 
 def frac_for(inst):
@@ -132,20 +132,3 @@ class TestRoundingStatistics:
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(hits / n - expected) <= 4 * se
 
-
-class TestEnsemble:
-    def test_length_and_metrics_agree(self):
-        inst = generate(GeneratorConfig(request_count=15, seed=21))
-        frac = frac_for(inst)
-        pairs = rounding_ensemble(frac, inst, n_seeds=8, seed0=100)
-        assert len(pairs) == 8
-        for (sol, metrics), seed in zip(pairs, range(100, 108)):
-            again = randomized_round(frac, inst, seed=seed)
-            assert np.array_equal(sol.x, again.x)
-            assert metrics.total_reward == evaluate_solution(inst, sol).total_reward
-
-    def test_requires_positive_count(self):
-        inst = generate(GeneratorConfig(request_count=5, seed=1))
-        frac = frac_for(inst)
-        with pytest.raises(ValueError):
-            rounding_ensemble(frac, inst, n_seeds=0)
