@@ -16,7 +16,7 @@ is the one file that legitimately differs between repeat runs.
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -277,13 +277,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     run_rows, timing_rows, failed = [], [], []
     pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    in_flight = deque()         # futures of cells i, i+1, ... in cell order
     try:
-        if pool is not None:    # start every cell; results are still taken in cell order
-            futures = {cell: pool.submit(_execute_run, cfg, *cell) for cell in cells}
-        for cell in cells:
+        for i, cell in enumerate(cells):
+            if pool is not None:    # submit ahead so that `jobs` cells are in flight
+                for ahead in cells[i + len(in_flight):i + cfg.jobs]:
+                    in_flight.append(pool.submit(_execute_run, cfg, *ahead))
             try:
                 rows, timings = (_execute_run(cfg, *cell) if pool is None
-                                 else futures[cell].result())
+                                 else in_flight.popleft().result())
             except _RUN_ERRORS as exc:
                 _handle_run_error(cfg, points, cell, exc, failed)
                 continue

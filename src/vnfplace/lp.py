@@ -11,9 +11,14 @@ its box already does.
 bounded variables: nonbasic variables rest at a finite bound, the ratio test
 considers both bounds of every basic variable plus a bound flip of the
 entering variable, and artificial columns are allocated only for rows whose
-slack starts infeasible (the placement relaxation never needs any, since the
-all-zero point is feasible).  Entering variable: largest reduced cost,
-switching to Bland's smallest-index rule after a long degenerate streak.
+slack starts infeasible.  A program may name a ``start``: a box vertex, every
+structural variable at its lower or upper bound, at which the solve begins
+with every slack basic (a crash start; Bixby, ORSA J. Computing 1992).
+``build_relaxed_program`` starts at ``greedy_vertex``, a 0/1 placement that
+serves every request a greedy fits, so the placement relaxation needs no
+artificials and often starts at, or a few pivots from, its optimum.
+Entering variable: largest reduced cost, switching to Bland's smallest-index
+rule after a long degenerate streak.
 
 The constraint matrix is stored column-wise in plain numpy arrays, so the
 entering column costs one small product with the basis inverse.  Pricing
@@ -93,7 +98,10 @@ class LinearProgram:
     Rows are (coeffs, sense, rhs) with coeffs a list of (var index, value)
     pairs.  Bounds default to [0, 1] for every variable.  ``shape`` marks
     programs built from an instance: (n_requests, n_mecs) for unpacking the
-    variable vector back into placement form.
+    variable vector back into placement form.  ``start`` is the box vertex
+    the simplex begins at: each entry equals its variable's lower or upper
+    bound.  It defaults to the lower bounds; a start that violates a row is
+    repaired by phase 1.
     """
 
     n_vars: int
@@ -102,6 +110,7 @@ class LinearProgram:
     lower: np.ndarray = None
     upper: np.ndarray = None
     shape: tuple = None
+    start: np.ndarray = None
 
     def __post_init__(self):
         if self.n_vars < 0:
@@ -121,6 +130,12 @@ class LinearProgram:
             raise ValueError("variable lower bounds must be finite")
         if (self.upper < self.lower).any():
             raise ValueError("upper bounds must dominate lower bounds")
+        self.start = self.lower.copy() if self.start is None else np.asarray(self.start, float)
+        if self.start.shape != (self.n_vars,):
+            raise ValueError("start length must equal n_vars")
+        at_bound = (self.start == self.lower) | (self.start == self.upper)
+        if not (at_bound & np.isfinite(self.start)).all():
+            raise ValueError("start must put every variable at a finite lower or upper bound")
 
     def add_row(self, coeffs, sense: str, rhs: float) -> None:
         if sense not in (LE, GE):
@@ -138,11 +153,44 @@ class LinearProgram:
         self.rows.append((coeffs, sense, float(rhs)))
 
 
+def greedy_vertex(inst: ProblemInstance):
+    """A feasible 0/1 placement (x, y) that serves every request a greedy fits.
+
+    Requests are taken in descending reward over psi_r times their demand
+    summed over the four resources, each normalized by the resource's total
+    capacity.  A request is served when at least psi_r nodes still fit it,
+    on the psi_r fitting nodes with the most slack, summed over the
+    resources as shares of the node's capacity.  Both orders are stable
+    sorts, so ties go to the lower index.
+    """
+    R, M = inst.n_requests, inst.n_mecs
+    demand = np.array([inst.demand_vector(res) for res in RESOURCES])     # 4 x R
+    cap = np.array([inst.capacity_vector(res) for res in RESOURCES])      # 4 x M
+    psi = inst.replica_vector()
+    density = inst.reward_vector() / (psi * ((1.0 / cap.sum(axis=1)) @ demand))
+    slack = cap.copy()
+    x, y = np.zeros((R, M)), np.zeros(R)
+    for r in np.argsort(-density, kind="stable").tolist():
+        need = demand[:, r, None]
+        fits = np.flatnonzero((need <= slack).all(axis=0))
+        if fits.size < psi[r]:
+            continue
+        room = (slack[:, fits] / cap[:, fits]).sum(axis=0)
+        nodes = fits[np.argsort(-room, kind="stable")[: psi[r]]]
+        slack[:, nodes] -= need
+        x[r, nodes] = 1.0
+        y[r] = 1.0
+    return x, y
+
+
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
-    """Relax the placement problem: binary requirements become [0, 1] boxes."""
+    """Relax the placement problem: binary requirements become [0, 1] boxes.
+    The simplex starts at ``greedy_vertex``."""
     R, M = inst.n_requests, inst.n_mecs
     objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
-    lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M))
+    x0, y0 = greedy_vertex(inst)
+    lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M),
+                       start=np.concatenate([x0.ravel(), y0]))
     x = np.arange(R * M).reshape(R, M)
     ones = [1.0] * M
     psi = (-np.asarray(inst.replicas, dtype=float)).tolist()
@@ -175,7 +223,7 @@ class _BoundedSimplex:
     array, and the basic values ``xb`` incrementally.
     """
 
-    def __init__(self, lp, max_iterations):
+    def __init__(self, lp, max_iterations=None):
         self.objective_coeffs = lp.objective
         m, n = len(lp.rows), lp.n_vars
         self.m = m
@@ -193,8 +241,7 @@ class _BoundedSimplex:
 
         self.b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
         sigma = np.array([1.0 if sense == LE else -1.0 for _, sense, _ in lp.rows])
-        lower = lp.lower
-        resid = self.b - np.bincount(rows, weights=vals * lower[cols], minlength=m)
+        resid = self.b - np.bincount(rows, weights=vals * lp.start[cols], minlength=m)
         art_rows = np.flatnonzero(sigma * resid < 0.0)  # slack would start negative
         art_signs = np.sign(resid[art_rows])
         k = art_rows.size
@@ -216,12 +263,13 @@ class _BoundedSimplex:
 
         self.lower = np.zeros(total)
         self.upper = np.full(total, np.inf)
-        self.lower[:n] = lower
+        self.lower[:n] = lp.lower
         self.upper[:n] = lp.upper
         self.artificials = self.n_real + np.arange(k)
         self.basis = n + slack_rows
         self.basis[art_rows] = self.artificials
         self.status = np.full(total, _AT_LOWER, dtype=np.int8)
+        self.status[:n][(lp.start == lp.upper) & (lp.upper > lp.lower)] = _AT_UPPER
         self.status[self.basis] = _BASIC
         # slacks and artificials are singletons: no nucleus to invert
         self._refactorize()
@@ -516,7 +564,7 @@ def _one_blas_thread():
             put(count)
 
 
-def simplex_solve(lp: LinearProgram, max_iterations: int = None) -> SimplexResult:
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Maximize the program; raises on infeasible/unbounded/stalled solves."""
     if lp.n_vars == 0:
         for coeffs, sense, rhs in lp.rows:
@@ -524,15 +572,15 @@ def simplex_solve(lp: LinearProgram, max_iterations: int = None) -> SimplexResul
                 raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
     with _one_blas_thread():
-        return _BoundedSimplex(lp, max_iterations).solve()
+        return _BoundedSimplex(lp).solve()
 
 
-def solve_lp(lp: LinearProgram, **kwargs) -> FractionalSolution:
+def solve_lp(lp: LinearProgram) -> FractionalSolution:
     """Solve a relaxed placement program and unpack x, y from the variables."""
     if lp.shape is None:
         raise ValueError("program carries no (requests, mecs) shape to unpack")
     R, M = lp.shape
-    result = simplex_solve(lp, **kwargs)
+    result = simplex_solve(lp)
     x = result.values[: R * M].reshape(R, M)
     y = result.values[R * M : R * M + R]
     return FractionalSolution(x=x, y=y, objective=result.objective)

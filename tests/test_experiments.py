@@ -20,6 +20,7 @@ from vnfplace.experiments import (
     run_experiment,
 )
 from vnfplace.gen import GeneratorConfig
+from vnfplace.lp import SimplexError
 from vnfplace.model import InfeasibleSolutionError
 from vnfplace.oracle import OracleLimitError, OracleLimits
 
@@ -40,12 +41,14 @@ def tiny_config(**overrides):
     return ExperimentConfig(**kwargs)
 
 
-def marked_run(marker_dir, cfg, point_index, run):
+def marked_run(marker_dir, cfg, point_index, run, fail_run=None):
     """``_execute_run`` that leaves a marker file for its cell, then takes
-    long enough that the cells queued behind it are still queued when the
-    first cell fails."""
+    long enough that the cells queued behind it are still queued when a
+    cell fails.  Run ``fail_run`` fails with a solver error."""
     (marker_dir / f"{point_index}-{run}").touch()
     time.sleep(0.1)
+    if run == fail_run:
+        raise SimplexError("solver failure")
     return _execute_run(cfg, point_index, run)
 
 
@@ -259,6 +262,17 @@ class TestRunExperiment:
         with pytest.raises(OracleLimitError, match="run 0 at sweep point 6"):
             run_experiment(cfg)
         assert len(list(tmp_path.iterdir())) < 20
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_abort_starts_at_most_jobs_minus_one_later_cells(self, monkeypatch, tmp_path, jobs):
+        # run 5 fails; of the later runs only the jobs - 1 in flight beside it may start
+        monkeypatch.setattr(experiments, "_execute_run",
+                            functools.partial(marked_run, tmp_path, fail_run=5))
+        cfg = tiny_config(request_counts=(6,), runs=40, schemes=("lr",), jobs=jobs)
+        with pytest.raises(SimplexError, match="run 5 at sweep point 6"):
+            run_experiment(cfg)
+        started = {int(path.name.split("-")[1]) for path in tmp_path.iterdir()}
+        assert set(range(6)) <= started and max(started) <= 5 + jobs - 1
 
     def test_oracle_budget_exclude_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("lr", "exact"),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,10 +27,11 @@ from vnfplace.lp import (
     UnboundedProgramError,
     _BoundedSimplex,
     build_relaxed_program,
+    greedy_vertex,
     simplex_solve,
     solve_lp,
 )
-from vnfplace.oracle import solve_exact
+from vnfplace.oracle import solve_exact, strip_availability
 
 
 class TestProgramConstruction:
@@ -70,6 +72,73 @@ class TestProgramConstruction:
         lp = build_relaxed_program(inst)
         assert np.all(lp.lower == 0.0)
         assert np.all(lp.upper == 1.0)
+
+    def test_start_defaults_to_the_lower_bounds(self):
+        lp = LinearProgram(n_vars=2, lower=[-1.0, 0.5], upper=[1.0, np.inf])
+        assert lp.start.tolist() == [-1.0, 0.5]
+        lp.lower[0] = -2.0
+        assert lp.start[0] == -1.0   # a copy, not a view of the bounds
+
+    @pytest.mark.parametrize("start,message", [
+        ([0.0], "length"),
+        ([0.0, 0.5, 0.0], "lower or upper bound"),
+        ([0.0, 1.0, np.inf], "finite"),
+        ([0.0, np.nan, 0.0], "finite"),
+    ])
+    def test_bad_start_rejected(self, start, message):
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(n_vars=3, upper=[1.0, 1.0, np.inf], start=start)
+
+
+def check_start(inst):
+    """The program's start is a 0/1 point that places exactly psi_r copies of
+    each served request and nothing else, satisfies every row and so needs
+    no artificials."""
+    lp = build_relaxed_program(inst)
+    R, M = lp.shape
+    assert set(np.unique(lp.start)) <= {0.0, 1.0}
+    x, y = lp.start[: R * M].reshape(R, M), lp.start[R * M:]
+    assert np.array_equal(x.sum(axis=1), inst.replica_vector() * y)
+    for coeffs, sense, rhs in lp.rows:
+        value = sum(a * lp.start[j] for j, a in coeffs)
+        assert value <= rhs if sense == LE else value >= rhs
+    assert _BoundedSimplex(lp).artificials.size == 0
+    return y
+
+
+class TestGreedyStart:
+    @pytest.mark.parametrize("requests,mecs", [(20, 5), (50, 10), (100, 10), (200, 20)])
+    @pytest.mark.parametrize("blind", [False, True], ids=["true_replicas", "stripped"])
+    def test_start_is_a_feasible_vertex(self, requests, mecs, blind):
+        for seed in range(3):
+            inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=seed))
+            y = check_start(strip_availability(inst) if blind else inst)
+            assert y.any()
+
+    def test_loaded_instances_leave_requests_out(self):
+        inst = generate(GeneratorConfig(request_count=200, mec_count=5, seed=0))
+        y = check_start(inst)
+        assert 0 < y.sum() < inst.n_requests
+
+    def test_order_and_node_choice(self):
+        # request 1 has the best reward density and takes the two roomiest
+        # nodes; request 0 then fits only on node 2 and is left out;
+        # request 2, one copy, takes node 2, which has more room than node 0
+        inst = make_instance(
+            caps=[{"c": 4}, {"c": 3}, {"c": 2, "d": 500}],
+            reqs=[{"c": 2, "eps": 0.001, "reward": 5.0},
+                  {"c": 3, "eps": 0.001, "reward": 9.0},
+                  {"c": 1, "eps": 0.01, "reward": 1.0}],
+        )
+        x, y = greedy_vertex(inst)
+        assert y.tolist() == [0.0, 1.0, 1.0]
+        assert x.tolist() == [[0, 0, 0], [1, 1, 0], [0, 0, 1]]
+
+    def test_ties_go_to_the_lower_index(self):
+        inst = make_instance(caps=slack_caps(4), reqs=[{"eps": 0.001}] * 2)
+        x, y = greedy_vertex(inst)
+        # request 0 takes nodes 0 and 1; then nodes 2 and 3 have the most room
+        assert x.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]]
 
 
 class TestSolveLp:
@@ -208,9 +277,12 @@ class TestSimplexCore:
             simplex_solve(lp)
 
     def test_iteration_limit(self):
-        inst = generate(GeneratorConfig(request_count=20, seed=3))
+        inst = generate(GeneratorConfig(request_count=60, seed=3))
+        lp = build_relaxed_program(inst)
+        # the start is not optimal, so one iteration cannot end the solve
+        assert simplex_solve(lp).objective > lp.objective @ lp.start + 1.0
         with pytest.raises(IterationLimitError):
-            solve_lp(build_relaxed_program(inst), max_iterations=1)
+            _BoundedSimplex(lp, 1).solve()
 
     def test_negative_lower_bounds(self):
         # maximize x0 + x1 with x in [-2, 1]^2 and x0 + x1 <= 1
@@ -298,7 +370,7 @@ class TestAgainstHighs:
 
     def test_placement_program_needs_no_artificials(self):
         inst = generate(GeneratorConfig(request_count=50, seed=1))
-        solver = _BoundedSimplex(build_relaxed_program(inst), None)
+        solver = _BoundedSimplex(build_relaxed_program(inst))
         assert solver.artificials.size == 0
 
     def test_random_box_programs_with_phase_one(self):
@@ -310,7 +382,7 @@ class TestAgainstHighs:
             status, expected = highs_solve(lp)
             seen[status] += 1
             if status == "optimal":
-                phase_one += _BoundedSimplex(lp, None).artificials.size > 0
+                phase_one += _BoundedSimplex(lp).artificials.size > 0
                 assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
             elif status == "infeasible":
                 with pytest.raises(InfeasibleProgramError):
@@ -366,6 +438,42 @@ class TestProperties:
         check()
         assert min(seen.values()) >= 20, seen
 
+    def test_box_vertex_start_matches_highs_and_the_default_start(self):
+        """From any box vertex, feasible or not, the solve ends with the
+        status and objective of HiGHS and of the default start."""
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        starts = {"feasible": 0, "with_artificials": 0}
+
+        def outcome(lp):
+            try:
+                return "optimal", simplex_solve(lp).objective
+            except InfeasibleProgramError:
+                return "infeasible", None
+            except UnboundedProgramError:
+                return "unbounded", None
+
+        @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1), st.data())
+        def check(seed, data):
+            lp = random_box_program(np.random.default_rng(seed))
+            at_upper = data.draw(st.lists(st.booleans(), min_size=lp.n_vars,
+                                          max_size=lp.n_vars).filter(any))
+            at_upper = np.array(at_upper) & np.isfinite(lp.upper)
+            started = dataclasses.replace(lp, start=np.where(at_upper, lp.upper, lp.lower))
+            status, expected = highs_solve(lp)
+            seen[status] += 1
+            for got_status, got in (outcome(lp), outcome(started)):
+                assert got_status == status
+                if status == "optimal":
+                    assert got == pytest.approx(expected, abs=1e-6)
+            if at_upper.any():
+                has_artificials = _BoundedSimplex(started).artificials.size > 0
+                starts["with_artificials" if has_artificials else "feasible"] += 1
+
+        check()
+        assert min(seen.values()) >= 10, seen
+        assert starts["with_artificials"] >= 50 and starts["feasible"] >= 5, starts
+
 
 class TestPricingProduct:
     """The padded pricing product against the entry-list bincount, bit for bit."""
@@ -381,7 +489,7 @@ class TestPricingProduct:
         rng = np.random.default_rng(77)
         phase_one = 0
         for _ in range(200):
-            simplex = _BoundedSimplex(random_box_program(rng), None)
+            simplex = _BoundedSimplex(random_box_program(rng))
             phase_one += simplex.artificials.size > 0
             for scale in (1e-6, 1.0, 1e6):
                 self.assert_matches_bincount(simplex, scale * rng.normal(size=simplex.m))
@@ -392,7 +500,7 @@ class TestPricingProduct:
     @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
     def test_placement_ladder(self, requests, mecs):
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=3))
-        simplex = _BoundedSimplex(build_relaxed_program(inst), None)
+        simplex = _BoundedSimplex(build_relaxed_program(inst))
         assert simplex.padded_rows.shape == (5, simplex.status.size)
         rng = np.random.default_rng(requests)
         for _ in range(5):
@@ -435,6 +543,9 @@ class TestNucleusRefactorization:
 
     @pytest.mark.parametrize("requests,mecs", [(50, 10), (200, 20)])
     def test_placement_solves(self, monkeypatch, requests, mecs):
+        # the greedy start leaves 50x10 about 240 pivots: refactorize more
+        # often, so that the solve still refactorizes at least five times
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 32)
         seen = self.check_every_refactorization(monkeypatch)
         simplex_solve(placement_program(requests, mecs))
         assert len(seen) >= 5
@@ -460,7 +571,7 @@ class TestNucleusRefactorization:
         lp = LinearProgram(n_vars=len(columns))
         for row in range(2):
             lp.add_row([(j, col[row]) for j, col in enumerate(columns) if row in col], LE, 1.0)
-        solver = _BoundedSimplex(lp, None)
+        solver = _BoundedSimplex(lp)
         solver.basis[:] = np.arange(len(columns))
         return solver
 

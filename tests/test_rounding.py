@@ -12,17 +12,24 @@ def frac_for(inst):
     return solve_lp(build_relaxed_program(inst))
 
 
+def loaded_frac():
+    """A congested instance and its fractional LP optimum.  An uncongested
+    instance's LP optimum is integral, and rounds the same under any seed."""
+    inst = generate(GeneratorConfig(request_count=40, seed=5))
+    frac = frac_for(inst)
+    assert ((frac.x > 1e-9) & (frac.x < 1 - 1e-9)).any()
+    return inst, frac
+
+
 class TestRoundingContract:
     def test_deterministic_per_seed(self):
-        inst = generate(GeneratorConfig(request_count=20, seed=5))
-        frac = frac_for(inst)
+        inst, frac = loaded_frac()
         a = randomized_round(frac, inst, seed=11)
         b = randomized_round(frac, inst, seed=11)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_seeds_differ(self):
-        inst = generate(GeneratorConfig(request_count=20, seed=5))
-        frac = frac_for(inst)
+        inst, frac = loaded_frac()
         a = randomized_round(frac, inst, seed=1)
         b = randomized_round(frac, inst, seed=2)
         assert not (np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y))
