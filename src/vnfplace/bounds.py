@@ -36,11 +36,7 @@ class BoundReport:
     union bound over nodes leaves.
     """
 
-    resource_alpha: dict
-    resource_mu: dict
     resource_factor: dict
-    objective_alpha: float
-    objective_mu: float
     objective_factor: float
     vacuous_objective: bool
     mec_request_ratio: float
@@ -57,7 +53,7 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
     if R == 0:
         raise UndefinedBoundError("no requests, nothing to bound")
     log_r = math.log(R)
-    alphas, mus, factors = {}, {}, {}
+    factors = {}
     for res in RESOURCES:
         demand = inst.demand_vector(res)
         alpha = float(demand.max())
@@ -65,7 +61,7 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
         factor = np.full(inst.n_mecs, np.nan)
         loaded = mu > 0.0
         factor[loaded] = 3.0 * log_r / mu[loaded] + 4.0
-        alphas[res], mus[res], factors[res] = alpha, mu, factor
+        factors[res] = factor
 
     rewards = inst.reward_vector()
     obj_alpha = float(rewards.max())
@@ -75,11 +71,7 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
     else:
         obj_factor = float("nan")
     return BoundReport(
-        resource_alpha=alphas,
-        resource_mu=mus,
         resource_factor=factors,
-        objective_alpha=obj_alpha,
-        objective_mu=obj_mu,
         objective_factor=obj_factor,
         vacuous_objective=not obj_factor > 0.0,
         mec_request_ratio=inst.n_mecs / R,
@@ -94,7 +86,6 @@ class EmpiricalViolationReport:
     exceed_fraction: dict          # resource -> fraction of seeds with any crossing
     max_load_over_capacity: dict   # resource -> worst load/capacity seen
     chernoff_ceiling: float        # 1/R^2, the per-node theory rate
-    bound_report: BoundReport
 
 
 def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
@@ -125,5 +116,4 @@ def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
         exceed_fraction={res: exceed_counts[res] / n_seeds for res in RESOURCES},
         max_load_over_capacity=worst_ratio,
         chernoff_ceiling=1.0 / inst.n_requests**2,
-        bound_report=report,
     )

@@ -5,7 +5,9 @@ a box-constrained linear program: placement variables x[r,m] and admission
 variables y[r], all in [0, 1], with R + 4M rows: one redundancy row per
 request (placed copies of a served request must reach its replica count)
 and one capacity row per node and resource.  No row caps y[r] at 1, since
-its box already does.
+its box already does.  A ``LinearProgram`` holds its rows as entry arrays
+(row, variable, coefficient), which the build emits a block at a time and
+the solver sorts stably into columns.
 
 ``simplex_solve`` is a two-phase primal simplex on the revised tableau with
 bounded variables: nonbasic variables rest at a finite bound, the ratio test
@@ -20,25 +22,23 @@ artificials and often starts at, or a few pivots from, its optimum.
 Entering variable: largest reduced cost, switching to Bland's smallest-index
 rule after a long degenerate streak.
 
-The constraint matrix is stored column-wise in plain numpy arrays, so the
-entering column costs one small product with the basis inverse.  Pricing
-reads the same entries from a padded (width x columns) layout, width being
-the most entries of any column (5 for the placement program), and sums it
-over the first axis: one pass with the additions, in the order, of a
-``bincount`` over the entry list.  The basis inverse is a dense array,
-updated in place by a rank-1 BLAS update after each pivot and recomputed
-from scratch every 64 pivots.  A recomputation inverts densely only the
-basis nucleus: basic columns with one entry (slacks, artificials, the y[r]
-columns) are singletons whose rows and inverse entries follow by
-substitution, so only the remaining columns over the remaining rows, under
-half the basis on the placement program, go through ``np.linalg.inv``.
-The basic values are updated incrementally along each step, with the
-leaving variable pinned exactly at the bound it hit, and recomputed from
-the factorization whenever it is rebuilt.  The
-cost and bounds of each basic variable and the improving sign of every
-column are kept as arrays that a pivot or a bound flip updates in at most
-two places, and a bound flip, which leaves the basis as it was, reuses the
-reduced costs.
+The solver stores the constraint matrix column-wise in plain numpy arrays,
+so the entering column costs one small product with the basis inverse.
+Pricing reads the same entries from a padded (width x columns) layout,
+width being the most entries of any column (5 for the placement program),
+summed over the first axis: the additions, in order, of a ``bincount``
+over the entry list.  The basis inverse is a dense array, updated in place
+by a rank-1 BLAS update after each pivot and recomputed every 64 pivots.
+A recomputation inverts densely only the basis nucleus: basic columns with
+one entry (slacks, artificials, the y[r] columns) are singletons whose
+rows and inverse entries follow by substitution, so only the remaining
+columns over the remaining rows, under half the basis on the placement
+program, go through ``np.linalg.inv``.  The basic values are updated
+incrementally along each step, with the leaving variable pinned exactly
+at the bound it hit, and recomputed whenever the inverse is.  The cost
+and bounds of each basic variable and the improving sign of every column
+are arrays that a pivot or a bound flip updates in at most two places; a
+bound flip leaves the basis as it was and reuses the reduced costs.
 
 The pivots follow from BLAS products, whose summation order depends on
 the BLAS thread count, so another count can end at another optimal vertex.
@@ -53,7 +53,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -95,22 +95,28 @@ class NumericalInstabilityError(SimplexError):
 class LinearProgram:
     """Maximize objective @ v subject to sparse <=/>= rows and box bounds.
 
-    Rows are (coeffs, sense, rhs) with coeffs a list of (var index, value)
-    pairs.  Bounds default to [0, 1] for every variable.  ``shape`` marks
-    programs built from an instance: (n_requests, n_mecs) for unpacking the
-    variable vector back into placement form.  ``start`` is the box vertex
-    the simplex begins at: each entry equals its variable's lower or upper
+    Rows are stored as entry arrays: entry k adds ``coef[k]`` times variable
+    ``var[k]`` to row ``row[k]``, and row i holds ``sense[i]`` against
+    ``rhs[i]``; entries given to the constructor pass through ``add_rows``.
+    Bounds default to [0, 1] for every variable.  ``shape`` marks programs
+    built from an instance: (n_requests, n_mecs) for unpacking the variable
+    vector back into placement form.  ``start`` is the box vertex the
+    simplex begins at: each entry equals its variable's lower or upper
     bound.  It defaults to the lower bounds; a start that violates a row is
     repaired by phase 1.
     """
 
     n_vars: int
     objective: np.ndarray = None
-    rows: list = field(default_factory=list)
     lower: np.ndarray = None
     upper: np.ndarray = None
     shape: tuple = None
     start: np.ndarray = None
+    row: np.ndarray = ()
+    var: np.ndarray = ()
+    coef: np.ndarray = ()
+    sense: np.ndarray = ()
+    rhs: np.ndarray = ()
 
     def __post_init__(self):
         if self.n_vars < 0:
@@ -118,39 +124,57 @@ class LinearProgram:
         if self.objective is None:
             self.objective = np.zeros(self.n_vars)
         self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.n_vars,):
-            raise ValueError("objective length must equal n_vars")
-        if self.lower is None:
-            self.lower = np.zeros(self.n_vars)
-        if self.upper is None:
-            self.upper = np.ones(self.n_vars)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        self.lower = np.zeros(self.n_vars) if self.lower is None else np.asarray(self.lower, float)
+        self.upper = np.ones(self.n_vars) if self.upper is None else np.asarray(self.upper, float)
+        self.start = self.lower.copy() if self.start is None else np.asarray(self.start, float)
+        for name in ("objective", "lower", "upper", "start"):
+            if getattr(self, name).shape != (self.n_vars,):
+                raise ValueError(f"{name} length must equal n_vars")
         if not np.isfinite(self.lower).all():
             raise ValueError("variable lower bounds must be finite")
         if (self.upper < self.lower).any():
             raise ValueError("upper bounds must dominate lower bounds")
-        self.start = self.lower.copy() if self.start is None else np.asarray(self.start, float)
-        if self.start.shape != (self.n_vars,):
-            raise ValueError("start length must equal n_vars")
         at_bound = (self.start == self.lower) | (self.start == self.upper)
         if not (at_bound & np.isfinite(self.start)).all():
             raise ValueError("start must put every variable at a finite lower or upper bound")
+        entries = self.row, self.var, self.coef, self.sense, self.rhs
+        self.row = self.var = np.zeros(0, np.intp)
+        self.coef, self.sense, self.rhs = np.zeros(0), np.zeros(0, str), np.zeros(0)
+        self.add_rows(*entries)
+
+    def add_rows(self, row, var, coef, sense, rhs) -> None:
+        """Append len(rhs) rows; entry k adds coef[k] times var[k] to new row
+        row[k], numbered from 0 within the batch.  A rejected batch changes nothing."""
+        row, var = np.asarray(row, np.intp), np.asarray(var, np.intp)
+        coef, sense, rhs = np.asarray(coef, float), np.asarray(sense, str), np.asarray(rhs, float)
+        if (row.shape != var.shape or var.shape != coef.shape or sense.shape != rhs.shape
+                or row.min(initial=0) < 0 or row.max(initial=-1) >= rhs.size):
+            raise ValueError("entry arrays must share one length and name rows of the batch")
+        if not ((sense == LE) | (sense == GE)).all():
+            raise ValueError(f"row sense must be {LE!r} or {GE!r}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("row rhs must be finite")
+        lo, hi = var.min(initial=0), var.max(initial=-1)   # an empty batch passes
+        if lo < 0 or hi >= self.n_vars:
+            raise ValueError(f"row references unknown variable {lo if lo < 0 else hi}")
+        if not np.isfinite(coef).all():
+            raise ValueError("row coefficients must be finite")
+        batch = row + self.rhs.size, var, coef, sense, rhs
+        for name, new in zip(("row", "var", "coef", "sense", "rhs"), batch):
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
 
     def add_row(self, coeffs, sense: str, rhs: float) -> None:
-        if sense not in (LE, GE):
-            raise ValueError(f"row sense must be {LE!r} or {GE!r}")
-        if not math.isfinite(rhs):
-            raise ValueError("row rhs must be finite")
-        coeffs = list(coeffs)
-        if coeffs:
-            idx, vals = zip(*coeffs)
-            lo, hi = min(idx), max(idx)
-            if lo < 0 or hi >= self.n_vars:
-                raise ValueError(f"row references unknown variable {lo if lo < 0 else hi}")
-            if not all(map(math.isfinite, vals)):
-                raise ValueError("row coefficients must be finite")
-        self.rows.append((coeffs, sense, float(rhs)))
+        pairs = np.array(list(coeffs), dtype=float).reshape(-1, 2)
+        self.add_rows(np.zeros(len(pairs)), pairs[:, 0], pairs[:, 1], [sense], [rhs])
+
+    @property
+    def rows(self) -> list:
+        """(coeffs, sense, rhs) triples, coeffs as (var, value) pairs, derived on each
+        read; kept for ``perfbench/tracer.py``, which counts ``lp.rows`` and ``lp.nnz`` here."""
+        coeffs = [[] for _ in self.rhs]
+        for i, j, a in zip(self.row.tolist(), self.var.tolist(), self.coef.tolist()):
+            coeffs[i].append((j, a))
+        return list(zip(coeffs, self.sense.tolist(), self.rhs.tolist()))
 
 
 def greedy_vertex(inst: ProblemInstance):
@@ -192,16 +216,16 @@ def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M),
                        start=np.concatenate([x0.ravel(), y0]))
     x = np.arange(R * M).reshape(R, M)
-    ones = [1.0] * M
-    psi = (-np.asarray(inst.replicas, dtype=float)).tolist()
-    for r, (x_r, psi_r) in enumerate(zip(x.tolist(), psi)):
-        # served requests must reach their replica count
-        lp.add_row(list(zip(x_r, ones)) + [(R * M + r, psi_r)], GE, 0.0)
-    x_by_node = x.T.tolist()
-    for res in RESOURCES:
-        demand = inst.demand_vector(res).tolist()
-        for x_m, cap in zip(x_by_node, inst.capacity_vector(res).tolist()):
-            lp.add_row(list(zip(x_m, demand)), LE, cap)
+    # served requests must reach their replica count: x[r, :] - psi_r y_r >= 0
+    lp.add_rows(np.repeat(np.arange(R), M + 1),
+                np.column_stack([x, R * M + np.arange(R)]).ravel(),
+                np.column_stack([np.ones((R, M)), -inst.replica_vector()]).ravel(),
+                np.full(R, GE), np.zeros(R))
+    # one row per (resource, node): demand @ x[:, m] <= capacity
+    demand = np.array([inst.demand_vector(res) for res in RESOURCES])
+    lp.add_rows(np.repeat(np.arange(len(RESOURCES) * M), R), np.tile(x.T.ravel(), len(RESOURCES)),
+                np.repeat(demand, M, axis=0).ravel(), np.full(len(RESOURCES) * M, LE),
+                np.concatenate([inst.capacity_vector(res) for res in RESOURCES]))
     return lp
 
 
@@ -225,7 +249,7 @@ class _BoundedSimplex:
 
     def __init__(self, lp, max_iterations=None):
         self.objective_coeffs = lp.objective
-        m, n = len(lp.rows), lp.n_vars
+        m, n = lp.rhs.size, lp.n_vars
         self.m = m
         self.n_struct = n
         self.n_real = n + m            # structural + one slack per row
@@ -233,14 +257,11 @@ class _BoundedSimplex:
         self.iterations = 0
 
         # structural entries, column by column; repeated entries add up
-        cols = np.array([j for coeffs, _, _ in lp.rows for j, _ in coeffs], dtype=np.intp)
-        vals = np.array([a for coeffs, _, _ in lp.rows for _, a in coeffs], dtype=float)
-        rows = np.repeat(np.arange(m), [len(coeffs) for coeffs, _, _ in lp.rows])
-        order = np.argsort(cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        order = np.argsort(lp.var, kind="stable")
+        rows, cols, vals = lp.row[order], lp.var[order], lp.coef[order]
 
-        self.b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
-        sigma = np.array([1.0 if sense == LE else -1.0 for _, sense, _ in lp.rows])
+        self.b = lp.rhs
+        sigma = np.where(lp.sense == LE, 1.0, -1.0)
         resid = self.b - np.bincount(rows, weights=vals * lp.start[cols], minlength=m)
         art_rows = np.flatnonzero(sigma * resid < 0.0)  # slack would start negative
         art_signs = np.sign(resid[art_rows])
@@ -261,10 +282,8 @@ class _BoundedSimplex:
         self.padded_data = np.zeros((width, total))
         self.padded_data[slot, self.col_of] = self.data
 
-        self.lower = np.zeros(total)
-        self.upper = np.full(total, np.inf)
-        self.lower[:n] = lp.lower
-        self.upper[:n] = lp.upper
+        self.lower = np.concatenate([lp.lower, np.zeros(total - n)])
+        self.upper = np.concatenate([lp.upper, np.full(total - n, np.inf)])
         self.artificials = self.n_real + np.arange(k)
         self.basis = n + slack_rows
         self.basis[art_rows] = self.artificials
@@ -387,9 +406,7 @@ class _BoundedSimplex:
         while True:
             self.iterations += 1
             if self.iterations > self.max_iterations:
-                raise IterationLimitError(
-                    f"no optimum within {self.max_iterations} iterations"
-                )
+                raise IterationLimitError(f"no optimum within {self.max_iterations} iterations")
             if reduced is None:
                 reduced = self._reduced_costs(cost, basic_cost)
             # positive exactly where moving off the current bound improves
@@ -431,12 +448,9 @@ class _BoundedSimplex:
                 tie = np.flatnonzero(steps <= t_row + _TOL)
                 r = int(tie[np.argmax(np.abs(delta[tie]))])
                 if abs(w[r]) < _PIVOT_FLOOR:
-                    raise NumericalInstabilityError(
-                        f"pivot magnitude {abs(w[r]):.3e} below floor"
-                    )
+                    raise NumericalInstabilityError(f"pivot magnitude {abs(w[r]):.3e} below floor")
                 step = steps[r]
-                entering = (self.lower[q] + step if entering_lower
-                            else self.upper[q] - step)
+                entering = self.lower[q] + step if entering_lower else self.upper[q] - step
                 # the leaving variable is pinned exactly at the bound it hit
                 leaving = self.basis[r]
                 left = _AT_UPPER if delta[r] < 0 else _AT_LOWER
@@ -476,8 +490,7 @@ class _BoundedSimplex:
             scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
             if infeasibility > _TOL * scale:
                 raise InfeasibleProgramError(
-                    f"phase 1 left total infeasibility {infeasibility:.3e}"
-                )
+                    f"phase 1 left total infeasibility {infeasibility:.3e}")
             self._retire_artificials()
 
         cost = np.zeros(total)
@@ -491,8 +504,7 @@ class _BoundedSimplex:
         hi = self.upper[: self.n_struct]
         values = np.clip(values, lo, np.where(np.isfinite(hi), hi, values))
         objective = float(self.objective_coeffs @ values)
-        return SimplexResult(values=values, objective=objective,
-                             iterations=self.iterations)
+        return SimplexResult(values=values, objective=objective, iterations=self.iterations)
 
     def _retire_artificials(self):
         """Pin artificials to zero; pivot basic ones out where possible."""
@@ -516,10 +528,9 @@ class _BoundedSimplex:
         if np.abs(row_resid).max(initial=0.0) > 1e-6 * scale:
             raise NumericalInstabilityError("final basis violates row equations")
         reduced = self._reduced_costs(cost, cost[self.basis])
-        bad_low = (self.status == _AT_LOWER) & (reduced > 10 * _TOL)
-        bad_up = (self.status == _AT_UPPER) & (reduced < -10 * _TOL)
-        movable = self.upper - self.lower > 0.0
-        if ((bad_low | bad_up) & movable).any():
+        # positive exactly where moving a column off its bound improves
+        gain = reduced * _DIRECTION[self.status] * (self.upper - self.lower > 0.0)
+        if (gain > 10 * _TOL).any():
             raise NumericalInstabilityError("reduced costs fail the optimality test")
 
 
@@ -567,9 +578,8 @@ def _one_blas_thread():
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Maximize the program; raises on infeasible/unbounded/stalled solves."""
     if lp.n_vars == 0:
-        for coeffs, sense, rhs in lp.rows:
-            if (sense == LE and rhs < 0) or (sense == GE and rhs > 0):
-                raise InfeasibleProgramError("constant row is violated")
+        if (np.where(lp.sense == LE, lp.rhs, -lp.rhs) < 0.0).any():
+            raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
     with _one_blas_thread():
         return _BoundedSimplex(lp).solve()

@@ -37,6 +37,41 @@ def brute_force_feasible(inst, x, y, tol=1e-9):
     return True
 
 
+def placement_entries(inst):
+    """Entry lists (row, var, coef, sense, rhs) of the relaxed placement
+    program, built row by row: one redundancy row per request, then one
+    capacity row per resource and node, resource-major; x[r, m] is variable
+    r * M + m and y[r] variable R * M + r."""
+    R, M = len(inst.requests), len(inst.mecs)
+    row, var, coef, sense, rhs = [], [], [], [], []
+    for r in range(R):
+        for m in range(M):
+            row.append(r)
+            var.append(r * M + m)
+            coef.append(1.0)
+        row.append(r)
+        var.append(R * M + r)
+        coef.append(-float(inst.replicas[r]))
+        sense.append(">=")
+        rhs.append(0.0)
+    for k, res in enumerate(RESOURCE_FIELDS):
+        for m in range(M):
+            for r in range(R):
+                row.append(R + k * M + m)
+                var.append(r * M + m)
+                coef.append(float(getattr(inst.requests[r], res + "_demand")))
+            sense.append("<=")
+            rhs.append(float(getattr(inst.mecs[m], res + "_capacity")))
+    return row, var, coef, sense, rhs
+
+
+def constraint_matrix(lp):
+    """The program's dense row-by-variable matrix, summed from its entry arrays."""
+    A = np.zeros((lp.rhs.size, lp.n_vars))
+    np.add.at(A, (lp.row, lp.var), lp.coef)
+    return A
+
+
 def vertex_enumeration_max(lp, tol=1e-8):
     """Optimum of a small boxed program, or None when infeasible.
 
@@ -45,12 +80,7 @@ def vertex_enumeration_max(lp, tol=1e-8):
     hyperplanes and keeping the best feasible intersection finds the optimum.
     """
     n = lp.n_vars
-    rows = []
-    for coeffs, sense, rhs in lp.rows:
-        a = np.zeros(n)
-        for j, v in coeffs:
-            a[j] += v
-        rows.append((a, sense, rhs))
+    rows = list(zip(constraint_matrix(lp), lp.sense.tolist(), lp.rhs.tolist()))
     planes = [(a, rhs) for a, _sense, rhs in rows]
     for j in range(n):
         ej = np.zeros(n)

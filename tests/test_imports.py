@@ -1,12 +1,16 @@
 """No module-level import in the package or the tests goes unused, no
-module-level private name in the package goes unreferenced, and every name
-and keyword that the benchmark in ``perfbench/`` calls on the package exists.
+module-level private name in the package goes unreferenced, every name and
+keyword that the benchmark in ``perfbench/`` calls on the package exists, and
+importing the package leaves ``scipy.sparse`` unloaded.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vnfplace
@@ -113,3 +117,15 @@ def test_perfbench_calls_only_what_the_package_exports():
         except (AttributeError, TypeError) as exc:
             bad.append(f"{place} vp.{name}: {exc}")
     assert bad == []
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs 1.0-1.2 MB of RSS to import, about a third of the
+    # benchmark's peak_rss_mb bound
+    code = ("import sys, vnfplace; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from scipy.optimize import linprog
 
 import vnfplace
 from helpers import make_instance, slack_caps
-from reference import bincount_transposed_product, dense_basis, vertex_enumeration_max
+from reference import (bincount_transposed_product, constraint_matrix, dense_basis,
+                       placement_entries, vertex_enumeration_max)
 from vnfplace import lp as lp_module
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import (
@@ -34,6 +36,11 @@ from vnfplace.lp import (
 from vnfplace.oracle import solve_exact, strip_availability
 
 
+def entries(lp):
+    """The program's entry and row arrays as lists."""
+    return tuple(a.tolist() for a in (lp.row, lp.var, lp.coef, lp.sense, lp.rhs))
+
+
 class TestProgramConstruction:
     def test_shapes_and_redundancy_coefficient(self):
         inst = make_instance(
@@ -44,16 +51,23 @@ class TestProgramConstruction:
         # 3 requests * 2 nodes placement vars + 3 admission vars
         assert lp.n_vars == 9
         # 3 redundancy + 4 resources * 2 nodes (the box already caps y at 1)
-        assert len(lp.rows) == 11
+        assert lp.rhs.size == lp.sense.size == 11
         # redundancy row for request 1 (needs 2 replicas): x_{1,0}+x_{1,1} - 2 y_1 >= 0
-        coeffs, sense, rhs = lp.rows[1]
-        assert sense == GE and rhs == 0.0
-        assert dict(coeffs) == {2: 1.0, 3: 1.0, 7: -2.0}
+        assert lp.sense[1] == GE and lp.rhs[1] == 0.0
+        in_row = lp.row == 1
+        coeffs = dict(zip(lp.var[in_row].tolist(), lp.coef[in_row].tolist()))
+        assert coeffs == {2: 1.0, 3: 1.0, 7: -2.0}
+
+    @pytest.mark.parametrize("requests,mecs", [(3, 2), (30, 10), (60, 20)])
+    def test_entries_match_a_row_by_row_build(self, requests, mecs):
+        # the entry order fixes the solver's column layout, and so its pivots
+        inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=1))
+        assert entries(build_relaxed_program(inst)) == placement_entries(inst)
 
     def test_row_from_a_generator_keeps_its_coefficients(self):
         lp = LinearProgram(n_vars=3)
         lp.add_row(((j, 2.0) for j in range(3)), LE, 1.0)
-        assert lp.rows == [([(0, 2.0), (1, 2.0), (2, 2.0)], LE, 1.0)]
+        assert entries(lp) == ([0, 0, 0], [0, 1, 2], [2.0, 2.0, 2.0], [LE], [1.0])
 
     @pytest.mark.parametrize("coeffs,message", [
         ([(0, 1.0), (3, 1.0)], "unknown variable 3"),
@@ -65,7 +79,47 @@ class TestProgramConstruction:
         lp = LinearProgram(n_vars=3)
         with pytest.raises(ValueError, match=message):
             lp.add_row(coeffs, LE, 1.0)
-        assert lp.rows == []
+        assert entries(lp) == ([], [], [], [], [])
+
+    def test_a_batch_matches_its_rows_added_one_by_one(self):
+        batch = LinearProgram(n_vars=3)
+        batch.add_rows([0, 0, 1, 1, 1], [0, 2, 1, 1, 0], [1.0, -2.0, 3.0, 0.5, 4.0],
+                       [GE, LE], [0.5, 6.0])
+        single = LinearProgram(n_vars=3)
+        single.add_row([(0, 1.0), (2, -2.0)], GE, 0.5)
+        single.add_row([(1, 3.0), (1, 0.5), (0, 4.0)], LE, 6.0)
+        assert entries(batch) == entries(single)
+
+    @pytest.mark.parametrize("batch,message", [
+        (([0], [0], [1.0], ["=="], [1.0]), "sense"),
+        (([0], [0], [1.0], [LE], [np.inf]), "rhs must be finite"),
+        (([0, 1], [0, 3], [1.0, 1.0], [LE, LE], [1.0, 1.0]), "unknown variable 3"),
+        (([0], [0], [np.nan], [LE], [1.0]), "must be finite"),
+        (([0, 1], [0, 1], [1.0, 1.0], [LE], [1.0]), "name rows of the batch"),
+        (([0, 0], [0, 1], [1.0], [LE], [1.0]), "share one length"),
+        (([0], [0], [1.0], [LE, GE], [1.0]), "share one length"),
+    ])
+    def test_bad_batch_leaves_the_program_unchanged(self, batch, message):
+        lp = LinearProgram(n_vars=3)
+        lp.add_row([(1, 2.0)], GE, 1.0)
+        before = entries(lp)
+        with pytest.raises(ValueError, match=message):
+            lp.add_rows(*batch)
+        assert entries(lp) == before
+
+    def test_rows_view_feeds_the_bench_tracer(self):
+        # perfbench/tracer.py counts rows and entries through ``program.rows``
+        spec = importlib.util.spec_from_file_location(
+            "tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer(vnfplace)
+        build = tracer._wrap("lp.build", build_relaxed_program, tracer._after_build)
+        build(generate(GeneratorConfig(request_count=50, mec_count=10, seed=0)))
+        counts = tracer.counts
+        # R + 4M rows, R(M + 1) variables, R(M + 1) + 4MR entries
+        assert (counts["lp.rows"], counts["lp.vars"], counts["lp.nnz"]) == (90, 550, 2550)
+        assert tracer.counter_errors == 0
 
     def test_bounds_are_unit_box(self):
         inst = make_instance(caps=slack_caps(2), reqs=[{}, {}])
@@ -84,10 +138,16 @@ class TestProgramConstruction:
         ([0.0, 0.5, 0.0], "lower or upper bound"),
         ([0.0, 1.0, np.inf], "finite"),
         ([0.0, np.nan, 0.0], "finite"),
+        # bounds of another length than n_vars, in place of the start:
+        # numpy would broadcast the first two and fail on the third
+        ({"upper": [2.0]}, "length"),
+        ({"lower": [0.0]}, "length"),
+        ({"upper": [1.0, 1.0]}, "length"),
     ])
     def test_bad_start_rejected(self, start, message):
+        fields = start if isinstance(start, dict) else {"start": start}
         with pytest.raises(ValueError, match=message):
-            LinearProgram(n_vars=3, upper=[1.0, 1.0, np.inf], start=start)
+            LinearProgram(**{"n_vars": 3, "upper": [1.0, 1.0, np.inf], **fields})
 
 
 def check_start(inst):
@@ -99,9 +159,8 @@ def check_start(inst):
     assert set(np.unique(lp.start)) <= {0.0, 1.0}
     x, y = lp.start[: R * M].reshape(R, M), lp.start[R * M:]
     assert np.array_equal(x.sum(axis=1), inst.replica_vector() * y)
-    for coeffs, sense, rhs in lp.rows:
-        value = sum(a * lp.start[j] for j, a in coeffs)
-        assert value <= rhs if sense == LE else value >= rhs
+    value = constraint_matrix(lp) @ lp.start
+    assert np.where(lp.sense == LE, value <= lp.rhs, value >= lp.rhs).all()
     assert _BoundedSimplex(lp).artificials.size == 0
     return y
 
@@ -322,15 +381,10 @@ class TestSimplexCore:
 def highs_solve(lp):
     """Status ("optimal", "infeasible" or "unbounded") and objective of the
     program under scipy's HiGHS, as an independent reference."""
-    A = np.zeros((len(lp.rows), lp.n_vars))
-    b = np.zeros(len(lp.rows))
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        sign = 1.0 if sense == LE else -1.0
-        for j, a in coeffs:
-            A[i, j] += sign * a
-        b[i] = sign * rhs
-    res = linprog(-lp.objective, A_ub=A if lp.rows else None,
-                  b_ub=b if lp.rows else None,
+    sign = np.where(lp.sense == LE, 1.0, -1.0)
+    A, b = sign[:, None] * constraint_matrix(lp), sign * lp.rhs
+    res = linprog(-lp.objective, A_ub=A if b.size else None,
+                  b_ub=b if b.size else None,
                   bounds=[(lo, None if np.isinf(hi) else hi)
                           for lo, hi in zip(lp.lower, lp.upper)],
                   method="highs")
@@ -363,7 +417,7 @@ class TestAgainstHighs:
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs,
                                         seed=requests + mecs))
         lp = build_relaxed_program(inst)
-        assert len(lp.rows) == requests + 4 * mecs
+        assert lp.rhs.size == requests + 4 * mecs
         status, expected = highs_solve(lp)
         assert status == "optimal"
         assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
@@ -497,6 +551,13 @@ class TestPricingProduct:
             self.assert_matches_bincount(simplex, -np.ones(simplex.m))
         assert phase_one >= 50
 
+    def test_column_entries_stay_in_row_order(self):
+        # the stable column sort keeps each column's entries in row order,
+        # the order its pricing sum and the pivots follow
+        simplex = _BoundedSimplex(placement_program(60, 20))
+        same_column = np.diff(simplex.col_of) == 0
+        assert same_column.any() and (np.diff(simplex.indices)[same_column] > 0).all()
+
     @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
     def test_placement_ladder(self, requests, mecs):
         inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=3))
@@ -597,7 +658,7 @@ class TestNucleusRefactorization:
         monkeypatch.setattr(np.linalg, "inv", spy)
         lp = placement_program(200, 20)
         simplex_solve(lp)
-        assert sizes and max(sizes) <= len(lp.rows) // 2
+        assert sizes and max(sizes) <= lp.rhs.size // 2
 
 
 _SOLVE_200x20 = """
