@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError,
-                    evaluate_solution)
+from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 from .rounding import randomized_round
 
 
@@ -32,14 +31,11 @@ class BoundReport:
     """Per-node load factors and the objective floor for one relaxation.
 
     Factor arrays hold nan where the relaxation puts no load on a node.
-    ``mec_request_ratio`` records M/R, the regime knob for how much slack the
-    union bound over nodes leaves.
     """
 
     resource_factor: dict
     objective_factor: float
     vacuous_objective: bool
-    mec_request_ratio: float
 
     def worst_factor(self, resource: str):
         """Largest defined factor across nodes, or None if none is defined."""
@@ -74,7 +70,6 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
         resource_factor=factors,
         objective_factor=obj_factor,
         vacuous_objective=not obj_factor > 0.0,
-        mec_request_ratio=inst.n_mecs / R,
     )
 
 
@@ -82,9 +77,7 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
 class EmpiricalViolationReport:
     """How often rounded loads actually cross their stated ceilings."""
 
-    n_seeds: int
     exceed_fraction: dict          # resource -> fraction of seeds with any crossing
-    max_load_over_capacity: dict   # resource -> worst load/capacity seen
     chernoff_ceiling: float        # 1/R^2, the per-node theory rate
 
 
@@ -98,22 +91,16 @@ def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
     ceilings = {res: report.resource_factor[res] * lp_loads[res] for res in RESOURCES}
 
     exceed_counts = {res: 0 for res in RESOURCES}
-    worst_ratio = {res: 0.0 for res in RESOURCES}
     for seed in range(n_seeds):
         sol = randomized_round(frac, inst, seed)
-        metrics = evaluate_solution(inst, sol)
         for res in RESOURCES:
             load = inst.demand_vector(res) @ sol.x
             ceiling = ceilings[res]
             defined = ~np.isnan(ceiling)
             if (load[defined] > ceiling[defined] + 1e-9).any():
                 exceed_counts[res] += 1
-            ratio = metrics.utilization[res].max() if inst.n_mecs else 0.0
-            worst_ratio[res] = max(worst_ratio[res], float(ratio))
 
     return EmpiricalViolationReport(
-        n_seeds=n_seeds,
         exceed_fraction={res: exceed_counts[res] / n_seeds for res in RESOURCES},
-        max_load_over_capacity=worst_ratio,
         chernoff_ceiling=1.0 / inst.n_requests**2,
     )

@@ -13,7 +13,10 @@ the solver sorts stably into columns.
 bounded variables: nonbasic variables rest at a finite bound, the ratio test
 considers both bounds of every basic variable plus a bound flip of the
 entering variable, and artificial columns are allocated only for rows whose
-slack starts infeasible.  A program may name a ``start``: a box vertex, every
+slack starts infeasible.  Phase 1 ends by fixing every artificial at zero
+(lower = upper = 0): phase 2's ratio test then gives a basic artificial a
+zero step, so it leaves in a degenerate pivot, or stays basic at zero on a
+dependent row.  A program may name a ``start``: a box vertex, every
 structural variable at its lower or upper bound, at which the solve begins
 with every slack basic (a crash start; Bixby, ORSA J. Computing 1992).
 ``build_relaxed_program`` starts at ``greedy_vertex``, a 0/1 placement that
@@ -22,13 +25,14 @@ artificials and often starts at, or a few pivots from, its optimum.
 Entering variable: largest reduced cost, switching to Bland's smallest-index
 rule after a long degenerate streak.
 
-The solver stores the constraint matrix column-wise in plain numpy arrays,
-so the entering column costs one small product with the basis inverse.
-Pricing reads the same entries from a padded (width x columns) layout,
-width being the most entries of any column (5 for the placement program),
-summed over the first axis: the additions, in order, of a ``bincount``
-over the entry list.  The basis inverse is a dense array, updated in place
-by a rank-1 BLAS update after each pivot and recomputed every 64 pivots.
+The solver stores the constraint matrix once, in a padded (width x columns)
+layout plus the number of entries of each column: width is the most entries
+of any column (5 for the placement program), and padding slots hold row 0
+with a zero value.  The entering column costs one small product of its
+entries with the basis inverse; pricing sums the layout over its first
+axis, the additions, in order, of a ``bincount`` over the entries in column
+order.  The basis inverse is a dense array, updated in place by a rank-1
+BLAS update after each pivot and recomputed every 64 pivots.
 A recomputation inverts densely only the basis nucleus: basic columns with
 one entry (slacks, artificials, the y[r] columns) are singletons whose
 rows and inverse entries follow by substitution, so only the remaining
@@ -169,12 +173,13 @@ class LinearProgram:
 
     @property
     def rows(self) -> list:
-        """(coeffs, sense, rhs) triples, coeffs as (var, value) pairs, derived on each
-        read; kept for ``perfbench/tracer.py``, which counts ``lp.rows`` and ``lp.nnz`` here."""
-        coeffs = [[] for _ in self.rhs]
-        for i, j, a in zip(self.row.tolist(), self.var.tolist(), self.coef.tolist()):
-            coeffs[i].append((j, a))
-        return list(zip(coeffs, self.sense.tolist(), self.rhs.tolist()))
+        """(coeffs, sense, rhs) triples, coeffs a (k, 2) array of (var, value) rows,
+        derived on each read; kept for ``perfbench/tracer.py``, which counts
+        ``lp.rows`` and ``lp.nnz`` here."""
+        order = np.argsort(self.row, kind="stable")
+        pairs = np.column_stack([self.var[order], self.coef[order]])
+        ends = np.cumsum(np.bincount(self.row, minlength=self.rhs.size))
+        return list(zip(np.split(pairs, ends[:-1]), self.sense.tolist(), self.rhs.tolist()))
 
 
 def greedy_vertex(inst: ProblemInstance):
@@ -240,11 +245,11 @@ class _BoundedSimplex:
     """Column-sparse working state for one solve; see the module docstring.
 
     Columns are the structural variables, one slack per row, then one
-    artificial per row whose slack starts infeasible.  They are stored as
-    column-wise arrays (``indptr``, ``indices``, ``data``, plus ``col_of``,
-    the column of every entry), again padded for pricing (``padded_rows``,
-    ``padded_data``), the basis inverse ``Binv`` as a Fortran-ordered dense
-    array, and the basic values ``xb`` incrementally.
+    artificial per row whose slack starts infeasible.  The matrix is stored
+    once, padded: column q holds its entries' rows and values in the first
+    ``count[q]`` slots of ``padded_rows`` and ``padded_data`` (width x
+    columns).  The state also keeps the basis inverse ``Binv`` as a
+    Fortran-ordered dense array and the basic values ``xb`` incrementally.
     """
 
     def __init__(self, lp, max_iterations=None):
@@ -268,19 +273,16 @@ class _BoundedSimplex:
         k = art_rows.size
         total = self.n_real + k
         slack_rows = np.arange(m)
-        self.indices = np.concatenate([rows, slack_rows, art_rows])
-        self.data = np.concatenate([vals, sigma, art_signs])
-        self.col_of = np.concatenate([cols, n + slack_rows, self.n_real + np.arange(k)])
-        self.indptr = np.zeros(total + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.col_of, minlength=total), out=self.indptr[1:])
-        # pricing layout: a column's entries fill its slots in storage order;
+        col_of = np.concatenate([cols, n + slack_rows, self.n_real + np.arange(k)])
+        # a column's entries fill its first count[q] slots in storage order;
         # padding slots hold row 0 with a zero value, adding a zero term
-        width = int(np.diff(self.indptr).max(initial=0))
-        slot = np.arange(self.col_of.size) - self.indptr[self.col_of]
+        self.count = np.bincount(col_of, minlength=total)
+        slot = np.arange(col_of.size) - (np.cumsum(self.count) - self.count)[col_of]
+        width = int(self.count.max(initial=0))
         self.padded_rows = np.zeros((width, total), dtype=np.intp)
-        self.padded_rows[slot, self.col_of] = self.indices
+        self.padded_rows[slot, col_of] = np.concatenate([rows, slack_rows, art_rows])
         self.padded_data = np.zeros((width, total))
-        self.padded_data[slot, self.col_of] = self.data
+        self.padded_data[slot, col_of] = np.concatenate([vals, sigma, art_signs])
 
         self.lower = np.concatenate([lp.lower, np.zeros(total - n)])
         self.upper = np.concatenate([lp.upper, np.full(total - n, np.inf)])
@@ -296,21 +298,22 @@ class _BoundedSimplex:
     # -- sparse products -------------------------------------------------------
 
     def _product(self, v) -> np.ndarray:
-        """A @ v."""
-        return np.bincount(self.indices, weights=self.data * v[self.col_of],
-                           minlength=self.m)
+        """A @ v, each row summed over the entries in column order."""
+        return np.bincount(self.padded_rows.ravel("F"),
+                           weights=(self.padded_data * v).ravel("F"), minlength=self.m)
 
     def _transposed_product(self, y) -> np.ndarray:
-        """y @ A, each column summed from zero over its entries in storage
-        order, the additions ``np.bincount`` makes over the entry list."""
+        """y @ A, each column summed from zero over its slots in order, the
+        additions a ``np.bincount`` makes over the entries in column order."""
         terms = y[self.padded_rows]
         terms *= self.padded_data
         return np.add.reduce(terms, axis=0, initial=0.0)
 
     def _column(self, q) -> np.ndarray:
         """FTRAN: Binv @ A[:, q]."""
-        lo, hi = self.indptr[q], self.indptr[q + 1]
-        return self.Binv[:, self.indices[lo:hi]] @ self.data[lo:hi]
+        k = self.count[q]
+        # a contiguous copy: BLAS may round a strided operand differently
+        return self.Binv[:, self.padded_rows[:k, q]] @ self.padded_data[:k, q].copy()
 
     def _reduced_costs(self, cost, basic_cost) -> np.ndarray:
         """Reduced costs; basic_cost is cost[basis]."""
@@ -330,11 +333,11 @@ class _BoundedSimplex:
             Binv[K, N] = inv(B[N, K])     Binv[S, t_S] = 1 / a_S
             Binv[K, T] = 0                Binv[S, N] = -B[t_S, K] @ Binv[K, N] / a_S
         """
-        starts = self.indptr[self.basis]
-        lens = self.indptr[self.basis + 1] - starts
-        single = lens == 1
+        single = self.count[self.basis] == 1
         S, K = np.flatnonzero(single), np.flatnonzero(~single)
-        t, a = self.indices[starts[S]], self.data[starts[S]]
+        # slot 0 of each singleton column; a program without rows has no slots
+        first = self.basis[S]
+        t, a = self.padded_rows[:1, first].ravel(), self.padded_data[:1, first].ravel()
         in_t = np.zeros(self.m, dtype=bool)
         in_t[t] = True
         if np.count_nonzero(in_t) < S.size or not a.all():
@@ -344,10 +347,10 @@ class _BoundedSimplex:
         place = np.empty(self.m, dtype=np.intp)   # a row's index within N or within t
         place[N] = np.arange(N.size)
         place[t] = np.arange(S.size)
-        lens = lens[K]
-        nz = np.arange(lens.sum()) + np.repeat(starts[K] - np.cumsum(lens) + lens, lens)
-        rows, vals = self.indices[nz], self.data[nz]
-        cols = np.repeat(np.arange(K.size), lens)
+        # the nucleus entries, column by column: the slots below each count
+        nuclear = self.basis[K]
+        cols, slot = np.nonzero(np.arange(self.padded_rows.shape[0]) < self.count[nuclear, None])
+        rows, vals = self.padded_rows[slot, nuclear[cols]], self.padded_data[slot, nuclear[cols]]
         on_t = in_t[rows]
         nucleus = np.zeros((N.size, K.size))
         np.add.at(nucleus, (place[rows[~on_t]], cols[~on_t]), vals[~on_t])
@@ -491,7 +494,9 @@ class _BoundedSimplex:
             if infeasibility > _TOL * scale:
                 raise InfeasibleProgramError(
                     f"phase 1 left total infeasibility {infeasibility:.3e}")
-            self._retire_artificials()
+            # artificials may no longer move; a basic one leaves in a
+            # degenerate pivot, or stays basic at zero on a dependent row
+            self.lower[self.artificials] = self.upper[self.artificials] = 0.0
 
         cost = np.zeros(total)
         cost[: self.n_struct] = self.objective_coeffs
@@ -502,24 +507,9 @@ class _BoundedSimplex:
         # snap solver dust back onto the boxes
         lo = self.lower[: self.n_struct]
         hi = self.upper[: self.n_struct]
-        values = np.clip(values, lo, np.where(np.isfinite(hi), hi, values))
+        values = np.clip(values, lo, hi)
         objective = float(self.objective_coeffs @ values)
         return SimplexResult(values=values, objective=objective, iterations=self.iterations)
-
-    def _retire_artificials(self):
-        """Pin artificials to zero; pivot basic ones out where possible."""
-        self.lower[self.artificials] = self.upper[self.artificials] = 0.0
-        for r in np.flatnonzero(self.basis >= self.n_real):
-            row = self._transposed_product(self.Binv[r])[: self.n_real]
-            nonbasic = self.status[: self.n_real] != _BASIC
-            usable = np.flatnonzero(nonbasic & (np.abs(row) > _PIVOT_FLOOR))
-            if usable.size == 0:
-                continue  # dependent row; artificial stays basic at zero
-            q = int(usable[0])
-            self.status[self.basis[r]] = _AT_LOWER
-            self.status[q] = _BASIC
-            self._pivot(r, q, self._column(q))
-        self._refactorize()
 
     def _certify(self, cost, v):
         """Optimality and feasibility certificates on the final point."""

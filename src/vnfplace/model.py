@@ -12,8 +12,8 @@ copies on distinct nodes (clamped to at least 1).
 
 Solutions are binary placement matrices x (request by node) plus a served
 flag y per request.  ``evaluate_solution`` scores a binary solution against
-every placement constraint and reports reward, violations, per-node
-utilization, and wasted placements (copies of requests that are not served).
+every placement constraint and reports reward, violations and wasted
+placements (copies of requests that are not served).
 """
 
 import math
@@ -230,14 +230,13 @@ class SolutionMetrics:
 
     total_reward: float
     served_count: int
-    utilization: dict
     feasible: bool
     violated_constraints: list
     wasted_placements: list
 
 
 def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionMetrics:
-    """Score a binary solution: reward, feasibility, utilization, waste."""
+    """Score a binary solution: reward, feasibility, waste."""
     x = np.asarray(sol.x)
     y = np.asarray(sol.y)
     if x.shape != (inst.n_requests, inst.n_mecs) or y.shape != (inst.n_requests,):
@@ -258,11 +257,9 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
         if placed[r] < need[r]:
             violations.append(("redundancy", int(r), float(need[r] - placed[r])))
 
-    utilization = {}
     for res in RESOURCES:
         load = inst.demand_vector(res) @ x
         cap = inst.capacity_vector(res)
-        utilization[res] = load / cap
         for m in np.flatnonzero(load > cap + FEAS_EPS):
             violations.append((res, int(m), float(load[m] - cap[m])))
 
@@ -271,7 +268,6 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
     return SolutionMetrics(
         total_reward=float(rewards @ y),
         served_count=int(y.sum()),
-        utilization=utilization,
         feasible=not violations,
         violated_constraints=violations,
         wasted_placements=wasted,

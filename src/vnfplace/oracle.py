@@ -65,7 +65,6 @@ class ExactResult:
     solution: IntegralSolution
     objective: float
     nodes: int
-    mode: str
 
 
 class _KnapsackBound:
@@ -184,8 +183,7 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:
         raise InfeasibleSolutionError("oracle produced an infeasible solution")
-    return ExactResult(solution=solution, objective=best_val,
-                       nodes=nodes, mode=mode)
+    return ExactResult(solution=solution, objective=best_val, nodes=nodes)
 
 
 def strip_availability(inst: ProblemInstance) -> ProblemInstance:

@@ -152,19 +152,33 @@ def exhaustive_any_subset_optimum(inst):
     return best
 
 
-def bincount_transposed_product(indices, data, col_of, y, columns):
-    """y @ A for a matrix stored as entry lists (row, value, column): every
-    entry's term added, in list order, into its column's bin."""
-    return np.bincount(col_of, weights=y[indices] * data, minlength=columns)
+def column_entries(padded_rows, padded_data, count):
+    """Entry lists (row, value, column) of a matrix stored padded: column q
+    holds its entries in its first count[q] slots.  Read one entry at a
+    time, column by column and slot by slot."""
+    rows, data, col_of = [], [], []
+    for q, k in enumerate(count.tolist()):
+        for slot in range(k):
+            rows.append(padded_rows[slot, q])
+            data.append(padded_data[slot, q])
+            col_of.append(q)
+    return np.array(rows, dtype=np.intp), np.array(data), np.array(col_of, dtype=np.intp)
 
 
-def dense_basis(indptr, indices, data, basis):
+def bincount_transposed_product(padded_rows, padded_data, count, y):
+    """y @ A for a matrix stored padded: every entry's term added, column by
+    column and slot by slot, into its column's bin."""
+    rows, data, col_of = column_entries(padded_rows, padded_data, count)
+    return np.bincount(col_of, weights=y[rows] * data, minlength=count.size)
+
+
+def dense_basis(padded_rows, padded_data, count, basis):
     """The basis matrix whose column i is the stored column basis[i],
     repeated entries added up, built one entry at a time."""
     B = np.zeros((len(basis), len(basis)))
     for i, j in enumerate(basis):
-        for k in range(indptr[j], indptr[j + 1]):
-            B[indices[k], i] += data[k]
+        for slot in range(count[j]):
+            B[padded_rows[slot, j], i] += padded_data[slot, j]
     return B
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, slack_caps
+from vnfplace import bounds
 from vnfplace.bounds import UndefinedBoundError, compute_bound_report, empirical_violation_check
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
-from vnfplace.model import FractionalSolution, evaluate_solution
+from vnfplace.model import FractionalSolution
 from vnfplace.rounding import randomized_round
 
 
@@ -95,7 +96,6 @@ class TestBoundReport:
         frac = solve_lp(build_relaxed_program(inst))
         report = compute_bound_report(frac, inst)
         log_r = math.log(inst.n_requests)
-        assert report.mec_request_ratio == pytest.approx(10 / 30)
         unloaded = 0
         for res in ("cpu", "ram", "uplink", "downlink"):
             demands = [req.demand(res) for req in inst.requests]
@@ -146,17 +146,29 @@ class TestEmpiricalCheck:
         for res in ("cpu", "ram", "uplink", "downlink"):
             # the stated ceilings are loose; crossings should be rare
             assert report.exceed_fraction[res] <= 0.05
-        assert report.n_seeds == 200
 
-    def test_worst_loads_come_from_seeds_zero_to_n(self):
-        inst = generate(GeneratorConfig(request_count=15, seed=21))
+    def test_worst_loads_come_from_seeds_zero_to_n(self, monkeypatch):
+        # the stated ceilings are too loose for any rounding to cross; at
+        # 1.1 times the fractional loads most roundings cross one, so the
+        # fractions depend on which seeds ran
+        inst = generate(GeneratorConfig(request_count=40, seed=21))
         frac = solve_lp(build_relaxed_program(inst))
+        tight = compute_bound_report(frac, inst)
+        tight.resource_factor = {res: np.where(np.isnan(f), np.nan, 1.1)
+                                 for res, f in tight.resource_factor.items()}
+        monkeypatch.setattr(bounds, "compute_bound_report", lambda *_: tight)
         report = empirical_violation_check(inst, frac, n_seeds=100)
-        rounded = [evaluate_solution(inst, randomized_round(frac, inst, seed))
-                   for seed in range(100)]
+        rounded = [randomized_round(frac, inst, seed) for seed in range(100)]
         for res in ("cpu", "ram", "uplink", "downlink"):
-            want = max(metrics.utilization[res].max() for metrics in rounded)
-            assert report.max_load_over_capacity[res] == want
+            demand = [req.demand(res) for req in inst.requests]
+            crossed = 0
+            for sol in rounded:
+                crossed += any(
+                    math.fsum(d * x for d, x in zip(demand, sol.x[:, m]))
+                    > 1.1 * math.fsum(d * p for d, p in zip(demand, frac.x[:, m])) + 1e-9
+                    for m in range(inst.n_mecs) if not np.isnan(tight.resource_factor[res][m]))
+            assert report.exceed_fraction[res] == crossed / 100
+            assert 0.0 < report.exceed_fraction[res] < 1.0
 
     def test_requires_enough_seeds(self):
         inst = generate(GeneratorConfig(request_count=10, seed=1))

@@ -1,7 +1,8 @@
 """No module-level import in the package or the tests goes unused, no
-module-level private name in the package goes unreferenced, every name and
-keyword that the benchmark in ``perfbench/`` calls on the package exists, and
-importing the package leaves ``scipy.sparse`` unloaded.
+module-level private name in the package goes unreferenced, no dataclass
+field of the package goes unread, every name and keyword that the benchmark
+in ``perfbench/`` calls on the package exists, and importing the package
+leaves ``scipy.sparse`` unloaded.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
@@ -69,6 +70,36 @@ def dead_private_names(paths):
 
 def test_no_dead_private_names_in_the_package():
     assert dead_private_names(sorted((ROOT / "src" / "vnfplace").glob("*.py"))) == []
+
+
+def unread_dataclass_fields(declared, readers):
+    """Fields of the dataclasses declared in ``declared`` that no file of
+    ``readers`` reads as an attribute."""
+    read = set()
+    for path in readers:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path in declared:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", ())]
+            if not (isinstance(node, ast.ClassDef)
+                    and any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)):
+                continue
+            unread += [f"{path.relative_to(ROOT)}:{item.lineno} {node.name}.{item.target.id}"
+                       for item in node.body if isinstance(item, ast.AnnAssign)
+                       and isinstance(item.target, ast.Name) and item.target.id not in read]
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    # the readers: the package, the benchmark and the acceptance criteria;
+    # a field read only by its own unit tests reports nothing anyone uses
+    package = sorted((ROOT / "src" / "vnfplace").glob("*.py"))
+    readers = package + sorted((ROOT / "perfbench").glob("*.py")) + [
+        ROOT / "tests" / "test_acceptance.py"]
+    assert unread_dataclass_fields(package, readers) == []
 
 
 def keyword_names(tree, call):

@@ -14,8 +14,8 @@ from scipy.optimize import linprog
 
 import vnfplace
 from helpers import make_instance, slack_caps
-from reference import (bincount_transposed_product, constraint_matrix, dense_basis,
-                       placement_entries, vertex_enumeration_max)
+from reference import (bincount_transposed_product, column_entries, constraint_matrix,
+                       dense_basis, placement_entries, vertex_enumeration_max)
 from vnfplace import lp as lp_module
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import (
@@ -377,6 +377,43 @@ class TestSimplexCore:
         # a zero step, not a backward one, so x0 enters at its lower bound
         assert (solver._values()[:2] >= 0.0).all()
 
+    def test_dust_below_a_lower_bound_snaps_without_an_upper_bound(self, monkeypatch):
+        # x0 rests at its lower bound 0 and has no upper bound
+        values = _BoundedSimplex._values
+
+        def dusty(self):
+            v = values(self)
+            v[: self.n_struct] -= 1e-12
+            return v
+
+        monkeypatch.setattr(_BoundedSimplex, "_values", dusty)
+        lp = LinearProgram(n_vars=2, objective=[-1.0, 1.0], upper=[np.inf, 1.0])
+        assert simplex_solve(lp).values.tolist() == [0.0, 1.0 - 1e-12]
+
+    def test_dependent_row_keeps_an_artificial_basic_at_zero(self, monkeypatch):
+        # x0 + x1 >= 2 twice on the unit box: phase 1 flips both variables to
+        # their upper bounds and ends with both artificials basic at zero.
+        # Pinned, one leaves in a degenerate pivot once x1 enters; the other,
+        # on the dependent row, stays basic at zero to the end.
+        lp = LinearProgram(n_vars=2, objective=[1.0, -1.0])
+        for _ in range(2):
+            lp.add_row([(0, 1.0), (1, 1.0)], GE, 2.0)
+        phases = []
+        optimize = _BoundedSimplex._optimize
+
+        def spy(self, cost):
+            before = self.xb[self.basis >= self.n_real].tolist()
+            optimize(self, cost)
+            pinned = self.upper[self.artificials].tolist()
+            phases.append((before, self.xb[self.basis >= self.n_real].tolist(), pinned))
+
+        monkeypatch.setattr(_BoundedSimplex, "_optimize", spy)
+        result = simplex_solve(lp)
+        assert phases == [([2.0, 2.0], [0.0, 0.0], [np.inf, np.inf]),
+                          ([0.0, 0.0], [0.0], [0.0, 0.0])]
+        assert result.values.tolist() == [1.0, 1.0]
+        assert result.objective == pytest.approx(vertex_enumeration_max(lp), abs=1e-9)
+
 
 def highs_solve(lp):
     """Status ("optimal", "infeasible" or "unbounded") and objective of the
@@ -535,8 +572,8 @@ class TestPricingProduct:
     @staticmethod
     def assert_matches_bincount(simplex, y):
         got = simplex._transposed_product(y)
-        expected = bincount_transposed_product(simplex.indices, simplex.data,
-                                               simplex.col_of, y, simplex.status.size)
+        expected = bincount_transposed_product(simplex.padded_rows, simplex.padded_data,
+                                               simplex.count, y)
         assert got.tobytes() == expected.tobytes()
 
     def test_random_box_programs(self):
@@ -553,10 +590,16 @@ class TestPricingProduct:
 
     def test_column_entries_stay_in_row_order(self):
         # the stable column sort keeps each column's entries in row order,
-        # the order its pricing sum and the pivots follow
+        # the order its pricing sum and the pivots follow; padding slots
+        # hold row 0 with a zero value
         simplex = _BoundedSimplex(placement_program(60, 20))
-        same_column = np.diff(simplex.col_of) == 0
-        assert same_column.any() and (np.diff(simplex.indices)[same_column] > 0).all()
+        rows, _, col_of = column_entries(simplex.padded_rows, simplex.padded_data,
+                                         simplex.count)
+        same_column = np.diff(col_of) == 0
+        assert same_column.any() and (np.diff(rows)[same_column] > 0).all()
+        padding = np.arange(simplex.padded_rows.shape[0])[:, None] >= simplex.count
+        assert padding.any()
+        assert not simplex.padded_rows[padding].any() and not simplex.padded_data[padding].any()
 
     @pytest.mark.parametrize("requests,mecs", [(30, 10), (60, 10), (200, 20)])
     def test_placement_ladder(self, requests, mecs):
@@ -592,7 +635,7 @@ class TestNucleusRefactorization:
 
         def checked(self):
             refactorize(self)
-            B = dense_basis(self.indptr, self.indices, self.data, self.basis)
+            B = dense_basis(self.padded_rows, self.padded_data, self.count, self.basis)
             assert self.Binv.flags.f_contiguous
             assert np.abs(self.Binv @ B - np.eye(self.m)).max() <= 1e-9
             assert np.abs(self.Binv - np.linalg.inv(B)).max() <= 1e-9

@@ -96,7 +96,6 @@ class TestEvaluateSolution:
         assert m.total_reward == pytest.approx(7.0)
         assert m.served_count == 1
         assert m.feasible
-        assert m.utilization["cpu"][0] == pytest.approx(0.5)
         assert m.wasted_placements == []
 
     def test_missing_replica_flagged(self):
@@ -125,7 +124,15 @@ class TestEvaluateSolution:
         assert m.feasible
         assert m.total_reward == 0.0
         assert m.wasted_placements == [(0, 0)]
-        assert m.utilization["cpu"][0] == pytest.approx(0.5)
+        # beside a served copy of 3 cpu, the unserved copy's 2 still count
+        inst = make_instance([(4, 4, 10, 10)], [{"c": 2, "eps": 0.01, "reward": 7.0},
+                                                {"c": 3, "eps": 0.01, "reward": 5.0}])
+        sol = IntegralSolution(x=np.array([[1], [1]], dtype=np.int8),
+                               y=np.array([0, 1], dtype=np.int8))
+        m = evaluate_solution(inst, sol)
+        assert m.total_reward == 5.0
+        assert m.wasted_placements == [(0, 0)]
+        assert m.violated_constraints == [("cpu", 0, 1.0)]
 
     def test_dimension_mismatch_raises(self):
         inst = make_instance(slack_caps(2), [{"eps": 0.01}])
