@@ -25,8 +25,8 @@ from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
                     load_solution, required_replicas, save_instance,
                     save_solution, service_failure_prob, solution_from_dict,
                     solution_to_dict)
-from .oracle import (ExactResult, OracleLimitError, OracleLimits,
-                     evaluate_with_true_replicas, solve_exact, strip_availability)
+from .oracle import (ExactResult, OracleLimitError, evaluate_with_true_replicas, solve_exact,
+                     strip_availability)
 from .repair import greedy_repair
 from .rounding import randomized_round
 from .schemes import SCHEMES, SchemeOutcome, run_schemes

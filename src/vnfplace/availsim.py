@@ -147,6 +147,8 @@ def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
     """Estimate per-request delivered availability over independent trials."""
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     metrics = evaluate_solution(inst, sol)
     capacity_violations = [v for v in metrics.violated_constraints if v[0] in RESOURCES]
     if capacity_violations:
@@ -170,24 +172,20 @@ def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
 
     per_request = []
     for r, req in enumerate(inst.requests):
-        avail = delivered[r] / trials
         per_request.append(RequestAvailability(
             request_id=r,
             required_replicas=int(inst.replicas[r]),
             placements=int(widths[r]),
             trials=trials,
             delivered=int(delivered[r]),
-            availability=float(avail),
+            availability=float(delivered[r] / trials),
             threshold=1.0 - req.failure_threshold,
             meets_threshold=consistent_with_threshold(
                 int(delivered[r]), trials, req.failure_threshold),
         ))
 
     served = np.flatnonzero(np.asarray(sol.y) == 1)
-    if served.size:
-        pdr = float(delivered[served].sum() / (served.size * trials))
-    else:
-        pdr = 0.0
+    pdr = float(delivered[served].sum() / (served.size * trials)) if served.size else 0.0
     return AvailabilityReport(
         per_request=per_request,
         trials=trials,

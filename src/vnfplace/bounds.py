@@ -83,7 +83,9 @@ class EmpiricalViolationReport:
 
 def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
                               n_seeds: int) -> EmpiricalViolationReport:
-    """Round under seeds 0..n_seeds-1 and count crossings of (1 + delta) * LP load."""
+    """Round under seeds 0..n_seeds-1 and count crossings of (1 + delta) * LP load.
+    That ceiling is 3 ln(R) alpha + 4 x LP load: where it tops the summed demand
+    of every copy placed with positive probability, no rounding crosses it."""
     if n_seeds < 100:
         raise ValueError("need at least 100 seeds for a meaningful rate")
     report = compute_bound_report(frac, inst)

@@ -22,7 +22,7 @@ from .experiments import ExperimentConfig, run_experiment
 from .lp import SimplexError
 from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, InvalidModelError,
                     load_instance, load_solution, save_instance, save_solution)
-from .oracle import OracleLimitError, OracleLimits
+from .oracle import DEFAULT_MAX_NODES, OracleLimitError
 from .schemes import SCHEMES, run_schemes
 
 EXIT_OK = 0
@@ -104,7 +104,7 @@ def _cmd_solve(args):
     if args.scheme in ("rr", "greedy", "wo-avl"):
         seed = _resolve_seed(seed, "rounding")
     [outcome] = run_schemes(inst, [args.scheme], round_seed=seed, baseline_seed=seed,
-                            oracle_limits=OracleLimits(max_nodes=args.max_nodes))
+                            max_nodes=args.max_nodes)
     _print_outcome(outcome, inst)
     if args.output:
         save_solution(outcome.solution, args.output)
@@ -169,7 +169,7 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--seed", type=int, help="rounding seed (drawn if omitted)")
-    p.add_argument("--max-nodes", type=int, default=1_000_000,
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
                    help="search budget for the exact scheme")
     p.add_argument("--output", help="write the resulting solution here")
     p.set_defaults(func=_cmd_solve)

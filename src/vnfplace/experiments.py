@@ -2,7 +2,9 @@
 
 One experiment sweeps either the request count or one capacity axis, runs a
 set of solution schemes on freshly generated instances at every sweep point,
-and aggregates per-run metrics into Student-t confidence intervals.
+and aggregates per-run metrics into Student-t confidence intervals.  A
+point's instances are the ``generator`` template with the swept field and the
+seed replaced; a capacity sweep without one runs on identical nodes.
 
 The schemes are described and implemented in ``schemes``; here exact runs
 only on instances within ``oracle_max_requests`` and ``oracle_max_mecs``.
@@ -18,7 +20,7 @@ import csv
 import math
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy import special
 from . import gen
 from .lp import SimplexError
 from .model import RESOURCES, InfeasibleSolutionError
-from .oracle import OracleLimitError, OracleLimits
+from .oracle import DEFAULT_MAX_NODES, OracleLimitError
 from .schemes import SCHEMES, run_schemes
 
 EXPERIMENT_SCHEMA_VERSION = 1
@@ -43,6 +45,9 @@ _MASK64 = (1 << 64) - 1
 _STREAM_INSTANCE = 0xA1
 _STREAM_ROUND = 0xA2
 _STREAM_BASELINE = 0xA3
+
+# the template of a capacity sweep without one: the paper's identical nodes
+_IDENTICAL_NODES = gen.GeneratorConfig(cpu_range=(40, 40), ram_range=(48, 48))
 
 
 def _splitmix64(z: int) -> int:
@@ -78,22 +83,17 @@ def confidence_interval(samples, confidence: float = 0.95):
 
 @dataclass
 class ExperimentConfig:
-    """One sweep: which axis varies, what stays fixed, how many runs."""
+    """One sweep: which axis varies, the template for the rest, how many runs."""
 
     sweep: str = "requests"
     request_counts: tuple = (30, 35, 40, 50, 60)
     sweep_values: tuple = None          # capacity values when sweep != requests
-    fixed_request_count: int = 50
-    fixed_cpu: int = 40
-    fixed_ram: int = 48
-    fixed_uplink: float = 75.0
-    fixed_downlink: float = 250.0
     runs: int = 50
     confidence: float = 0.95
     base_seed: int = 0
     schemes: tuple = ("lr", "rr", "greedy", "wo-avl")
-    generator: gen.GeneratorConfig = None   # template for non-swept knobs
-    oracle_limits: OracleLimits = field(default_factory=OracleLimits)
+    generator: gen.GeneratorConfig = None   # template for every non-swept setting
+    oracle_max_nodes: int = DEFAULT_MAX_NODES
     oracle_max_requests: int = 10
     oracle_max_mecs: int = 3
     on_error: str = "abort"             # or "exclude" (count and continue)
@@ -117,19 +117,15 @@ class ExperimentConfig:
             raise ValueError("on_error must be 'abort' or 'exclude'")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.oracle_max_nodes < 1:
+            raise ValueError("oracle_max_nodes must be positive")
         if not self.points():
             raise ValueError("sweep has no points")
-        if self.generator is not None:
-            self.generator.validate()
-        for value in self.points():
+        for value in self.points():     # checks every template field a point uses
             try:
                 _point_generator(self, value, seed=0).validate()
             except ValueError as exc:
                 raise ValueError(f"sweep point {value}: {exc}") from exc
-        if self.oracle_limits is None:
-            raise ValueError("oracle_limits must be a mapping such as {max_nodes: 1000}, "
-                             "not null")
-        self.oracle_limits.validate()
         if "exact" in self.schemes and not any(_oracle_fits(self, v) for v in self.points()):
             raise ValueError(
                 f"exact is listed but no sweep point fits oracle_max_requests="
@@ -145,34 +141,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict):
-        nested = {"generator": gen.GeneratorConfig.from_dict,
-                  "oracle_limits": lambda value: OracleLimits(**value)}
         return gen.config_from_dict(cls, data, EXPERIMENT_SCHEMA_VERSION, "experiment",
-                                    nested)
+                                    {"generator": gen.GeneratorConfig.from_dict})
 
 
 def _point_generator(cfg: ExperimentConfig, point_value, seed: int) -> gen.GeneratorConfig:
-    """Generator settings at one sweep point (template seed is overridden)."""
-    base = cfg.generator or gen.GeneratorConfig()
-    kwargs = {f.name: getattr(base, f.name) for f in fields(gen.GeneratorConfig)}
+    """The template with the swept field set to ``point_value`` and the seed replaced."""
+    template = cfg.generator
+    if template is None:
+        template = gen.GeneratorConfig() if cfg.sweep == "requests" else _IDENTICAL_NODES
     if cfg.sweep == "requests":
-        kwargs["request_count"] = int(point_value)
+        swept = {"request_count": int(point_value)}
+    elif cfg.sweep == "cpu":
+        swept = {"cpu_range": (point_value, point_value)}
+    elif cfg.sweep == "ram":
+        swept = {"ram_range": (point_value, point_value)}
+    elif cfg.sweep == "uplink":
+        swept = {"uplink_capacity": float(point_value)}
     else:
-        kwargs["request_count"] = cfg.fixed_request_count
-        kwargs["cpu_range"] = (cfg.fixed_cpu, cfg.fixed_cpu)
-        kwargs["ram_range"] = (cfg.fixed_ram, cfg.fixed_ram)
-        kwargs["uplink_capacity"] = cfg.fixed_uplink
-        kwargs["downlink_capacity"] = cfg.fixed_downlink
-        if cfg.sweep == "cpu":
-            kwargs["cpu_range"] = (point_value, point_value)
-        elif cfg.sweep == "ram":
-            kwargs["ram_range"] = (point_value, point_value)
-        elif cfg.sweep == "uplink":
-            kwargs["uplink_capacity"] = float(point_value)
-        else:
-            kwargs["downlink_capacity"] = float(point_value)
-    kwargs["seed"] = seed
-    return gen.GeneratorConfig(**kwargs)
+        swept = {"downlink_capacity": float(point_value)}
+    return replace(template, seed=seed, **swept)
 
 
 def _oracle_fits(cfg: ExperimentConfig, point_value) -> bool:
@@ -214,7 +202,7 @@ def _execute_run(cfg: ExperimentConfig, point_index: int, run: int):
     schemes = cfg.schemes
     if not _oracle_fits(cfg, point_value):
         schemes = [s for s in schemes if s != "exact"]
-    outcomes = run_schemes(inst, schemes, round_seed, baseline_seed, cfg.oracle_limits)
+    outcomes = run_schemes(inst, schemes, round_seed, baseline_seed, cfg.oracle_max_nodes)
     rows = [_run_row(cfg, point_value, run, out) for out in outcomes]
     timings = [{"sweep": cfg.sweep, "sweep_value": point_value, "run": run,
                 "scheme": out.scheme, "seconds": out.seconds} for out in outcomes]

@@ -11,7 +11,7 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,32 +86,34 @@ class GeneratorConfig:
 
 def config_to_dict(cfg, version: int) -> dict:
     """A config dataclass as a versioned mapping of plain values: tuples as
-    lists, a nested config as its ``to_dict()`` or else its fields."""
+    lists, a nested config as its ``to_dict()``."""
     out = {"version": version}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if hasattr(value, "to_dict"):
             value = value.to_dict()
-        elif is_dataclass(value):
-            value = asdict(value)
         out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def config_from_dict(cls, data, version: int, kind: str, nested=None):
     """The validated ``cls`` config that ``config_to_dict`` wrote as ``data``.
-    ``nested`` maps a field to the parser of its value, if not None."""
+    ``nested`` maps a field to the parser of its value, if not None; only a
+    field whose default is None may be null."""
     if not isinstance(data, dict):
         raise ValueError(f"{kind} config must be a mapping")
     data = dict(data)
     found = data.pop("version", version)
     if found != version:
         raise ValueError(f"unsupported {kind} config version: {found!r}")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
+        if value is None and defaults[name] is not None:
+            raise ValueError(f"{kind} config key {name!r} must not be null")
         if value is not None and name in (nested or {}):
             value = nested[name](value)
         kwargs[name] = tuple(value) if isinstance(value, list) else value

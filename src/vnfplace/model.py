@@ -245,8 +245,7 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
             f"({inst.n_requests} requests, {inst.n_mecs} mecs)"
         )
     for arr in (x, y):
-        vals = np.unique(arr)
-        if not np.isin(vals, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("integral solutions must be 0/1 valued")
 
     violations = []

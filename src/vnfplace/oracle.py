@@ -33,15 +33,7 @@ from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, Proble
                     SolutionMetrics, VnfplaceError, evaluate_solution)
 
 _PRUNE_EPS = 1e-9
-
-
-@dataclass
-class OracleLimits:
-    max_nodes: int = 1_000_000
-
-    def validate(self):
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
+DEFAULT_MAX_NODES = 1_000_000
 
 
 class OracleLimitError(VnfplaceError, RuntimeError):
@@ -106,13 +98,13 @@ class _KnapsackBound:
         return min(values)
 
 
-def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
+def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
                 mode: str = "branch_and_bound") -> ExactResult:
     """Provably optimal binary placement; intended for small instances."""
     if mode not in ("branch_and_bound", "exhaustive"):
         raise ValueError(f"unknown oracle mode: {mode!r}")
-    limits = limits or OracleLimits()
-    limits.validate()
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be positive")
     R, M = inst.n_requests, inst.n_mecs
     rewards = inst.reward_vector()
     order = sorted(range(R), key=lambda r: (-rewards[r], r))
@@ -140,11 +132,11 @@ def solve_exact(inst: ProblemInstance, limits: OracleLimits = None,
     def dfs(k, residual, current):
         nonlocal best_val, best_assign, nodes
         nodes += 1
-        if nodes > limits.max_nodes:
+        if nodes > max_nodes:
             upper = suffix[0]
             if use_bound:
                 upper = min(upper, simplex_solve(build_relaxed_program(inst)).objective)
-            raise OracleLimitError(f"node budget {limits.max_nodes} exhausted after {nodes} "
+            raise OracleLimitError(f"node budget {max_nodes} exhausted after {nodes} "
                                    f"nodes; best incumbent {best_val:.6g}, upper bound "
                                    f"{upper:.6g}",
                                    incumbent=build_solution(best_assign), objective=best_val,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .bounds import BoundReport, compute_bound_report
 from .lp import build_relaxed_program, solve_lp
 from .model import RESOURCES, SolutionMetrics, evaluate_solution
-from .oracle import evaluate_with_true_replicas, solve_exact, strip_availability
+from .oracle import DEFAULT_MAX_NODES, evaluate_with_true_replicas, solve_exact, strip_availability
 from .repair import greedy_repair
 from .rounding import randomized_round
 
@@ -67,12 +67,12 @@ def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):
 
 
 def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
-                oracle_limits=None) -> list:
+                max_nodes=DEFAULT_MAX_NODES) -> list:
     """Run ``schemes`` on ``inst``; the outcomes come in ``SCHEMES`` order.
 
     rr and greedy round with ``round_seed``, wo-avl with ``baseline_seed``;
-    exact searches within ``oracle_limits`` and raises ``OracleLimitError``
-    when they run out.
+    exact searches at most ``max_nodes`` nodes and raises ``OracleLimitError``
+    when the budget runs out.
     """
     want = set(schemes)
     unknown = want - set(SCHEMES)
@@ -120,7 +120,7 @@ def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
 
     if "exact" in want:
         t0 = time.perf_counter()
-        result = solve_exact(inst, limits=oracle_limits)
+        result = solve_exact(inst, max_nodes=max_nodes)
         t_exact = time.perf_counter() - t0
         # the search's own sum, not rewards @ y, which may differ in the last bit
         outcomes.append(_scored("exact", inst, result.solution,

@@ -134,6 +134,12 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_availability(inst, sol, trials=MIN_TRIALS - 1, seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        inst, sol = two_class_instance(), full_solution()
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            simulate_availability(inst, sol, trials=MIN_TRIALS, seed=0, jobs=jobs)
+
     def test_aggregate_statistics(self):
         inst, sol = two_class_instance(), full_solution()
         report = simulate_availability(inst, sol, trials=5000, seed=2)

@@ -158,7 +158,7 @@ class TestExperiment:
     def test_oracle_budget_abort_exits_4(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "exp.yaml", {
             "schemes": ["exact"], "request_counts": [6], "runs": 2,
-            "generator": {"mec_count": 3}, "oracle_limits": {"max_nodes": 1},
+            "generator": {"mec_count": 3}, "oracle_max_nodes": 1,
         })
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_LIMIT
@@ -171,20 +171,18 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("limits", [None, {"max_nodes": 0}], ids=["null", "zero_nodes"])
-    def test_bad_oracle_limits_exit_2(self, tmp_path, capsys, limits):
+    @pytest.mark.parametrize("max_nodes", [None, 0], ids=["null", "zero_nodes"])
+    def test_bad_oracle_limits_exit_2(self, tmp_path, capsys, max_nodes):
         cfg = write_yaml(tmp_path / "exp.yaml", {"schemes": ["lr"], "request_counts": [6],
-                                                 "runs": 2, "oracle_limits": limits})
+                                                 "runs": 2, "oracle_max_nodes": max_nodes})
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
-        assert ("oracle_limits" if limits is None else "max_nodes") in err
+        assert "oracle_max_nodes" in err
 
-    @pytest.mark.parametrize("sweep", [
-        {"sweep": "ram", "sweep_values": [48, 0]},
-        {"sweep": "cpu", "sweep_values": [24, 40], "fixed_ram": -1},
-    ], ids=["swept_value", "fixed_value"])
+    @pytest.mark.parametrize("sweep", [{"sweep": "ram", "sweep_values": [48, 0]}],
+                             ids=["swept_value"])
     def test_bad_sweep_point_exits_2_before_any_run(self, tmp_path, capsys, sweep):
         cfg = write_yaml(tmp_path / "exp.yaml", dict(sweep, schemes=["lr"], runs=2))
         assert main(["experiment", "--config", cfg,
@@ -218,6 +216,17 @@ class TestAvailsim:
         assert len(lines) == 1 + inst.n_requests
         out = capsys.readouterr().out
         assert "aggregate delivery ratio" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exits_2(self, tmp_path, capsys, jobs):
+        path, _ = small_instance_file(tmp_path, requests=5)
+        sol_file = tmp_path / "sol.yaml"
+        assert main(["solve", "--instance", path, "--scheme", "greedy",
+                     "--seed", "1", "--output", str(sol_file)]) == EXIT_OK
+        code = main(["availsim", "--instance", path, "--solution", str(sol_file),
+                     "--trials", "2000", "--seed", "1", "--jobs", jobs])
+        assert code == EXIT_CONFIG
+        assert "config error: jobs must be positive" in capsys.readouterr().err
 
     def test_fractional_solution_rejected(self, tmp_path, capsys):
         path, inst = small_instance_file(tmp_path, requests=5)

@@ -22,7 +22,7 @@ from vnfplace.experiments import (
 from vnfplace.gen import GeneratorConfig
 from vnfplace.lp import SimplexError
 from vnfplace.model import InfeasibleSolutionError
-from vnfplace.oracle import OracleLimitError, OracleLimits
+from vnfplace.oracle import OracleLimitError
 
 
 def tiny_config(**overrides):
@@ -135,9 +135,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("overrides,message", [
         ({"sweep": "ram", "sweep_values": (48, 0)},
          r"sweep point 0: ram_range: bad range \(0, 0\)"),
-        ({"sweep": "cpu", "sweep_values": (24, 40), "fixed_ram": -1},
+        ({"sweep": "cpu", "sweep_values": (24, 40),
+          "generator": GeneratorConfig(ram_range=(-1, -1))},
          r"sweep point 24: ram_range: bad range \(-1, -1\)"),
-    ], ids=["swept_value", "fixed_value"])
+    ], ids=["swept_value", "template_value"])
     def test_every_sweep_point_is_validated(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**overrides).validate()
@@ -151,6 +152,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_dict({"sweep": "requests", "extra": 1})
 
+    @pytest.mark.parametrize("key", ["fixed_request_count", "fixed_cpu", "fixed_ram",
+                                     "fixed_uplink", "fixed_downlink", "oracle_limits"])
+    def test_removed_key_is_named(self, key):
+        with pytest.raises(ValueError, match=rf"unknown experiment config keys: \['{key}'\]"):
+            ExperimentConfig.from_dict({key: 1})
+
+    @pytest.mark.parametrize("cls,key", [
+        (ExperimentConfig, "runs"), (ExperimentConfig, "jobs"),
+        (ExperimentConfig, "confidence"), (ExperimentConfig, "base_seed"),
+        (ExperimentConfig, "oracle_max_nodes"), (GeneratorConfig, "mec_count"),
+    ])
+    def test_null_value_names_its_key(self, cls, key):
+        with pytest.raises(ValueError, match=f"config key '{key}' must not be null"):
+            cls.from_dict({key: None})
+
+    def test_keys_that_default_to_null_may_be_null(self):
+        cfg = ExperimentConfig.from_dict({"sweep_values": None, "generator": None})
+        assert cfg.sweep_values is None and cfg.generator is None
+
 
 class TestPointGenerator:
     def test_requests_sweep_sets_count_only(self):
@@ -160,16 +180,28 @@ class TestPointGenerator:
         assert g.seed == 123
         assert g.cpu_range == (12, 18)  # template ranges survive
 
-    def test_capacity_sweep_pins_other_axes(self):
+    def test_capacity_sweep_keeps_template_fields(self):
         cfg = tiny_config(sweep="cpu", sweep_values=(24, 36),
-                          fixed_request_count=8, fixed_ram=20,
-                          fixed_uplink=50.0, fixed_downlink=150.0)
-        g = _point_generator(cfg, 24, seed=5)
-        assert g.cpu_range == (24, 24)
-        assert g.ram_range == (20, 20)
-        assert g.uplink_capacity == 50.0
-        assert g.downlink_capacity == 150.0
-        assert g.request_count == 8
+                          generator=GeneratorConfig(mec_count=3, request_count=12,
+                                                    ram_range=(16, 24), uplink_capacity=40.0))
+        assert _point_generator(cfg, 24, seed=5) == GeneratorConfig(
+            mec_count=3, request_count=12, cpu_range=(24, 24), ram_range=(16, 24),
+            uplink_capacity=40.0, seed=5)
+
+    @pytest.mark.parametrize("sweep,value,swept", [
+        ("cpu", 24, {"cpu_range": (24, 24)}),
+        ("ram", 32, {"ram_range": (32, 32)}),
+        ("uplink", 50, {"uplink_capacity": 50.0}),
+        ("downlink", 150, {"downlink_capacity": 150.0}),
+    ])
+    def test_capacity_sweep_without_template_runs_on_identical_nodes(self, sweep, value,
+                                                                     swept):
+        # the settings these sweeps have always used: 50 requests on cpu 40,
+        # ram 48, uplink 75 and downlink 250, with the swept one replaced
+        pinned = dict(request_count=50, cpu_range=(40, 40), ram_range=(48, 48),
+                      uplink_capacity=75.0, downlink_capacity=250.0, seed=5)
+        cfg = ExperimentConfig(sweep=sweep, sweep_values=(value,))
+        assert _point_generator(cfg, value, seed=5) == GeneratorConfig(**{**pinned, **swept})
 
 
 class TestRunExperiment:
@@ -233,7 +265,7 @@ class TestRunExperiment:
     def test_exact_without_a_fitting_point_is_rejected(self):
         # the default generator has 10 nodes, above oracle_max_mecs = 3
         cfg = ExperimentConfig(request_counts=(6,), runs=3, schemes=("lr", "exact"),
-                               oracle_limits=OracleLimits(max_nodes=2), on_error="exclude")
+                               oracle_max_nodes=2, on_error="exclude")
         with pytest.raises(ValueError, match="no sweep point fits"):
             run_experiment(cfg)
         with pytest.raises(ValueError, match="oracle_max_requests=10"):
@@ -242,13 +274,13 @@ class TestRunExperiment:
 
     def test_oracle_budget_abort_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("exact",),
-                          oracle_limits=OracleLimits(max_nodes=2))
+                          oracle_max_nodes=2)
         with pytest.raises(RuntimeError, match="failed"):
             run_experiment(cfg)
 
     def test_abort_keeps_the_error_class_and_fields(self):
         cfg = tiny_config(request_counts=(6,), schemes=("exact",),
-                          oracle_limits=OracleLimits(max_nodes=2))
+                          oracle_max_nodes=2)
         with pytest.raises(OracleLimitError, match="run 0 at sweep point 6") as info:
             run_experiment(cfg)
         assert info.value.nodes == 3
@@ -258,7 +290,7 @@ class TestRunExperiment:
         # every cell exhausts its budget; the first failure must not wait for the other 39
         monkeypatch.setattr(experiments, "_execute_run", functools.partial(marked_run, tmp_path))
         cfg = tiny_config(request_counts=(6,), runs=40, schemes=("exact",),
-                          oracle_limits=OracleLimits(max_nodes=1), jobs=2)
+                          oracle_max_nodes=1, jobs=2)
         with pytest.raises(OracleLimitError, match="run 0 at sweep point 6"):
             run_experiment(cfg)
         assert len(list(tmp_path.iterdir())) < 20
@@ -276,7 +308,7 @@ class TestRunExperiment:
 
     def test_oracle_budget_exclude_policy(self):
         cfg = tiny_config(request_counts=(6,), schemes=("lr", "exact"),
-                          oracle_limits=OracleLimits(max_nodes=2),
+                          oracle_max_nodes=2,
                           on_error="exclude")
         report = run_experiment(cfg)
         assert len(report.failed_runs) == 3

@@ -1,15 +1,18 @@
 """No module-level import in the package or the tests goes unused, no
 module-level private name in the package goes unreferenced, no dataclass
 field of the package goes unread, every name and keyword that the benchmark
-in ``perfbench/`` calls on the package exists, and importing the package
-leaves ``scipy.sparse`` unloaded.
+in ``perfbench/`` calls on the package exists, the README's config blocks
+list exactly the config fields, and importing the package leaves
+``scipy.sparse`` unloaded.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
 
 import ast
+import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +151,20 @@ def test_perfbench_calls_only_what_the_package_exports():
         except (AttributeError, TypeError) as exc:
             bad.append(f"{place} vp.{name}: {exc}")
     assert bad == []
+
+
+def readme_config_keys():
+    """The top-level keys of each ``yaml`` block in the README, commented-out
+    keys included; indented (nested) keys are not top-level."""
+    blocks = re.findall(r"^```yaml\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    return [set(re.findall(r"^(?:# )?([a-z_]+):", block, flags=re.M)) for block in blocks]
+
+
+def test_readme_config_blocks_list_every_config_field():
+    names = [{f.name for f in dataclasses.fields(cls)}
+             for cls in (vnfplace.GeneratorConfig, vnfplace.ExperimentConfig)]
+    assert readme_config_keys() == names
 
 
 def test_importing_the_package_leaves_scipy_sparse_unloaded():

@@ -143,9 +143,10 @@ class TestEvaluateSolution:
 
     def test_non_binary_rejected(self):
         inst = make_instance(slack_caps(1), [{"eps": 0.01}])
-        sol = IntegralSolution(x=np.array([[2]]), y=np.array([1]))
-        with pytest.raises(ValueError, match="0/1"):
-            evaluate_solution(inst, sol)
+        for x, y in ([[2]], [1]), ([[0.5]], [1]), ([[np.nan]], [1]), ([[1]], [2]):
+            sol = IntegralSolution(x=np.array(x), y=np.array(y))
+            with pytest.raises(ValueError, match="0/1"):
+                evaluate_solution(inst, sol)
 
     def test_reward_linearity(self):
         rng = np.random.default_rng(7)

@@ -14,9 +14,9 @@ from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
                             evaluate_solution)
 from vnfplace.oracle import (
+    DEFAULT_MAX_NODES,
     _KnapsackBound,
     OracleLimitError,
-    OracleLimits,
     evaluate_with_true_replicas,
     solve_exact,
     strip_availability,
@@ -101,8 +101,7 @@ class TestSolveExact:
         ))
         full = solve_exact(inst, mode="exhaustive")
         with pytest.raises(OracleLimitError) as excinfo:
-            solve_exact(inst, mode="exhaustive",
-                        limits=OracleLimits(max_nodes=5))
+            solve_exact(inst, mode="exhaustive", max_nodes=5)
         err = excinfo.value
         assert err.nodes >= 5
         assert err.objective <= full.objective + 1e-9
@@ -117,8 +116,9 @@ class TestSolveExact:
         assert back.upper_bound == 9.0
 
     def test_bad_limits_rejected(self):
-        with pytest.raises(ValueError):
-            OracleLimits(max_nodes=0).validate()
+        inst = make_instance(caps=slack_caps(2), reqs=[{"eps": 0.01}] * 3)
+        with pytest.raises(ValueError, match="max_nodes must be positive"):
+            solve_exact(inst, max_nodes=0)
 
 
 def residual_instance(inst, req_ids, residual):
@@ -181,7 +181,7 @@ class TestKnapsackBound:
     def test_budget_error_reports_the_relaxed_optimum(self):
         inst = generate(small_config(4))
         with pytest.raises(OracleLimitError) as excinfo:
-            solve_exact(inst, limits=OracleLimits(max_nodes=3))
+            solve_exact(inst, max_nodes=3)
         relaxed = solve_lp(build_relaxed_program(inst)).objective
         assert excinfo.value.upper_bound == pytest.approx(
             min(inst.reward_vector().sum(), relaxed), rel=1e-12)
@@ -269,7 +269,7 @@ class TestRegressionPins:
             uplink_capacity=60.0, downlink_capacity=200.0, seed=0,
         ))
         result = solve_exact(inst)
-        assert result.nodes == FIXED_14X4_NODES <= OracleLimits().max_nodes
+        assert result.nodes == FIXED_14X4_NODES <= DEFAULT_MAX_NODES
         assert result.objective == pytest.approx(FIXED_14X4_OPTIMUM, abs=1e-9)
         assert placement_rows(result.solution) == FIXED_14X4_ROWS
         assert evaluate_solution(inst, result.solution).feasible

@@ -5,8 +5,8 @@ from vnfplace import schemes
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import FractionalSolution, evaluate_solution
-from vnfplace.oracle import (OracleLimitError, OracleLimits, evaluate_with_true_replicas,
-                             solve_exact, strip_availability)
+from vnfplace.oracle import (OracleLimitError, evaluate_with_true_replicas, solve_exact,
+                             strip_availability)
 from vnfplace.repair import greedy_repair
 from vnfplace.rounding import randomized_round
 from vnfplace.schemes import SCHEMES, run_schemes
@@ -95,5 +95,5 @@ def test_unknown_scheme_rejected():
 
 def test_exact_budget_exhaustion_raises_with_its_bound():
     with pytest.raises(OracleLimitError, match="upper bound") as info:
-        run_schemes(tight_instance(0), ["exact"], oracle_limits=OracleLimits(max_nodes=2))
+        run_schemes(tight_instance(0), ["exact"], max_nodes=2)
     assert info.value.nodes == 3
