@@ -1,11 +1,11 @@
 """Availability-aware placement of service function chains on edge nodes.
 
 Pipeline: relax the binary placement problem to a box-constrained linear
-program (``lp``), round the fractional optimum (``rounding``), repair any
-capacity overshoot greedily (``repair``), and report concentration bounds on
-the overshoot and the reward (``bounds``).  ``oracle`` solves small instances
-exactly, and ``availsim`` checks delivered availability by Monte Carlo.
-``schemes`` runs the schemes the paper compares on one instance, and
+program (``lp``) started at a greedy packing, round the fractional optimum
+(``rounding``), repair any capacity overshoot greedily (``repair``, which
+holds the packing too), and report concentration bounds (``bounds``).
+``oracle`` solves small instances exactly, ``availsim`` checks delivered
+availability by Monte Carlo, ``schemes`` assembles the paper's schemes, and
 ``experiments`` batches them into seeded sweeps with confidence intervals.
 """
 
@@ -25,10 +25,10 @@ from .model import (FailureModel, FractionalSolution, InfeasibleSolutionError,
                     load_solution, required_replicas, save_instance,
                     save_solution, service_failure_prob, solution_from_dict,
                     solution_to_dict)
-from .oracle import (ExactResult, OracleLimitError, evaluate_with_true_replicas, solve_exact,
-                     strip_availability)
+from .oracle import ExactResult, OracleLimitError, solve_exact
 from .repair import greedy_repair
 from .rounding import randomized_round
-from .schemes import SCHEMES, SchemeOutcome, run_schemes
+from .schemes import (SCHEMES, SchemeOutcome, evaluate_with_true_replicas, run_schemes,
+                      strip_availability)
 
 __version__ = "0.1.0"

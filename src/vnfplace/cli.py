@@ -76,10 +76,8 @@ def _print_outcome(out, inst):
         for res in RESOURCES:
             worst = report.worst_factor(res)
             print(f"  {res}: {'undefined' if worst is None else format(worst, '.4g')}")
-        if report.vacuous_objective:
-            print(f"reward floor factor: {report.objective_factor:.4g} (vacuous)")
-        else:
-            print(f"reward floor factor: {report.objective_factor:.4g}")
+        vacuous = " (vacuous)" if report.vacuous_objective else ""
+        print(f"reward floor factor: {report.objective_factor:.4g}{vacuous}")
     if out.nodes is not None:
         print(f"nodes explored: {out.nodes}")
 
@@ -121,8 +119,7 @@ def _cmd_experiment(args):
     for name in ("summary", "runs", "timings"):
         print(f"wrote {paths[name]}")
     if report.failed_runs:
-        print(f"{len(report.failed_runs)} run(s) failed and were excluded",
-              file=sys.stderr)
+        print(f"{len(report.failed_runs)} run(s) failed and were excluded", file=sys.stderr)
         return EXIT_SOLVE
     return EXIT_OK
 
@@ -137,8 +134,7 @@ def _cmd_availsim(args):
                                                 seed=seed, jobs=args.jobs)
     if args.output:
         with open(args.output, "w") as fh:
-            for line in report.csv_rows():
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in report.csv_rows())
         print(f"wrote {args.output}")
     else:
         for line in report.csv_rows():

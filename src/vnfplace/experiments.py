@@ -123,7 +123,10 @@ class ExperimentConfig:
             raise ValueError("sweep has no points")
         for value in self.points():     # checks every template field a point uses
             try:
-                _point_generator(self, value, seed=0).validate()
+                point = _point_generator(self, value, seed=0)
+                point.validate()
+                if point.request_count < 1:
+                    raise ValueError("no requests to place")
             except ValueError as exc:
                 raise ValueError(f"sweep point {value}: {exc}") from exc
         if "exact" in self.schemes and not any(_oracle_fits(self, v) for v in self.points()):
@@ -150,16 +153,12 @@ def _point_generator(cfg: ExperimentConfig, point_value, seed: int) -> gen.Gener
     template = cfg.generator
     if template is None:
         template = gen.GeneratorConfig() if cfg.sweep == "requests" else _IDENTICAL_NODES
-    if cfg.sweep == "requests":
-        swept = {"request_count": int(point_value)}
-    elif cfg.sweep == "cpu":
-        swept = {"cpu_range": (point_value, point_value)}
-    elif cfg.sweep == "ram":
-        swept = {"ram_range": (point_value, point_value)}
-    elif cfg.sweep == "uplink":
-        swept = {"uplink_capacity": float(point_value)}
+    if cfg.sweep == "requests":     # validate rejects a count that is not whole
+        swept = {"request_count": point_value}
+    elif cfg.sweep in ("cpu", "ram"):
+        swept = {f"{cfg.sweep}_range": (point_value, point_value)}
     else:
-        swept = {"downlink_capacity": float(point_value)}
+        swept = {f"{cfg.sweep}_capacity": float(point_value)}
     return replace(template, seed=seed, **swept)
 
 

@@ -11,6 +11,7 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,6 +60,9 @@ class GeneratorConfig:
             raise ValueError("mec_count must be at least 1")
         if self.request_count < 0:
             raise ValueError("request_count must be nonnegative")
+        for name in ("request_count", "cpu_range", "ram_range"):    # counts, cores and GB
+            if np.any(np.mod(getattr(self, name), 1) != 0):
+                raise ValueError(f"{name} must hold whole numbers, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         for name in ("cpu_range", "ram_range", "reward_base_range",
@@ -106,20 +110,40 @@ def config_from_dict(cls, data, version: int, kind: str, nested=None):
     found = data.pop("version", version)
     if found != version:
         raise ValueError(f"unsupported {kind} config version: {found!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = set(data) - set(defaults)
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(declared)
     if unknown:
         raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if value is None and defaults[name] is not None:
+        if value is None and declared[name].default is not None:
             raise ValueError(f"{kind} config key {name!r} must not be null")
         if value is not None and name in (nested or {}):
             value = nested[name](value)
+        elif value is not None:
+            _check_type(f"{kind} config key {name!r}", value, declared[name])
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     cfg = cls(**kwargs)
     cfg.validate()
     return cfg
+
+
+_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number"),
+          str: (str, "a str")}
+
+
+def _check_type(key, value, field):
+    """Raise unless ``value`` suits ``field``: an int field takes an int, a
+    float field a number, a str field a str, and a tuple field a list of strs
+    where its default holds strs, else of numbers.  A bool is no number."""
+    kind, items = field.type, [value]
+    if kind is tuple:   # the kind of each item; a value that is no list fails
+        kind = str if field.default and isinstance(field.default[0], str) else float
+        items = value if isinstance(value, (list, tuple)) else [None]
+    cls, expected = _KINDS[kind]
+    if not all(isinstance(v, cls) and not isinstance(v, bool) for v in items):
+        expected = f"a list of {expected.split()[1]}s" if field.type is tuple else expected
+        raise ValueError(f"{key} must be {expected}, got {type(value).__name__}")
 
 
 def generate(cfg: GeneratorConfig) -> ProblemInstance:
@@ -139,7 +163,7 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
     # exact decimal thresholds, not 1 - level float residue
     thresholds = [round(1.0 - level, 12) for level in cfg.availability_levels]
     requests = []
-    for k in range(cfg.request_count):
+    for k in range(int(cfg.request_count)):
         rng = np.random.default_rng([_REQUEST_STREAM, cfg.seed, k])
         pick = rng.choice(len(OPTIONAL_UPFS), size=2, replace=False)
         chain = MANDATORY_UPFS + tuple(OPTIONAL_UPFS[i] for i in sorted(pick))

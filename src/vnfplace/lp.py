@@ -19,9 +19,10 @@ zero step, so it leaves in a degenerate pivot, or stays basic at zero on a
 dependent row.  A program may name a ``start``: a box vertex, every
 structural variable at its lower or upper bound, at which the solve begins
 with every slack basic (a crash start; Bixby, ORSA J. Computing 1992).
-``build_relaxed_program`` starts at ``greedy_vertex``, a 0/1 placement that
-serves every request a greedy fits, so the placement relaxation needs no
-artificials and often starts at, or a few pivots from, its optimum.
+``build_relaxed_program`` starts at ``repair.pack``'s placement, which
+serves every request the greedy policy fits and breaks no row, so the
+placement relaxation needs no artificials and often starts at, or a few
+pivots from, its optimum.
 Entering variable: largest reduced cost, switching to Bland's smallest-index
 rule after a long degenerate streak.
 
@@ -63,6 +64,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
+from .repair import pack
 
 LE = "<="
 GE = ">="
@@ -182,44 +184,14 @@ class LinearProgram:
         return list(zip(np.split(pairs, ends[:-1]), self.sense.tolist(), self.rhs.tolist()))
 
 
-def greedy_vertex(inst: ProblemInstance):
-    """A feasible 0/1 placement (x, y) that serves every request a greedy fits.
-
-    Requests are taken in descending reward over psi_r times their demand
-    summed over the four resources, each normalized by the resource's total
-    capacity.  A request is served when at least psi_r nodes still fit it,
-    on the psi_r fitting nodes with the most slack, summed over the
-    resources as shares of the node's capacity.  Both orders are stable
-    sorts, so ties go to the lower index.
-    """
-    R, M = inst.n_requests, inst.n_mecs
-    demand = np.array([inst.demand_vector(res) for res in RESOURCES])     # 4 x R
-    cap = np.array([inst.capacity_vector(res) for res in RESOURCES])      # 4 x M
-    psi = inst.replica_vector()
-    density = inst.reward_vector() / (psi * ((1.0 / cap.sum(axis=1)) @ demand))
-    slack = cap.copy()
-    x, y = np.zeros((R, M)), np.zeros(R)
-    for r in np.argsort(-density, kind="stable").tolist():
-        need = demand[:, r, None]
-        fits = np.flatnonzero((need <= slack).all(axis=0))
-        if fits.size < psi[r]:
-            continue
-        room = (slack[:, fits] / cap[:, fits]).sum(axis=0)
-        nodes = fits[np.argsort(-room, kind="stable")[: psi[r]]]
-        slack[:, nodes] -= need
-        x[r, nodes] = 1.0
-        y[r] = 1.0
-    return x, y
-
-
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     """Relax the placement problem: binary requirements become [0, 1] boxes.
-    The simplex starts at ``greedy_vertex``."""
+    The simplex starts at ``repair.pack``'s placement."""
     R, M = inst.n_requests, inst.n_mecs
     objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
-    x0, y0 = greedy_vertex(inst)
+    packed = pack(inst)
     lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M),
-                       start=np.concatenate([x0.ravel(), y0]))
+                       start=np.concatenate([packed.x.ravel(), packed.y]))
     x = np.arange(R * M).reshape(R, M)
     # served requests must reach their replica count: x[r, :] - psi_r y_r >= 0
     lp.add_rows(np.repeat(np.arange(R), M + 1),
@@ -503,11 +475,9 @@ class _BoundedSimplex:
         self._optimize(cost)
         v = self._values()
         self._certify(cost, v)
-        values = v[: self.n_struct]
         # snap solver dust back onto the boxes
-        lo = self.lower[: self.n_struct]
-        hi = self.upper[: self.n_struct]
-        values = np.clip(values, lo, hi)
+        n = self.n_struct
+        values = np.clip(v[:n], self.lower[:n], self.upper[:n])
         objective = float(self.objective_coeffs @ values)
         return SimplexResult(values=values, objective=objective, iterations=self.iterations)
 

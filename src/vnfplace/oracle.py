@@ -16,11 +16,6 @@ nodes can each still hold a copy of it.  Residuals are per-node tuples of
 floats, and no numpy call runs per search node.  Both respect a node budget
 and raise ``OracleLimitError`` carrying the best incumbent and an upper bound
 when it runs out; its message states both and the nodes explored.
-
-The module also hosts the availability-blind baseline helpers: strip an
-instance down to single-copy requirements, and re-evaluate a solution against
-the true requirements (requests left short of copies are counted unserved,
-their placements as waste).
 """
 
 import itertools
@@ -30,7 +25,7 @@ import numpy as np
 
 from .lp import build_relaxed_program, simplex_solve
 from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
-                    SolutionMetrics, VnfplaceError, evaluate_solution)
+                    VnfplaceError, evaluate_solution)
 
 _PRUNE_EPS = 1e-9
 DEFAULT_MAX_NODES = 1_000_000
@@ -176,29 +171,3 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
     if not metrics.feasible:
         raise InfeasibleSolutionError("oracle produced an infeasible solution")
     return ExactResult(solution=solution, objective=best_val, nodes=nodes)
-
-
-def strip_availability(inst: ProblemInstance) -> ProblemInstance:
-    """Copy of the instance with every replica requirement forced to one."""
-    return ProblemInstance(
-        mecs=list(inst.mecs),
-        requests=list(inst.requests),
-        failure_model=inst.failure_model,
-        replicas=[1] * inst.n_requests,
-    )
-
-
-def evaluate_with_true_replicas(inst: ProblemInstance, sol: IntegralSolution):
-    """Re-score a solution against the instance's real replica counts.
-
-    Requests served with fewer copies than required are marked unserved;
-    their placements stay in place and count as load and waste.  Returns the
-    adjusted solution and its metrics.
-    """
-    placed = np.asarray(sol.x).sum(axis=1)
-    need = inst.replica_vector()
-    y = np.asarray(sol.y, dtype=np.int8).copy()
-    y[placed < need] = 0
-    adjusted = IntegralSolution(x=np.asarray(sol.x, dtype=np.int8).copy(), y=y)
-    metrics: SolutionMetrics = evaluate_solution(inst, adjusted)
-    return adjusted, metrics

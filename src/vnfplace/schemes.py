@@ -8,6 +8,9 @@ Schemes:
           against the true replica requirements
   exact   reference optimum by the ``oracle`` search (small instances only)
 
+wo-avl's own two steps live here too: ``strip_availability`` and
+``evaluate_with_true_replicas``.
+
 ``run_schemes`` runs any subset of them on one instance; lr, rr and greedy
 share one relaxation solve and one rounding.  ``vnfplace solve`` and the
 experiment runner both go through it.  The stage functions are called
@@ -18,10 +21,13 @@ them here sees every call.
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BoundReport, compute_bound_report
 from .lp import build_relaxed_program, solve_lp
-from .model import RESOURCES, SolutionMetrics, evaluate_solution
-from .oracle import DEFAULT_MAX_NODES, evaluate_with_true_replicas, solve_exact, strip_availability
+from .model import (RESOURCES, IntegralSolution, ProblemInstance, SolutionMetrics,
+                    evaluate_solution)
+from .oracle import DEFAULT_MAX_NODES, solve_exact
 from .repair import greedy_repair
 from .rounding import randomized_round
 
@@ -64,6 +70,22 @@ def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):
         served_pct=100.0 * metrics.served_count / max(1, inst.n_requests),
         utilization_pct=_load_pct(inst, solution.x),
         seconds=seconds, metrics=metrics, **extra)
+
+
+def strip_availability(inst: ProblemInstance) -> ProblemInstance:
+    """Copy of the instance with every replica requirement forced to one."""
+    return ProblemInstance(mecs=list(inst.mecs), requests=list(inst.requests),
+                           failure_model=inst.failure_model, replicas=[1] * inst.n_requests)
+
+
+def evaluate_with_true_replicas(inst: ProblemInstance, sol: IntegralSolution):
+    """Re-score a solution against the instance's real replica counts: a
+    request served with fewer copies than required counts as unserved, and
+    its copies as load and waste.  Returns the adjusted solution and metrics."""
+    y = np.asarray(sol.y, dtype=np.int8).copy()
+    y[np.asarray(sol.x).sum(axis=1) < inst.replica_vector()] = 0
+    adjusted = IntegralSolution(x=np.asarray(sol.x, dtype=np.int8).copy(), y=y)
+    return adjusted, evaluate_solution(inst, adjusted)
 
 
 def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,

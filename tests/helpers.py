@@ -1,6 +1,8 @@
 """Compact builders shared across test modules."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 from vnfplace.model import FailureModel, MecNode, ProblemInstance, ServiceRequest
 
@@ -52,3 +54,12 @@ def force_infeasible(monkeypatch, module):
     real = module.evaluate_solution
     monkeypatch.setattr(module, "evaluate_solution",
                         lambda inst, sol: dataclasses.replace(real(inst, sol), feasible=False))
+
+
+def bench_tracer():
+    """The benchmark's ``perfbench/tracer.py`` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -6,7 +6,8 @@ families one by one, linear programs are maximized by enumerating candidate
 vertices, and the exact placement optimum enumerates every subset assignment
 (including oversized ones, to exercise the package's exactly-k reduction),
 and Monte Carlo delivery counts come from one full failure matrix per
-chunk.
+chunk.  ``greedy_vertex`` runs the greedy packing on numpy arrays, as the
+reference for the package's Python-float ``pack``.
 """
 
 import itertools
@@ -180,6 +181,36 @@ def dense_basis(padded_rows, padded_data, count, basis):
         for slot in range(count[j]):
             B[padded_rows[slot, j], i] += padded_data[slot, j]
     return B
+
+
+def greedy_vertex(inst):
+    """A feasible 0/1 placement (x, y) that serves every request a greedy fits.
+
+    Requests are taken in descending reward over psi_r times their demand
+    summed over the four resources, each normalized by the resource's total
+    capacity.  A request is served when at least psi_r nodes still fit it,
+    on the psi_r fitting nodes with the most slack, summed over the
+    resources as shares of the node's capacity.  Both orders are stable
+    sorts, so ties go to the lower index.
+    """
+    R, M = inst.n_requests, inst.n_mecs
+    demand = np.array([inst.demand_vector(res) for res in RESOURCE_FIELDS])     # 4 x R
+    cap = np.array([inst.capacity_vector(res) for res in RESOURCE_FIELDS])      # 4 x M
+    psi = inst.replica_vector()
+    density = inst.reward_vector() / (psi * ((1.0 / cap.sum(axis=1)) @ demand))
+    slack = cap.copy()
+    x, y = np.zeros((R, M)), np.zeros(R)
+    for r in np.argsort(-density, kind="stable").tolist():
+        need = demand[:, r, None]
+        fits = np.flatnonzero((need <= slack).all(axis=0))
+        if fits.size < psi[r]:
+            continue
+        room = (slack[:, fits] / cap[:, fits]).sum(axis=0)
+        nodes = fits[np.argsort(-room, kind="stable")[: psi[r]]]
+        slack[:, nodes] -= need
+        x[r, nodes] = 1.0
+        y[r] = 1.0
+    return x, y
 
 
 def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):

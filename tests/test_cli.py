@@ -181,14 +181,35 @@ class TestExperiment:
         assert err.startswith("config error:") and "Traceback" not in err
         assert "oracle_max_nodes" in err
 
-    @pytest.mark.parametrize("sweep", [{"sweep": "ram", "sweep_values": [48, 0]}],
-                             ids=["swept_value"])
-    def test_bad_sweep_point_exits_2_before_any_run(self, tmp_path, capsys, sweep):
-        cfg = write_yaml(tmp_path / "exp.yaml", dict(sweep, schemes=["lr"], runs=2))
+    @pytest.mark.parametrize("sweep,message", [
+        ({"sweep": "ram", "sweep_values": [48, 0]}, "sweep point 0: ram_range: bad range"),
+        ({"request_counts": [12.7]}, "sweep point 12.7: request_count must hold whole"),
+        ({"sweep": "cpu", "sweep_values": [24.5, 40]},
+         "sweep point 24.5: cpu_range must hold whole"),
+        # the template is checked as it is read, before any point
+        ({"request_counts": [5], "generator": {"cpu_range": [32.9, 33.9]}},
+         "cpu_range must hold whole"),
+        ({"request_counts": [0, 5], "schemes": ["rr"]}, "sweep point 0: no requests"),
+    ], ids=["swept_value", "fractional_request_count", "fractional_cpu_value",
+            "fractional_template_range", "no_requests"])
+    def test_bad_sweep_point_exits_2_before_any_run(self, tmp_path, capsys, sweep, message):
+        cfg = write_yaml(tmp_path / "exp.yaml", {"schemes": ["lr"], "runs": 2, **sweep})
         assert main(["experiment", "--config", cfg,
                      "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: sweep point ")
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command,data,message", [
+        ("experiment", {"runs": "5"}, "experiment config key 'runs' must be an int, got str"),
+        ("generate", {"cpu_range": 40},
+         "generator config key 'cpu_range' must be a list of numbers, got int"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, command, data, message):
+        cfg = write_yaml(tmp_path / "cfg.yaml", data)
+        out = ["--output-dir", str(tmp_path / "r")] if command == "experiment" else [
+            "--output", str(tmp_path / "i.yaml")]
+        assert main([command, "--config", cfg, *out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_exact_on_oversized_instances_exits_2(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "exp.yaml", {

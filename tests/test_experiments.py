@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from helpers import force_infeasible
@@ -138,7 +139,14 @@ class TestConfigValidation:
         ({"sweep": "cpu", "sweep_values": (24, 40),
           "generator": GeneratorConfig(ram_range=(-1, -1))},
          r"sweep point 24: ram_range: bad range \(-1, -1\)"),
-    ], ids=["swept_value", "template_value"])
+        ({"request_counts": (12.7,)}, "sweep point 12.7: request_count must hold whole"),
+        ({"sweep": "cpu", "sweep_values": (24.5, 40)},
+         "sweep point 24.5: cpu_range must hold whole"),
+        ({"generator": GeneratorConfig(cpu_range=(32.9, 33.9))},
+         "sweep point 30: cpu_range must hold whole"),
+        ({"request_counts": (0, 5)}, "sweep point 0: no requests"),
+    ], ids=["swept_value", "template_value", "fractional_request_count",
+            "fractional_cpu_value", "fractional_template_range", "no_requests"])
     def test_every_sweep_point_is_validated(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**overrides).validate()
@@ -147,6 +155,39 @@ class TestConfigValidation:
         cfg = tiny_config(sweep="cpu", sweep_values=(20, 30), on_error="exclude")
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
+        # a YAML file holds the same: a generator template, float capacity values
+        cfg = tiny_config(sweep="uplink", sweep_values=(37.5, 50.0))
+        assert ExperimentConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("cls,data,message", [
+        (ExperimentConfig, {"runs": "5"}, "experiment config key 'runs' must be an int, got str"),
+        (ExperimentConfig, {"runs": 2.5}, "'runs' must be an int, got float"),
+        (ExperimentConfig, {"runs": True}, "'runs' must be an int, got bool"),
+        (ExperimentConfig, {"schemes": "lr"}, "'schemes' must be a list of strs, got str"),
+        (ExperimentConfig, {"generator": {"mec_count": 2.5}},
+         "generator config key 'mec_count' must be an int, got float"),
+        (ExperimentConfig, {"generator": {"cpu_range": 40}},
+         "generator config key 'cpu_range' must be a list of numbers, got int"),
+        (GeneratorConfig, {"seed": "5"}, "generator config key 'seed' must be an int, got str"),
+        (GeneratorConfig, {"seed": 2.5}, "'seed' must be an int, got float"),
+        (GeneratorConfig, {"seed": True}, "'seed' must be an int, got bool"),
+        (GeneratorConfig, {"availability_levels": "0.99"},
+         "'availability_levels' must be a list of numbers, got str"),
+        (GeneratorConfig, {"mec_count": 2.5}, "'mec_count' must be an int, got float"),
+        (GeneratorConfig, {"cpu_range": 40}, "'cpu_range' must be a list of numbers, got int"),
+    ], ids=[f"{kind}-{case}" for kind in ("experiment", "generator")
+            for case in ("str_int", "float_int", "bool_int", "str_list", "float_count",
+                         "int_range")])
+    def test_wrong_value_type_names_key_and_type(self, cls, data, message):
+        with pytest.raises(ValueError, match=message):
+            cls.from_dict(data)
+
+    def test_an_int_passes_as_a_number_and_a_whole_float_as_a_bound(self):
+        cfg = ExperimentConfig.from_dict({"sweep": "uplink", "sweep_values": [50, 62.5],
+                                          "generator": {"uplink_capacity": 75,
+                                                        "cpu_range": [40.0, 40.0]}})
+        assert cfg.sweep_values == (50, 62.5)
+        assert cfg.generator == GeneratorConfig(uplink_capacity=75, cpu_range=(40, 40))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

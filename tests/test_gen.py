@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from vnfplace.gen import (DEFAULT_UPF_SPECS, MANDATORY_UPFS, OPTIONAL_UPFS, GeneratorConfig,
@@ -123,6 +124,22 @@ class TestConfigValidation:
     def test_from_dict_roundtrip(self):
         cfg = GeneratorConfig(mec_count=4, request_count=7, seed=5)
         assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
+        assert GeneratorConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"request_count": 12.7}, "request_count"),
+        ({"cpu_range": (32.9, 33.9)}, "cpu_range"),
+        ({"ram_range": (32, 48.5)}, "ram_range"),
+    ])
+    def test_counts_and_bounds_must_be_whole(self, overrides, field):
+        with pytest.raises(ValueError, match=f"{field} must hold whole numbers"):
+            GeneratorConfig(**overrides).validate()
+
+    def test_whole_floats_pass(self):
+        cfg = GeneratorConfig(request_count=12.0, cpu_range=(40.0, 40.0), mec_count=3)
+        inst = generate(cfg)
+        assert inst.n_requests == 12
+        assert [m.cpu_capacity for m in inst.mecs] == [40, 40, 40]
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):

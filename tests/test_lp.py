@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import importlib.util
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import vnfplace
-from helpers import make_instance, slack_caps
+from helpers import bench_tracer, make_instance, slack_caps
 from reference import (bincount_transposed_product, column_entries, constraint_matrix,
                        dense_basis, placement_entries, vertex_enumeration_max)
 from vnfplace import lp as lp_module
@@ -29,11 +28,11 @@ from vnfplace.lp import (
     UnboundedProgramError,
     _BoundedSimplex,
     build_relaxed_program,
-    greedy_vertex,
     simplex_solve,
     solve_lp,
 )
-from vnfplace.oracle import solve_exact, strip_availability
+from vnfplace.oracle import solve_exact
+from vnfplace.schemes import strip_availability
 
 
 def entries(lp):
@@ -109,11 +108,7 @@ class TestProgramConstruction:
 
     def test_rows_view_feeds_the_bench_tracer(self):
         # perfbench/tracer.py counts rows and entries through ``program.rows``
-        spec = importlib.util.spec_from_file_location(
-            "tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
-        tracer_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_module)
-        tracer = tracer_module.Tracer(vnfplace)
+        tracer = bench_tracer().Tracer(vnfplace)
         build = tracer._wrap("lp.build", build_relaxed_program, tracer._after_build)
         build(generate(GeneratorConfig(request_count=50, mec_count=10, seed=0)))
         counts = tracer.counts
@@ -178,26 +173,6 @@ class TestGreedyStart:
         inst = generate(GeneratorConfig(request_count=200, mec_count=5, seed=0))
         y = check_start(inst)
         assert 0 < y.sum() < inst.n_requests
-
-    def test_order_and_node_choice(self):
-        # request 1 has the best reward density and takes the two roomiest
-        # nodes; request 0 then fits only on node 2 and is left out;
-        # request 2, one copy, takes node 2, which has more room than node 0
-        inst = make_instance(
-            caps=[{"c": 4}, {"c": 3}, {"c": 2, "d": 500}],
-            reqs=[{"c": 2, "eps": 0.001, "reward": 5.0},
-                  {"c": 3, "eps": 0.001, "reward": 9.0},
-                  {"c": 1, "eps": 0.01, "reward": 1.0}],
-        )
-        x, y = greedy_vertex(inst)
-        assert y.tolist() == [0.0, 1.0, 1.0]
-        assert x.tolist() == [[0, 0, 0], [1, 1, 0], [0, 0, 1]]
-
-    def test_ties_go_to_the_lower_index(self):
-        inst = make_instance(caps=slack_caps(4), reqs=[{"eps": 0.001}] * 2)
-        x, y = greedy_vertex(inst)
-        # request 0 takes nodes 0 and 1; then nodes 2 and 3 have the most room
-        assert x.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]]
 
 
 class TestSolveLp:

@@ -13,14 +13,8 @@ from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
                             evaluate_solution)
-from vnfplace.oracle import (
-    DEFAULT_MAX_NODES,
-    _KnapsackBound,
-    OracleLimitError,
-    evaluate_with_true_replicas,
-    solve_exact,
-    strip_availability,
-)
+from vnfplace.oracle import DEFAULT_MAX_NODES, _KnapsackBound, OracleLimitError, solve_exact
+from vnfplace.schemes import evaluate_with_true_replicas, strip_availability
 
 
 def small_config(seed):

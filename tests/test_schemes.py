@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import vnfplace
+from helpers import bench_tracer
 from vnfplace import schemes
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import FractionalSolution, evaluate_solution
-from vnfplace.oracle import (OracleLimitError, evaluate_with_true_replicas, solve_exact,
-                             strip_availability)
+from vnfplace.oracle import OracleLimitError, solve_exact
 from vnfplace.repair import greedy_repair
 from vnfplace.rounding import randomized_round
-from vnfplace.schemes import SCHEMES, run_schemes
+from vnfplace.schemes import (SCHEMES, evaluate_with_true_replicas, run_schemes,
+                              strip_availability)
 
 CASES = [(0, 3, 11), (1, 5, 12), (2, 8, 13)]   # (generator, rounding, baseline) seeds
 
@@ -97,3 +99,27 @@ def test_exact_budget_exhaustion_raises_with_its_bound():
     with pytest.raises(OracleLimitError, match="upper bound") as info:
         run_schemes(tight_instance(0), ["exact"], max_nodes=2)
     assert info.value.nodes == 3
+
+
+def test_bench_tracer_sees_every_span(tmp_path):
+    # the benchmark's tracer rebinds the package's stage functions by name;
+    # a stage that moves or is renamed must not leave a span that reads 0
+    tracer = bench_tracer().Tracer(vnfplace)
+    spans = []
+    wrap = tracer._wrap
+    tracer._wrap = lambda name, fn, after=None: spans.append(name) or wrap(name, fn, after)
+    tracer.install()
+    try:
+        inst = vnfplace.generate(GeneratorConfig(request_count=6, mec_count=3, seed=1))
+        *_, greedy, _, _ = vnfplace.run_schemes(inst, SCHEMES, round_seed=2, baseline_seed=3)
+        vnfplace.simulate_availability(inst, greedy.solution, trials=1000, seed=4)
+        with pytest.raises(OracleLimitError):   # the bound the error carries solves the LP
+            vnfplace.solve_exact(inst, max_nodes=1)
+        cfg = vnfplace.ExperimentConfig(request_counts=(4,), runs=2, schemes=("lr",),
+                                        generator=GeneratorConfig(mec_count=3))
+        vnfplace.run_experiment(cfg).write(tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.counter_errors == 0
+    assert len(spans) >= 12 and all(tracer.calls[name] > 0 for name in spans)
+    assert vnfplace.solve_exact is solve_exact      # uninstall restored the bindings
