@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .model import (RESOURCES, IntegralSolution, ProblemInstance,
                     evaluate_solution, service_failure_prob)
@@ -94,6 +93,8 @@ def _binomial_quantile(q, n, p):
     """
     if p == 0.0:
         return 0
+    from scipy import special    # on first use: it would double the import time
+
     k = math.ceil(special.bdtrik(q, n, p))
     return k - 1 if k > 0 and special.bdtr(k - 1, n, p) >= q else k
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import gen
 from .lp import SimplexError
@@ -76,7 +75,10 @@ def confidence_interval(samples, confidence: float = 0.95):
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return mean, 0.0
-    # Student-t quantile; scipy.stats.t.ppf calls the same function
+    # Student-t quantile, as scipy.stats.t.ppf; imported on first use, since
+    # scipy would double the package's import time
+    from scipy import special
+
     t = float(special.stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return mean, t * sem
 

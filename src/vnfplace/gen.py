@@ -56,6 +56,12 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        ranges = ("cpu_range", "ram_range", "reward_base_range",
+                  "uplink_demand_range", "downlink_demand_range")
+        for name in ranges:
+            if np.shape(getattr(self, name)) != (2,):
+                raise ValueError(f"{name} must hold exactly two values (low, high), "
+                                 f"got {getattr(self, name)}")
         if self.mec_count < 1:
             raise ValueError("mec_count must be at least 1")
         if self.request_count < 0:
@@ -65,8 +71,7 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must hold whole numbers, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("cpu_range", "ram_range", "reward_base_range",
-                     "uplink_demand_range", "downlink_demand_range"):
+        for name in ranges:
             lo, hi = getattr(self, name)
             if lo > hi or lo <= 0:
                 raise ValueError(f"{name}: bad range ({lo}, {hi})")

@@ -45,13 +45,23 @@ and bounds of each basic variable and the improving sign of every column
 are arrays that a pivot or a bound flip updates in at most two places; a
 bound flip leaves the basis as it was and reuses the reduced costs.
 
+The rank-1 update is ``cblas_dger`` of numpy's bundled OpenBLAS, called
+through ``ctypes`` with its arguments bound once per solve: the basis
+inverse, the entering column and the pivot row live in buffers allocated
+with the solver and rewritten in place.  BLAS computes the update with
+fused multiply-adds, so ``Binv - np.multiply.outer(w, pivot_row)`` differs
+in the last bit of about a quarter of the entries and moves the pivots;
+it is used only where that library or symbol is not found (another BLAS,
+or no ``/proc/self/maps``).
+
 The pivots follow from BLAS products, whose summation order depends on
 the BLAS thread count, so another count can end at another optimal vertex.
-``simplex_solve`` therefore holds both bundled OpenBLAS libraries (numpy's
-and scipy's) at one thread while it runs and restores their counts after:
-a solve returns the same vertex whatever ``OPENBLAS_NUM_THREADS`` says.
-Where those libraries are not found the pin does nothing.  The pin is
-process-wide, so it does not cover solves run concurrently in threads.
+``simplex_solve`` therefore holds numpy's OpenBLAS, which runs every BLAS
+and LAPACK call of the simplex, at one thread while it runs and restores
+its count after: a solve returns the same vertex whatever
+``OPENBLAS_NUM_THREADS`` says.  Where the library is not found the pin
+does nothing.  The pin is process-wide, so it does not cover solves run
+concurrently in threads.
 """
 
 import contextlib
@@ -61,7 +71,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 from .repair import pack
@@ -264,6 +273,17 @@ class _BoundedSimplex:
         self.status = np.full(total, _AT_LOWER, dtype=np.int8)
         self.status[:n][(lp.start == lp.upper) & (lp.upper > lp.lower)] = _AT_UPPER
         self.status[self.basis] = _BASIC
+        # buffers rewritten in place, so the rank-1 update's arguments,
+        # Binv -= w pivot_row^T in column-major order (102), are bound once
+        self.Binv = np.zeros((m, m), order="F")
+        self.w, self.pivot_row, self._duals = np.empty(m), np.empty(m), np.empty(m)
+        self._terms = np.empty(self.padded_rows.shape)
+        self._priced, self._reduced = np.empty(total), np.empty(total)
+        blas = _openblas()
+        self._dger = blas and functools.partial(blas[2], *(
+            kind(value) for kind, value in zip(blas[2].argtypes, (
+                102, m, m, -1.0, self.w.ctypes.data, 1, self.pivot_row.ctypes.data, 1,
+                self.Binv.ctypes.data, m))))
         # slacks and artificials are singletons: no nucleus to invert
         self._refactorize()
 
@@ -276,20 +296,23 @@ class _BoundedSimplex:
 
     def _transposed_product(self, y) -> np.ndarray:
         """y @ A, each column summed from zero over its slots in order, the
-        additions a ``np.bincount`` makes over the entries in column order."""
-        terms = y[self.padded_rows]
+        additions a ``np.bincount`` makes over the entries in column order.
+        Returns a buffer that the next call overwrites."""
+        terms = np.take(y, self.padded_rows, out=self._terms, mode="clip")
         terms *= self.padded_data
-        return np.add.reduce(terms, axis=0, initial=0.0)
+        return np.add.reduce(terms, axis=0, initial=0.0, out=self._priced)
 
     def _column(self, q) -> np.ndarray:
-        """FTRAN: Binv @ A[:, q]."""
+        """FTRAN: Binv @ A[:, q], written into ``w``."""
         k = self.count[q]
         # a contiguous copy: BLAS may round a strided operand differently
-        return self.Binv[:, self.padded_rows[:k, q]] @ self.padded_data[:k, q].copy()
+        return np.matmul(self.Binv[:, self.padded_rows[:k, q]], self.padded_data[:k, q].copy(),
+                         out=self.w)
 
     def _reduced_costs(self, cost, basic_cost) -> np.ndarray:
-        """Reduced costs; basic_cost is cost[basis]."""
-        return cost - self._transposed_product(basic_cost @ self.Binv)
+        """Reduced costs into a reused buffer; basic_cost is cost[basis]."""
+        duals = np.matmul(basic_cost, self.Binv, out=self._duals)
+        return np.subtract(cost, self._transposed_product(duals), out=self._reduced)
 
     # -- basis -----------------------------------------------------------------
 
@@ -332,7 +355,7 @@ class _BoundedSimplex:
             nucleus_inv = np.linalg.inv(nucleus)
         except np.linalg.LinAlgError as exc:
             raise NumericalInstabilityError("basis matrix is singular") from exc
-        self.Binv = np.zeros((self.m, self.m), order="F")   # Fortran-ordered for dger
+        self.Binv.fill(0.0)
         self.Binv[np.ix_(K, N)] = nucleus_inv
         self.Binv[S, t] = 1.0 / a
         # only singleton rows that some nucleus column touches couple to N
@@ -341,13 +364,17 @@ class _BoundedSimplex:
         v = self._nonbasic_values()
         self.xb = self.Binv @ (self.b - self._product(v))
 
-    def _pivot(self, r, q, w):
+    def _pivot(self, r, q):
         """Column q replaces basis row r; w = Binv @ A[:, q] is consumed."""
         self.basis[r] = q
-        pivot_row = self.Binv[r] / w[r]
+        w = self.w
+        np.divide(self.Binv[r], w[r], out=self.pivot_row)
         w[r] -= 1.0
-        self.Binv = dger(-1.0, w, pivot_row, a=self.Binv, overwrite_a=True)
-        self.Binv[r] = pivot_row
+        if self._dger:
+            self._dger()
+        else:
+            self.Binv -= np.multiply.outer(w, self.pivot_row)
+        self.Binv[r] = self.pivot_row
 
     # -- state ---------------------------------------------------------------
 
@@ -376,7 +403,9 @@ class _BoundedSimplex:
         basic_lower = self.lower[self.basis]
         basic_upper = self.upper[self.basis]
         sign = _DIRECTION[self.status] * movable
-        steps = np.empty(self.m)
+        gain = np.empty(sign.size)
+        negated, gap, size, steps = (np.empty(self.m) for _ in range(4))
+        above, usable = np.empty(self.m, bool), np.empty(self.m, bool)
         reduced = None           # valid while the basis is unchanged
         while True:
             self.iterations += 1
@@ -385,26 +414,30 @@ class _BoundedSimplex:
             if reduced is None:
                 reduced = self._reduced_costs(cost, basic_cost)
             # positive exactly where moving off the current bound improves
-            gain = reduced * sign
+            np.multiply(reduced, sign, out=gain)
             if bland:
-                candidates = np.flatnonzero(gain > _TOL)
+                candidates = (gain > _TOL).nonzero()[0]
                 if candidates.size == 0:
                     return
                 q = int(candidates[0])
             else:
-                q = int(np.argmax(gain))
+                q = int(gain.argmax())
                 if gain[q] <= _TOL:
                     return
 
             w = self._column(q)
             entering_lower = self.status[q] == _AT_LOWER
-            delta = w if entering_lower else -w   # basic values move as xb - t*delta
+            # basic values move as xb - t*delta
+            delta = w if entering_lower else np.negative(w, out=negated)
             xb = self.xb
             # each basic value heads for the bound on its side of the move;
             # an infinite upper bound yields an infinite step
-            bound = np.where(delta > 0.0, basic_lower, basic_upper)
+            np.greater(delta, 0.0, out=above)
+            np.subtract(xb, basic_upper, out=gap)
+            np.subtract(xb, basic_lower, out=gap, where=above)
+            np.greater(np.abs(delta, out=size), _PIVOT_FLOOR, out=usable)
             steps.fill(np.inf)
-            np.divide(xb - bound, delta, out=steps, where=np.abs(delta) > _PIVOT_FLOOR)
+            np.divide(gap, delta, out=steps, where=usable)
             np.maximum(steps, 0.0, out=steps)
 
             t_flip = self.upper[q] - self.lower[q]
@@ -420,8 +453,8 @@ class _BoundedSimplex:
                 step = t_flip
                 xb -= step * delta
             else:
-                tie = np.flatnonzero(steps <= t_row + _TOL)
-                r = int(tie[np.argmax(np.abs(delta[tie]))])
+                tie = (steps <= t_row + _TOL).nonzero()[0]
+                r = int(tie[size[tie].argmax()])
                 if abs(w[r]) < _PIVOT_FLOOR:
                     raise NumericalInstabilityError(f"pivot magnitude {abs(w[r]):.3e} below floor")
                 step = steps[r]
@@ -438,7 +471,7 @@ class _BoundedSimplex:
                 basic_upper[r] = self.upper[q]
                 xb -= step * delta
                 xb[r] = entering
-                self._pivot(r, q, w)
+                self._pivot(r, q)
                 reduced = None
                 since_refactor += 1
                 if since_refactor >= _REFACTOR_EVERY:
@@ -495,44 +528,47 @@ class _BoundedSimplex:
 
 
 @functools.cache
-def _blas_thread_controls():
-    """(getter, setter) of the thread count of each bundled OpenBLAS loaded in
-    this process: numpy's ``scipy_openblas_*64_`` and scipy's
-    ``scipy_openblas_*``.  Empty where they cannot be found."""
+def _openblas():
+    """(get_threads, set_threads, dger) of numpy's bundled OpenBLAS, the
+    ILP64 ``scipy_openblas`` build, found through ``/proc/self/maps``; None
+    where it is not loaded or lacks a symbol."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
     except OSError:
-        return ()
-    controls = []
+        return None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
-        except OSError:
+            found = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_, lib.scipy_cblas_dger64_)
+        except (OSError, AttributeError):
             continue
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return tuple(controls)
+        get, put, dger = found
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        int64, ptr = ctypes.c_int64, ctypes.c_void_p
+        # order, m, n, alpha, x, incx, y, incy, a, lda
+        dger.argtypes, dger.restype = [ctypes.c_int, int64, int64, ctypes.c_double,
+                                       ptr, int64, ptr, int64, ptr, int64], None
+        return found
+    return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold every bundled OpenBLAS at one thread; restore the counts after."""
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    """Hold numpy's OpenBLAS at one thread; restore its count after."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put, _ = blas
+    saved = get()
+    put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
+        put(saved)
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:

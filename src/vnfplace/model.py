@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 RESOURCES = ("cpu", "ram", "uplink", "downlink")
 
@@ -328,12 +327,15 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     return ProblemInstance.from_parts(mecs, requests, fm)
 
 
+# the YAML functions import yaml on first use, keeping it out of start-up
 def save_instance(inst: ProblemInstance, path) -> None:
+    import yaml
     with open(path, "w") as fh:
         yaml.safe_dump(instance_to_dict(inst), fh, sort_keys=True)
 
 
 def load_instance(path) -> ProblemInstance:
+    import yaml
     with open(path) as fh:
         return instance_from_dict(yaml.safe_load(fh))
 
@@ -377,10 +379,12 @@ def solution_from_dict(data: dict):
 
 
 def save_solution(sol, path) -> None:
+    import yaml
     with open(path, "w") as fh:
         yaml.safe_dump(solution_to_dict(sol), fh, sort_keys=True)
 
 
 def load_solution(path):
+    import yaml
     with open(path) as fh:
         return solution_from_dict(yaml.safe_load(fh))

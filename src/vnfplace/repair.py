@@ -76,16 +76,18 @@ def pack(inst: ProblemInstance) -> IntegralSolution:
         (s0, s1, s2, s3), (c0, c1, c2, c3) = slack[m], caps[m]
         return s0 / c0 + s1 / c1 + s2 / c2 + s3 / c3
 
+    rooms = [room(m) for m in range(len(slack))]    # changes only where a copy lands
     sol = IntegralSolution.empty(inst)
     for r in np.argsort(-density, kind="stable").tolist():
         d0, d1, d2, d3 = needs[r]
         fits = [m for m, (s0, s1, s2, s3) in enumerate(slack)
                 if d0 <= s0 and d1 <= s1 and d2 <= s2 and d3 <= s3]
         if len(fits) >= counts[r]:
-            nodes = sorted(fits, key=room, reverse=True)[:counts[r]]
+            nodes = sorted(fits, key=rooms.__getitem__, reverse=True)[:counts[r]]
             for m in nodes:
                 s0, s1, s2, s3 = slack[m]
                 slack[m] = (s0 - d0, s1 - d1, s2 - d2, s3 - d3)
+                rooms[m] = room(m)
             sol.x[r, nodes] = 1
             sol.y[r] = 1
     return sol

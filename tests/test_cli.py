@@ -203,6 +203,10 @@ class TestExperiment:
         ("experiment", {"runs": "5"}, "experiment config key 'runs' must be an int, got str"),
         ("generate", {"cpu_range": 40},
          "generator config key 'cpu_range' must be a list of numbers, got int"),
+        ("generate", {"cpu_range": [40]},
+         "cpu_range must hold exactly two values (low, high), got (40,)"),
+        ("experiment", {"generator": {"reward_base_range": [6.0]}},
+         "reward_base_range must hold exactly two values (low, high), got (6.0,)"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, command, data, message):
         cfg = write_yaml(tmp_path / "cfg.yaml", data)

@@ -135,6 +135,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must hold whole numbers"):
             GeneratorConfig(**overrides).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("cpu_range", [40]), ("ram_range", [32, 48, 64]), ("reward_base_range", [6.0]),
+        ("uplink_demand_range", []), ("downlink_demand_range", [20.0, 30.0, 40.0]),
+    ])
+    def test_ranges_hold_exactly_two_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must hold exactly two values"):
+            GeneratorConfig.from_dict({field: value})
+        with pytest.raises(ValueError, match=f"^{field} must hold exactly two values"):
+            GeneratorConfig(**{field: tuple(value)}).validate()
+
     def test_whole_floats_pass(self):
         cfg = GeneratorConfig(request_count=12.0, cpu_range=(40.0, 40.0), mec_count=3)
         inst = generate(cfg)

@@ -2,8 +2,8 @@
 module-level private name in the package goes unreferenced, no dataclass
 field of the package goes unread, every name and keyword that the benchmark
 in ``perfbench/`` calls on the package exists, the README's config blocks
-list exactly the config fields, and importing the package leaves
-``scipy.sparse`` unloaded.
+list exactly the config fields, and the package solves an instance
+without loading scipy or yaml.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
@@ -167,13 +167,34 @@ def test_readme_config_blocks_list_every_config_field():
     assert readme_config_keys() == names
 
 
-def test_importing_the_package_leaves_scipy_sparse_unloaded():
-    # scipy.sparse costs 1.0-1.2 MB of RSS to import, about a third of the
-    # benchmark's peak_rss_mb bound
-    code = ("import sys, vnfplace; "
-            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])")
+_COLD_PIPELINE = """
+import os, sys, tempfile
+import vnfplace as vp
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
+
+inst = vp.generate(vp.GeneratorConfig(request_count=8, mec_count=3, seed=4))
+frac = vp.solve_lp(vp.build_relaxed_program(inst))
+vp.greedy_repair(inst, vp.randomized_round(frac, inst, seed=1))
+vp.solve_exact(inst)
+print(loaded())
+mean, half = vp.confidence_interval([1.0, 2.0, 4.0])
+assert mean == 7 / 3 and half > 0
+assert vp.consistent_with_threshold(995, 1000, 0.01)
+assert not vp.consistent_with_threshold(900, 1000, 0.01)
+with tempfile.TemporaryDirectory() as tmp:
+    vp.save_instance(inst, os.path.join(tmp, "i.yaml"))
+    assert vp.instance_to_dict(vp.load_instance(os.path.join(tmp, "i.yaml"))) == vp.instance_to_dict(inst)
+print(bool(loaded()))
+"""
+
+
+def test_solving_from_a_cold_import_leaves_scipy_and_yaml_unloaded():
+    # scipy and yaml double the import time and add about 30 MB of RSS; the
+    # package imports them where a function needs them, and those still work
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", _COLD_PIPELINE], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

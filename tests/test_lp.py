@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dger
 from scipy.optimize import linprog
 
 import vnfplace
@@ -461,6 +462,16 @@ class TestAgainstHighs:
         assert phase_one >= 20
 
 
+class TestAgainstHighsOnTheOuterProductUpdate(TestAgainstHighs):
+    """The same checks with numpy's OpenBLAS hidden from the solver, so the
+    rank-1 update falls back to ``np.multiply.outer`` and nothing is pinned."""
+
+    @pytest.fixture(autouse=True)
+    def no_openblas(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_openblas", lambda: None)
+        assert _BoundedSimplex(placement_program(8, 3))._dger is None
+
+
 _SMALL = st.integers(-3, 3).map(float)
 
 
@@ -686,6 +697,61 @@ from vnfplace.lp import build_relaxed_program, simplex_solve
 inst = generate(GeneratorConfig(request_count=200, mec_count=20, seed=0))
 sys.stdout.write(simplex_solve(build_relaxed_program(inst)).values.tobytes().hex())
 """
+
+
+def rows_program(m):
+    """One variable under m rows: a solver state with an m x m basis."""
+    return LinearProgram(n_vars=1, row=np.arange(m), var=np.zeros(m), coef=np.ones(m),
+                         sense=np.full(m, LE), rhs=np.ones(m))
+
+
+class TestRankOneUpdate:
+    """The update Binv -= w pivot_row^T through numpy's OpenBLAS."""
+
+    def test_lookup_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas.get('name')}")
+        assert lp_module._openblas() is not None
+        assert _BoundedSimplex(rows_program(3))._dger is not None
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 90, 280])
+    def test_matches_scipy_dger_bit_for_bit(self, m):
+        solver = _BoundedSimplex(rows_program(m))
+        if solver._dger is None:
+            pytest.skip("numpy's OpenBLAS is not loaded")
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            binv = np.asfortranarray(rng.normal(size=(m, m)))
+            solver.Binv[...] = binv
+            solver.w[...] = rng.normal(size=m)
+            solver.pivot_row[...] = rng.normal(size=m) * 10.0 ** rng.integers(-6, 7, size=m)
+            expected = dger(-1.0, solver.w, solver.pivot_row, a=binv, overwrite_a=False)
+            solver._dger()
+            assert solver.Binv.tobytes(order="F") == expected.tobytes(order="F")
+
+    def test_buffers_keep_their_addresses_through_a_solve(self, monkeypatch):
+        # refactorize every 32 pivots, so that the solve refactorizes at least
+        # five times; each one must rewrite the buffers the update points at
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 32)
+        solver = _BoundedSimplex(placement_program(50, 10))
+        buffers = (solver.Binv, solver.w, solver.pivot_row)
+        addresses = [b.ctypes.data for b in buffers]
+        seen = []
+        refactorize = _BoundedSimplex._refactorize
+
+        def spy(self):
+            refactorize(self)
+            seen.append([b.ctypes.data for b in (self.Binv, self.w, self.pivot_row)])
+
+        monkeypatch.setattr(_BoundedSimplex, "_refactorize", spy)
+        with lp_module._one_blas_thread():
+            solver.solve()
+        assert len(seen) >= 5 and all(s == addresses for s in seen)
+        assert all(a is b for a, b in zip((solver.Binv, solver.w, solver.pivot_row), buffers))
+        if solver._dger is not None:
+            bound = solver._dger.args    # order, m, n, alpha, w, 1, pivot_row, 1, Binv, lda
+            assert [bound[8].value, bound[4].value, bound[6].value] == addresses
 
 
 class TestBlasThreads:
