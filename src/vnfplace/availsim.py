@@ -8,18 +8,15 @@ The simulation accepts solutions that are short of their replica counts
 
 Trials are simulated in fixed-size chunks, each drawn from a stream derived
 from (seed, chunk index), so results are identical whether chunks run
-serially or across worker processes.  A chunk draws only the minority
-outcome of its row-major (trial, copy) cells: the failed copies when
-eps_m <= 0.5, the surviving ones otherwise.  These hits form a Bernoulli
-process, drawn as geometric gaps between successive hit positions, so the
-work is trials x copies x min(eps_m, 1 - eps_m) draws in place of one
-uniform per cell.  Positions are drawn and counted in row blocks holding
-about 1 MB of expected hits, with the hits past a block's end carried over
-to the next, so memory stays fixed at any eps_m and trial count, and the
-counts do not depend on the block size.  The hits of one (trial, request)
-form a group: with survivals drawn every group delivers its trial, and with
-failures drawn a group loses its trial when its length equals the request's
-copy count.
+serially or across worker processes.  A chunk draws only the failed copies
+among its row-major (trial, copy) cells.  They form a Bernoulli process,
+drawn as geometric gaps between successive failure positions, so the work is
+trials x copies x eps_m draws in place of one uniform per cell.  Positions
+are drawn and counted in row blocks holding about 1 MB of expected failures,
+with the failures past a block's end carried over to the next, so memory
+stays fixed at any eps_m and trial count, and the counts do not depend on
+the block size.  The failures of one (trial, request) form a group, which
+loses its trial when its length equals the request's copy count.
 """
 
 import functools
@@ -34,7 +31,8 @@ from .model import (RESOURCES, IntegralSolution, ProblemInstance,
 
 MIN_TRIALS = 1000
 _CHUNK = 1 << 15
-_BLOCK_BYTES = 1 << 20    # expected hit positions per row block, about 1 MB of int64
+_BLOCK_BYTES = 1 << 20    # expected failure positions per row block, about 1 MB of int64
+CONFIDENCE = 0.99         # of the binomial acceptance test
 
 
 @dataclass
@@ -67,19 +65,16 @@ class AvailabilityReport:
                    f"{row.threshold:.10g},{str(row.meets_threshold).lower()}")
 
 
-def consistent_with_threshold(delivered: int, trials: int, failure_threshold: float,
-                              confidence: float = 0.99) -> bool:
+def consistent_with_threshold(delivered: int, trials: int, failure_threshold: float) -> bool:
     """Binomial acceptance test: failures within what the threshold allows.
 
-    Passes when the observed failure count does not exceed the ``confidence``
+    Passes when the observed failure count does not exceed the ``CONFIDENCE``
     quantile of Binomial(trials, failure_threshold), i.e. the data stays
     consistent with a true failure probability at or below the threshold.
     """
     if not 0 <= delivered <= trials:
         raise ValueError("delivered count outside [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    allowed = _binomial_quantile(confidence, trials, failure_threshold)
+    allowed = _binomial_quantile(CONFIDENCE, trials, failure_threshold)
     return trials - delivered <= allowed
 
 
@@ -100,25 +95,24 @@ def _binomial_quantile(q, n, p):
 
 
 def _chunk_counts(seed, chunk_index, size, eps_m, widths):
-    """Delivered counts per request for one chunk of trials."""
+    """Delivered counts per request for one chunk of trials: the trials in
+    which not every copy of the request failed."""
     rng = np.random.default_rng([seed, chunk_index])
     widths = np.asarray(widths, dtype=np.int64)
     total = int(widths.sum())
-    count_failures = eps_m <= 0.5       # hits mark failed copies, else surviving ones
-    p = eps_m if count_failures else 1.0 - eps_m
-    counts = np.zeros(widths.size, dtype=np.int64)
-    if total and p > 0.0:
+    lost = np.zeros(widths.size, dtype=np.int64)
+    if total and eps_m > 0.0:
         req = np.repeat(np.arange(widths.size), widths)        # request of each copy
         cells = size * total
-        rows = min(size, max(1, int(_BLOCK_BYTES / (8 * total * p))))
-        pending = np.empty(0, dtype=np.int64)   # drawn hit positions not yet counted
+        rows = min(size, max(1, int(_BLOCK_BYTES / (8 * total * eps_m))))
+        pending = np.empty(0, dtype=np.int64)   # drawn failure positions not yet counted
         last = -1                               # the latest drawn position
         for lo in range(0, size, rows):
             end = min(lo + rows, size) * total
             drawn = [pending]
             while last < end:
-                expected = (end - last) * p
-                gaps = rng.geometric(p, int(expected + 4 * math.sqrt(expected)) + 16)
+                expected = (end - last) * eps_m
+                gaps = rng.geometric(eps_m, int(expected + 4 * math.sqrt(expected)) + 16)
                 # a gap past the chunk ends it; capping it keeps the sums in range
                 np.minimum(gaps, cells + 1, out=gaps)
                 positions = np.cumsum(gaps, out=gaps)
@@ -128,19 +122,15 @@ def _chunk_counts(seed, chunk_index, size, eps_m, widths):
             pending = np.concatenate(drawn)
             split = int(np.searchsorted(pending, end))
             pos, pending = pending[:split], pending[split:]
-            # the hits of one (trial, request) share a key and, since the
+            # the failures of one (trial, request) share a key and, since the
             # positions are sorted, lie next to each other
             key = pos // total * widths.size + req[pos % total]
             first = np.flatnonzero(np.diff(key, prepend=-1))
-            hit_req = key[first] % widths.size
-            if count_failures:
-                # lost when every copy failed: the group is as long as the request is wide
-                length = np.diff(first, append=key.size)
-                hit_req = hit_req[length == widths[hit_req]]
-            counts += np.bincount(hit_req, minlength=widths.size)
-    if count_failures:
-        return np.where(widths > 0, size - counts, 0)
-    return counts
+            group_req = key[first] % widths.size
+            # lost when every copy failed: the group is as long as the request is wide
+            length = np.diff(first, append=key.size)
+            lost += np.bincount(group_req[length == widths[group_req]], minlength=widths.size)
+    return np.where(widths > 0, size - lost, 0)
 
 
 def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,

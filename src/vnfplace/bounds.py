@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
+from .model import FEAS_EPS, RESOURCES, FractionalSolution, ProblemInstance, VnfplaceError
 from .rounding import randomized_round
 
 
@@ -99,7 +99,7 @@ def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
             load = inst.demand_vector(res) @ sol.x
             ceiling = ceilings[res]
             defined = ~np.isnan(ceiling)
-            if (load[defined] > ceiling[defined] + 1e-9).any():
+            if (load[defined] > ceiling[defined] + FEAS_EPS).any():
                 exceed_counts[res] += 1
 
     return EmpiricalViolationReport(

@@ -115,6 +115,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes:
             raise ValueError("at least one scheme required")
+        for kind, values in (("scheme", self.schemes), ("sweep point", self.points())):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]   # 40 == 40.0
+            if repeats:
+                raise ValueError(f"{kind} {repeats[0]!r} is repeated")
         if self.on_error not in ("abort", "exclude"):
             raise ValueError("on_error must be 'abort' or 'exclude'")
         if self.jobs < 1:
@@ -140,9 +144,6 @@ class ExperimentConfig:
         if self.sweep == "requests":
             return list(self.request_counts or ())
         return list(self.sweep_values or ())
-
-    def to_dict(self) -> dict:
-        return gen.config_to_dict(self, EXPERIMENT_SCHEMA_VERSION)
 
     @classmethod
     def from_dict(cls, data: dict):

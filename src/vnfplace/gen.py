@@ -85,30 +85,15 @@ class GeneratorConfig:
         # raises InvalidModelError on a bad split
         FailureModel(self.vnf_failure, self.pm_failure)
 
-    def to_dict(self) -> dict:
-        return config_to_dict(self, GENERATOR_SCHEMA_VERSION)
-
     @classmethod
     def from_dict(cls, data: dict):
         return config_from_dict(cls, data, GENERATOR_SCHEMA_VERSION, "generator")
 
 
-def config_to_dict(cfg, version: int) -> dict:
-    """A config dataclass as a versioned mapping of plain values: tuples as
-    lists, a nested config as its ``to_dict()``."""
-    out = {"version": version}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if hasattr(value, "to_dict"):
-            value = value.to_dict()
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def config_from_dict(cls, data, version: int, kind: str, nested=None):
-    """The validated ``cls`` config that ``config_to_dict`` wrote as ``data``.
-    ``nested`` maps a field to the parser of its value, if not None; only a
-    field whose default is None may be null."""
+    """The validated ``cls`` config that ``data``, plain values as read from
+    YAML, describes.  ``nested`` maps a field to the parser of its value, if
+    not None; only a field whose default is None may be null."""
     if not isinstance(data, dict):
         raise ValueError(f"{kind} config must be a mapping")
     data = dict(data)

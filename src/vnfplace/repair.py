@@ -30,20 +30,15 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
 
     x[y == 0] = 0  # wasted placements cost capacity and earn nothing
     rewards = inst.reward_vector()
-    demands = {res: inst.demand_vector(res) for res in RESOURCES}
-    caps = {res: inst.capacity_vector(res) for res in RESOURCES}
-    loads = {res: demands[res] @ x for res in RESOURCES}
-
-    def overloaded(m):
-        return any(loads[res][m] > caps[res][m] + FEAS_EPS for res in RESOURCES)
-
+    demand, cap = _stacked(inst)
+    # one product per resource: a stacked demand @ x may round differently
+    loads = np.array([d @ x for d in demand])
     for m in range(inst.n_mecs):
-        while overloaded(m):
+        while (loads[:, m] > cap[:, m] + FEAS_EPS).any():
             hosted = np.flatnonzero(x[:, m] == 1)
             # lowest reward goes first; ties drop the higher id
             r = min(hosted, key=lambda i: (rewards[i], -i))
-            for res in RESOURCES:
-                loads[res] -= demands[res][r] * x[r]
+            loads -= np.multiply.outer(demand[:, r], x[r])
             x[r] = 0
             y[r] = 0
 
@@ -52,6 +47,12 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
     if not metrics.feasible:
         raise InfeasibleSolutionError(f"repair left violations: {metrics.violated_constraints}")
     return repaired
+
+
+def _stacked(inst):
+    """Demand (4 x R) and capacity (4 x M), one row per resource."""
+    return (np.array([inst.demand_vector(res) for res in RESOURCES]),
+            np.array([inst.capacity_vector(res) for res in RESOURCES]))
 
 
 def pack(inst: ProblemInstance) -> IntegralSolution:
@@ -65,8 +66,7 @@ def pack(inst: ProblemInstance) -> IntegralSolution:
     demand is at most the slack, with no tolerance, so the placement breaks
     no row by float dust.  No numpy call runs per request.
     """
-    demand = np.array([inst.demand_vector(res) for res in RESOURCES])     # 4 x R
-    cap = np.array([inst.capacity_vector(res) for res in RESOURCES])      # 4 x M
+    demand, cap = _stacked(inst)
     psi = inst.replica_vector()
     density = inst.reward_vector() / (psi * ((1.0 / cap.sum(axis=1)) @ demand))
     caps = list(zip(*cap.tolist()))        # per node, as the oracle's residuals

@@ -39,10 +39,7 @@ def randomized_round(frac: FractionalSolution, inst: ProblemInstance,
     rng = np.random.Generator(np.random.PCG64(seed))
     x = (rng.random((R, M)) < x_prob).astype(np.int8)
     y = np.zeros(R, dtype=np.int8)
-    placed = x.sum(axis=1)
-    need = inst.replica_vector()
-    for r in range(R):
-        # the admission draw happens only when the replica gate is cleared
-        if placed[r] >= need[r] and rng.random() < y_prob[r]:
-            y[r] = 1
+    # the admission draw happens only when the replica gate is cleared
+    gate = x.sum(axis=1) >= inst.replica_vector()
+    y[gate] = rng.random(gate.sum()) < y_prob[gate]
     return IntegralSolution(x=x, y=y)

@@ -216,24 +216,22 @@ def greedy_vertex(inst):
 def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
     """Delivered counts per request for one availability-simulation chunk.
 
-    The chunk's stream places the minority outcome (failure when eps_m is at
-    most 0.5, survival otherwise) on the row-major (trial, copy) cells by
-    geometric gaps.  Here every hit is drawn at once, expanded into one full
-    failure matrix, and counted request by request: the trials in which all
-    of its copies failed.
+    The chunk's stream places the failed copies on the row-major (trial,
+    copy) cells by geometric gaps.  Here every failure is drawn at once,
+    expanded into one full failure matrix, and counted request by request:
+    the trials in which all of its copies failed.
     """
     rng = np.random.default_rng([seed, chunk_index])
     total = int(sum(widths))
     cells = size * total
-    p = min(eps_m, 1.0 - eps_m)
-    hit = np.zeros(cells, dtype=bool)
+    failed = np.zeros(cells, dtype=bool)
     position = -1
-    while p > 0.0 and position < cells:
-        gaps = np.minimum(rng.geometric(p, 4096), cells + 1)
+    while eps_m > 0.0 and position < cells:
+        gaps = np.minimum(rng.geometric(eps_m, 4096), cells + 1)
         positions = position + np.cumsum(gaps)
-        hit[positions[positions < cells]] = True
+        failed[positions[positions < cells]] = True
         position = int(positions[-1])
-    failed = (hit if eps_m <= 0.5 else ~hit).reshape(size, total)
+    failed = failed.reshape(size, total)
     counts = np.zeros(len(widths), dtype=np.int64)
     col = 0
     for i, k in enumerate(widths):
@@ -241,3 +239,18 @@ def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
             counts[i] = size - int(failed[:, col:col + k].all(axis=1).sum())
         col += k
     return counts
+
+
+def reference_round(frac, inst, seed):
+    """Randomized rounding with one scalar admission draw per request that
+    clears its replica gate, in request order.  Returns (x, y)."""
+    x_prob = np.clip(np.asarray(frac.x, dtype=float), 0.0, 1.0)
+    y_prob = np.clip(np.asarray(frac.y, dtype=float), 0.0, 1.0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = (rng.random(x_prob.shape) < x_prob).astype(np.int8)
+    y = np.zeros(y_prob.size, dtype=np.int8)
+    placed, need = x.sum(axis=1), inst.replica_vector()
+    for r in range(y.size):
+        if placed[r] >= need[r] and rng.random() < y_prob[r]:
+            y[r] = 1
+    return x, y

@@ -49,10 +49,6 @@ class TestThresholdTest:
         with pytest.raises(ValueError):
             consistent_with_threshold(101, 100, 0.01)
 
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            consistent_with_threshold(100, 100, 0.01, confidence=1.0)
-
     @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
     def test_quantile_matches_scipy_stats_on_grid(self, confidence):
         for trials in (1, 10, 1000, 4096, 100_000, 131_072):
@@ -172,7 +168,7 @@ class TestChunkCounts:
             total = sum(widths)
             eps = float(10 ** rng.uniform(-4, np.log10(0.9)))
             # the sampler's rows per block, from the expected hits per row
-            p = min(eps, 1.0 - eps)
+            p = eps
             rows = max(1, int(availsim._BLOCK_BYTES / (8 * max(total, 1) * p)))
             size = int(rng.integers(rows + 1, 3 * rows)) if case % 2 else 1 << 15
             ragged += size % min(size, rows) != 0

@@ -215,6 +215,17 @@ class TestExperiment:
         assert main([command, "--config", cfg, *out]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("data,message", [
+        ({"schemes": ["lr", "lr", "greedy"]}, "scheme 'lr' is repeated"),
+        ({"sweep": "cpu", "sweep_values": [24, 24]}, "sweep point 24 is repeated"),
+    ], ids=["scheme", "sweep_point"])
+    def test_repeated_scheme_or_point_exits_2(self, tmp_path, capsys, data, message):
+        cfg = write_yaml(tmp_path / "exp.yaml", {"runs": 2, "request_counts": [6], **data})
+        assert main(["experiment", "--config", cfg,
+                     "--output-dir", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_exact_on_oversized_instances_exits_2(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "exp.yaml", {
             "schemes": ["lr", "exact"], "request_counts": [6], "runs": 2,

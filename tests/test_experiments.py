@@ -1,5 +1,6 @@
 import csv
 import functools
+import textwrap
 import time
 
 import numpy as np
@@ -151,13 +152,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**overrides).validate()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"schemes": ("lr", "lr", "greedy")}, "scheme 'lr' is repeated"),
+        ({"sweep": "cpu", "sweep_values": (24, 24)}, "sweep point 24 is repeated"),
+        ({"sweep": "cpu", "sweep_values": (40, 40.0)}, r"sweep point 40\.0 is repeated"),
+        ({"request_counts": (4, 6, 4)}, "sweep point 4 is repeated"),
+    ], ids=["scheme", "point", "point_by_value", "request_count"])
+    def test_repeated_scheme_or_point_rejected(self, overrides, message):
+        # a repeat would pool two points' runs into one interval, or write a
+        # scheme's summary rows twice
+        with pytest.raises(ValueError, match=message):
+            run_experiment(tiny_config(runs=2, **overrides))
+
     def test_roundtrip_through_dict(self):
-        cfg = tiny_config(sweep="cpu", sweep_values=(20, 30), on_error="exclude")
-        back = ExperimentConfig.from_dict(cfg.to_dict())
-        assert back == cfg
-        # a YAML file holds the same: a generator template, float capacity values
-        cfg = tiny_config(sweep="uplink", sweep_values=(37.5, 50.0))
-        assert ExperimentConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict()))) == cfg
+        # a YAML file with a generator template and float capacity values
+        text = """
+            sweep: uplink
+            sweep_values: [37.5, 50.0]
+            request_counts: [4, 6]
+            runs: 3
+            base_seed: 7
+            on_error: exclude
+            schemes: [lr, rr, greedy, wo-avl]
+            generator: {mec_count: 3, cpu_range: [12, 18], ram_range: [16, 24],
+                        uplink_capacity: 40.0, downlink_capacity: 120.0}
+        """
+        cfg = tiny_config(sweep="uplink", sweep_values=(37.5, 50.0), on_error="exclude")
+        assert ExperimentConfig.from_dict(yaml.safe_load(textwrap.dedent(text))) == cfg
 
     @pytest.mark.parametrize("cls,data,message", [
         (ExperimentConfig, {"runs": "5"}, "experiment config key 'runs' must be an int, got str"),

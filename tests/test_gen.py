@@ -122,9 +122,10 @@ class TestConfigValidation:
             GeneratorConfig(seed=-1).validate()
 
     def test_from_dict_roundtrip(self):
-        cfg = GeneratorConfig(mec_count=4, request_count=7, seed=5)
-        assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
-        assert GeneratorConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict()))) == cfg
+        text = ("version: 1\nmec_count: 4\nrequest_count: 7\nseed: 5\n"
+                "cpu_range: [40, 48]\nuplink_capacity: 62.5\n")
+        assert GeneratorConfig.from_dict(yaml.safe_load(text)) == GeneratorConfig(
+            mec_count=4, request_count=7, seed=5, cpu_range=(40, 48), uplink_capacity=62.5)
 
     @pytest.mark.parametrize("overrides,field", [
         ({"request_count": 12.7}, "request_count"),

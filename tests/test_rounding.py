@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import make_instance, slack_caps
+from reference import reference_round
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import FractionalSolution, evaluate_solution
 from vnfplace.rounding import randomized_round
+from vnfplace.schemes import strip_availability
 
 
 def frac_for(inst):
@@ -139,3 +143,26 @@ class TestRoundingStatistics:
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(hits / n - expected) <= 4 * se
 
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("config", [
+        GeneratorConfig(request_count=8, mec_count=3, cpu_range=(12, 18), ram_range=(16, 24)),
+        GeneratorConfig(request_count=50, mec_count=10),
+        GeneratorConfig(request_count=200, mec_count=20),
+    ], ids=["8x3", "50x10", "200x20"])
+    def test_matches_one_admission_draw_per_cleared_gate(self, config):
+        # the admission draws come in request order, so drawing them in one
+        # call leaves the stream and every rounded bit as they were
+        fractional_y = 0
+        for seed in range(2):
+            inst = generate(replace(config, seed=seed))
+            for case in (inst, strip_availability(inst)):      # true and single copies
+                frac = frac_for(case)
+                fractional_y += int(((frac.y > 1e-9) & (frac.y < 1 - 1e-9)).sum())
+                for round_seed in range(25):
+                    sol = randomized_round(frac, case, round_seed)
+                    x, y = reference_round(frac, case, round_seed)
+                    assert sol.x.dtype == x.dtype and sol.y.dtype == y.dtype
+                    assert np.array_equal(sol.x, x) and np.array_equal(sol.y, y), round_seed
+        assert fractional_y > 0      # some admission draw decides a bit
