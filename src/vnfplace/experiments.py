@@ -298,7 +298,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             if not samples["reward"]:
                 continue  # scheme skipped at this point (oracle limits)
             for metric in METRICS:
-                mean, half = confidence_interval(samples[metric], cfg.confidence)
+                if len(samples[metric]) > 1:
+                    mean, half = confidence_interval(samples[metric], cfg.confidence)
+                else:   # the point's other runs were excluded: no interval
+                    mean, half = float(samples[metric][0]), math.nan
                 summary_rows.append({
                     "sweep": cfg.sweep, "sweep_value": point_value,
                     "scheme": scheme, "metric": metric,

@@ -3,16 +3,17 @@
 Everything here recomputes results straight from definitions, sharing no
 algorithmic code with the package: constraint checking walks the constraint
 families one by one, linear programs are maximized by enumerating candidate
-vertices, and the exact placement optimum enumerates every subset assignment
-(including oversized ones, to exercise the package's exactly-k reduction),
-and Monte Carlo delivery counts come from one full failure matrix per
-chunk.  ``greedy_vertex`` runs the greedy packing on numpy arrays, as the
-reference for the package's Python-float ``pack``.
+vertices, the exact placement optimum enumerates every subset assignment
+(including oversized ones, to exercise the package's exactly-k reduction) or
+comes from HiGHS's MILP solver, and Monte Carlo delivery counts come from one
+full failure matrix per chunk.  ``greedy_vertex`` runs the greedy packing
+on numpy arrays, as the reference for the package's Python-float ``pack``.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 RESOURCE_FIELDS = ("cpu", "ram", "uplink", "downlink")
 
@@ -254,3 +255,22 @@ def reference_round(frac, inst, seed):
         if placed[r] >= need[r] and rng.random() < y_prob[r]:
             y[r] = 1
     return x, y
+
+
+def milp_optimum(inst):
+    """Optimal reward of the 0/1 placement program, from HiGHS's MILP solver
+    run to a zero relative gap on the dense matrix of ``placement_entries``.
+    The reward is summed over the solution's y rounded to 0/1, so that the
+    solver's integrality tolerance leaves no dust in it."""
+    R, M = len(inst.requests), len(inst.mecs)
+    row, var, coef, sense, rhs = placement_entries(inst)
+    A = np.zeros((len(rhs), R * M + R))
+    np.add.at(A, (row, var), coef)
+    rhs, at_least = np.array(rhs), np.array(sense) == ">="
+    rows = LinearConstraint(A, np.where(at_least, rhs, -np.inf), np.where(at_least, np.inf, rhs))
+    reward = np.array([req.reward for req in inst.requests])
+    result = milp(np.concatenate([np.zeros(R * M), -reward]), constraints=rows,
+                  integrality=np.ones(R * M + R), bounds=Bounds(0.0, 1.0),
+                  options={"mip_rel_gap": 0.0})
+    assert result.success, result.message
+    return float(reward @ np.round(result.x[R * M:]))

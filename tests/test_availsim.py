@@ -1,4 +1,7 @@
+import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from helpers import make_instance, slack_caps
 from reference import reference_chunk_counts
 from vnfplace import availsim
 from vnfplace.availsim import (
+    CONFIDENCE,
     MIN_TRIALS,
     _binomial_quantile,
     _chunk_counts,
@@ -56,6 +60,37 @@ class TestThresholdTest:
                 allowed = stats.binom.ppf(confidence, trials, eps)
                 assert _binomial_quantile(confidence, trials, eps) == allowed, \
                     (trials, eps)
+
+    @pytest.mark.parametrize("trials", [40_000, 100_000, 131_072])
+    def test_quantile_matches_scipy_stats_at_the_trial_counts_in_use(self, trials):
+        # the CLI's default and the benchmark's trial counts, at the
+        # generator's thresholds and its per-copy failure probability
+        for confidence in (0.5, 0.9, 0.95, CONFIDENCE, 0.999):
+            for eps in (0.01, 0.001, 0.0001, 0.005):
+                allowed = stats.binom.ppf(confidence, trials, eps)
+                assert _binomial_quantile(confidence, trials, eps) == allowed, \
+                    (confidence, eps)
+
+    def test_quantile_matches_an_exact_rational_cdf(self):
+        # the CDF in exact rationals, from the binary values of p and q; a
+        # case whose CDF lies within 1e-12 of q is a near-tie that float
+        # arithmetic cannot settle, and is skipped
+        cases = skipped = 0
+        for trials in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+            for eps in (0.0, 1e-4, 0.001, 0.005, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0):
+                p = Fraction(eps)
+                cdf = list(itertools.accumulate(
+                    math.comb(trials, k) * p**k * (1 - p)**(trials - k)
+                    for k in range(trials + 1)))
+                for confidence in (0.5, 0.9, 0.99, 0.999):
+                    cases += 1
+                    if any(abs(c - Fraction(confidence)) < 1e-12 for c in cdf):
+                        skipped += 1
+                        continue
+                    allowed = next(k for k, c in enumerate(cdf) if c >= confidence)
+                    assert _binomial_quantile(confidence, trials, eps) == allowed, \
+                        (confidence, trials, eps)
+        assert cases == 360 and skipped <= 9, skipped
 
 
 class TestSimulation:

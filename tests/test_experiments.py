@@ -377,6 +377,27 @@ class TestRunExperiment:
         assert not report.run_rows
         assert not report.summary_rows
 
+    def test_point_left_with_one_run_is_summarized_without_interval(self, monkeypatch, tmp_path):
+        def run_1_fails_at_point_4(cfg, point_index, run):
+            if (point_index, run) == (0, 1):
+                raise SimplexError("solver failure")
+            return _execute_run(cfg, point_index, run)
+
+        monkeypatch.setattr(experiments, "_execute_run", run_1_fails_at_point_4)
+        paths = run_experiment(tiny_config(runs=2, on_error="exclude")).write(tmp_path)
+        with open(paths["runs"]) as fh:
+            runs = list(csv.DictReader(fh))
+        with open(paths["summary"]) as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 2 * 4 * len(METRICS)
+        for row in summary:
+            if row["sweep_value"] == "4":
+                [kept] = [r for r in runs if (r["sweep_value"], r["scheme"]) == ("4", row["scheme"])]
+                assert (row["runs"], row["failed"], row["ci_half_width"]) == ("1", "1", "")
+                assert row["mean"] == kept[row["metric"]]
+            else:
+                assert (row["runs"], row["failed"]) == ("2", "0") and row["ci_half_width"]
+
 
 class TestCsvOutput:
     def test_files_headers_and_formats(self, tmp_path):

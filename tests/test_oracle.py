@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, slack_caps
-from reference import exhaustive_any_subset_optimum
+from reference import exhaustive_any_subset_optimum, milp_optimum
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
@@ -256,6 +256,12 @@ class TestRegressionPins:
         assert result.objective == pytest.approx(objective, abs=1e-9)
         assert placement_rows(result.solution) == rows
         assert result.nodes == nodes[mode]
+
+    @pytest.mark.parametrize("cfg", [cfg for cfg, *_ in PINNED],
+                             ids=[f"{len(rows[0])}x{cfg.seed}" for cfg, _, rows, _ in PINNED])
+    def test_pinned_optimum_equals_the_milp_referee(self, cfg):
+        inst = generate(cfg)
+        assert solve_exact(inst).objective == pytest.approx(milp_optimum(inst), rel=1e-9)
 
     def test_fixed_capacity_14x4_within_default_budget(self):
         inst = generate(GeneratorConfig(
