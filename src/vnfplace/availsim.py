@@ -76,6 +76,8 @@ def consistent_with_threshold(delivered: int, trials: int, failure_threshold: fl
     """
     if not 0 <= delivered <= trials:
         raise ValueError("delivered count outside [0, trials]")
+    if not 0.0 <= failure_threshold <= 1.0:
+        raise ValueError("failure threshold outside [0, 1]")
     allowed = _binomial_quantile(CONFIDENCE, trials, failure_threshold)
     return trials - delivered <= allowed
 
@@ -90,10 +92,10 @@ def _binomial_quantile(q, n, p):
     and a tail of the CDF is the ``math.fsum`` of its terms over the fsum of
     all of them.  Each term carries a few ulp of rounding per step from the
     mode; no log-gamma enters (its absolute error at n = 131,072 is about
-    1e-10), and nothing under- or overflows.  For q >= 0.5 the upper tail is
-    compared with 1 - q, which is exact there, so that the comparison keeps
-    the tail's relative accuracy.  The CDF only grows with k, so bisection
-    finds the answer.  Cached: a simulation tests every request at the same
+    1e-10), and nothing under- or overflows.  The upper tail is compared with
+    1 - q, which is exact for q >= 0.5 (the confidences in use), so that the
+    comparison keeps the tail's relative accuracy.  The CDF only grows with
+    k, so bisection finds the answer.  Cached: a simulation tests every request at the same
     trial count against a few thresholds; at those (p <= 0.01, n <= 131,072)
     a call sums at most about 700 terms.
     """
@@ -113,10 +115,7 @@ def _binomial_quantile(q, n, p):
         above.append(t)
     terms = below[::-1] + [1.0] + above
     total = math.fsum(terms)
-    if q < 0.5:
-        reaches = lambda i: math.fsum(terms[:i + 1]) / total >= q
-    else:   # the upper tail is the smaller sum, and 1 - q is exact
-        reaches = lambda i: math.fsum(terms[i + 1:]) / total <= 1.0 - q
+    reaches = lambda i: math.fsum(terms[i + 1:]) / total <= 1.0 - q
     return mode - len(below) + bisect.bisect_left(range(len(terms)), True, key=reaches)
 
 
