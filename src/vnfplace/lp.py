@@ -26,6 +26,21 @@ pivots from, its optimum.
 Entering variable: largest reduced cost, switching to Bland's smallest-index
 rule after a long degenerate streak.
 
+Such a start is degenerate: ``pack`` leaves every redundancy row at exactly
+zero slack, and from it about half of all steps moved the objective by zero.
+So the solve relaxes each row whose slack starts at exactly zero, and which
+gets no artificial, by a small shift that differs from row to row,
+``1e-6 * max(1, |b_i|) * (1 + frac(0.618... * i))`` for row i, and runs both
+phases on the relaxed rows (right-hand-side perturbation; Charnes,
+Econometrica 1952; Wolfe, J. SIAM 1963).  After phase 2 it restores the true
+right-hand side and refactorizes once, which recomputes the basic values.
+The reduced costs do not depend on the right-hand side, so where every basic
+value lies within the tolerance of its bounds the basis is optimal for the
+true program, and it is certified as any other.  Otherwise, and where the
+relaxed program is unbounded (the true one may then be infeasible), the
+program is solved once more from its start with no relaxation.  The shifts
+follow from the row index alone, so no random stream is drawn.
+
 The solver stores the constraint matrix once, in a padded (width x columns)
 layout plus the number of entries of each column: width is the most entries
 of any column (5 for the placement program), and padding slots hold row 0
@@ -84,6 +99,8 @@ _PIVOT_FLOOR = 1e-10                        # smallest usable pivot magnitude
 _TOL = 1e-7                                 # pricing, tie, step and feasibility tolerance
 _REFACTOR_EVERY = 64
 _DEGENERATE_STREAK = 40
+_RELAX = 1e-6                               # right-hand-side shift of a zero-slack row
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0      # spreads the shifts: frac(golden * i)
 
 
 class SimplexError(VnfplaceError, RuntimeError):
@@ -231,9 +248,11 @@ class _BoundedSimplex:
     ``count[q]`` slots of ``padded_rows`` and ``padded_data`` (width x
     columns).  The state also keeps the basis inverse ``Binv`` as a
     Fortran-ordered dense array and the basic values ``xb`` incrementally.
+    With ``relax``, the rows the start leaves at zero slack are relaxed: the
+    phases run against ``b``, and ``rhs`` holds the true right-hand side.
     """
 
-    def __init__(self, lp, max_iterations=None):
+    def __init__(self, lp, max_iterations=None, relax=False):
         self.objective_coeffs = lp.objective
         m, n = lp.rhs.size, lp.n_vars
         self.m = m
@@ -246,10 +265,16 @@ class _BoundedSimplex:
         order = np.argsort(lp.var, kind="stable")
         rows, cols, vals = lp.row[order], lp.var[order], lp.coef[order]
 
-        self.b = lp.rhs
+        self.rhs = self.b = lp.rhs
         sigma = np.where(lp.sense == LE, 1.0, -1.0)
         resid = self.b - np.bincount(rows, weights=vals * lp.start[cols], minlength=m)
         art_rows = np.flatnonzero(sigma * resid < 0.0)  # slack would start negative
+        tight = np.flatnonzero(resid == 0.0)
+        if relax and tight.size:
+            # each zero slack starts a little positive: a distinct shift per row
+            self.b = self.rhs.copy()
+            self.b[tight] += sigma[tight] * _RELAX * np.maximum(1.0, np.abs(self.b[tight])) \
+                * (1.0 + np.modf(_GOLDEN * tight)[0])
         art_signs = np.sign(resid[art_rows])
         k = art_rows.size
         total = self.n_real + k
@@ -489,6 +514,8 @@ class _BoundedSimplex:
     # -- phases ---------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
+        """The optimum, or None where the relaxed rows' optimal basis is
+        infeasible once the true right-hand side is restored."""
         total = self.status.size
         if self.artificials.size:
             phase1_cost = np.zeros(total)
@@ -506,6 +533,14 @@ class _BoundedSimplex:
         cost = np.zeros(total)
         cost[: self.n_struct] = self.objective_coeffs
         self._optimize(cost)
+        if self.b is not self.rhs:
+            # the reduced costs do not depend on b: the basis stays optimal
+            # for the true rows if it stays feasible for them
+            self.b = self.rhs
+            self._refactorize()
+            basis = self.basis
+            if ((self.xb < self.lower[basis] - _TOL) | (self.xb > self.upper[basis] + _TOL)).any():
+                return None
         v = self._values()
         self._certify(cost, v)
         # snap solver dust back onto the boxes
@@ -578,7 +613,17 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             raise InfeasibleProgramError("constant row is violated")
         return SimplexResult(values=np.zeros(0), objective=0.0, iterations=0)
     with _one_blas_thread():
-        return _BoundedSimplex(lp).solve()
+        relaxed = _BoundedSimplex(lp, relax=True)
+        try:
+            result = relaxed.solve()
+        except UnboundedProgramError:
+            if relaxed.b is relaxed.rhs:
+                raise
+            result = None       # the relaxed rows may admit points the true ones do not
+        if result is None:
+            result = _BoundedSimplex(lp).solve()
+            result.iterations += relaxed.iterations
+        return result
 
 
 def solve_lp(lp: LinearProgram) -> FractionalSolution:

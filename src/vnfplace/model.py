@@ -367,8 +367,12 @@ def solution_from_dict(data: dict):
     kind = data.get("kind")
     try:
         if kind == "integral":
-            return IntegralSolution(x=np.array(data["x"], dtype=np.int8),
-                                    y=np.array(data["y"], dtype=np.int8))
+            fields = {name: np.array(data[name], dtype=float) for name in ("x", "y")}
+            for name, values in fields.items():
+                if not ((values == 0.0) | (values == 1.0)).all():
+                    raise ValueError(f"integral field {name!r} holds an entry other than 0 or 1")
+            return IntegralSolution(**{name: values.astype(np.int8)
+                                       for name, values in fields.items()})
         if kind == "fractional":
             return FractionalSolution(x=np.array(data["x"], dtype=float),
                                       y=np.array(data["y"], dtype=float),

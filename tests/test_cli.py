@@ -275,6 +275,17 @@ class TestAvailsim:
         assert code == EXIT_CONFIG
         assert "integral" in capsys.readouterr().err
 
+    def test_integral_entry_other_than_0_or_1_exits_2(self, tmp_path, capsys):
+        path, inst = small_instance_file(tmp_path, requests=5)
+        sol_file = tmp_path / "bad.yaml"
+        sol_file.write_text(yaml.safe_dump({
+            "version": 1, "kind": "integral", "x": [[300] * inst.n_mecs] * inst.n_requests,
+            "y": [1] * inst.n_requests}))
+        code = main(["availsim", "--instance", path, "--solution", str(sol_file),
+                     "--trials", "2000", "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestPostConditionErrors:
     def test_repair_violation_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -765,3 +765,98 @@ class TestBlasThreads:
                                   capture_output=True, text=True, timeout=300, check=True)
             outputs.append(done.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestRelaxedRows:
+    """The solve relaxes each row the start leaves at zero slack, restores
+    the true right-hand side after phase 2, and solves again unrelaxed
+    where the basis it found breaks the true rows."""
+
+    @staticmethod
+    def spy_solve(monkeypatch):
+        """Record, per ``_BoundedSimplex.solve`` call, whether it relaxed
+        any row and how it ended: "optimal", "restore failed" or the name
+        of the error it raised."""
+        calls = []
+        solve = _BoundedSimplex.solve
+
+        def spy(self):
+            relaxed = self.b is not self.rhs
+            try:
+                result = solve(self)
+            except SimplexError as exc:
+                calls.append((relaxed, type(exc).__name__))
+                raise
+            calls.append((relaxed, "restore failed" if result is None else "optimal"))
+            return result
+
+        monkeypatch.setattr(_BoundedSimplex, "solve", spy)
+        return calls
+
+    def test_only_rows_at_zero_slack_without_an_artificial_move(self):
+        # at the start x = (1, 0): row 0 is tight, row 1 has slack, row 2
+        # starts infeasible and gets an artificial
+        lp = LinearProgram(n_vars=2, objective=[1.0, 1.0], start=[1.0, 0.0])
+        lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.0)
+        lp.add_row([(0, 1.0)], LE, 3.0)
+        lp.add_row([(1, 1.0)], GE, 0.5)
+        solver = _BoundedSimplex(lp, relax=True)
+        assert solver.artificials.size == 1
+        assert solver.b[0] > 1.0 and solver.b[1:].tolist() == [3.0, 0.5]
+        assert solver.b[0] - 1.0 <= 2e-6
+        assert _BoundedSimplex(lp).b is lp.rhs
+
+    def test_redundancy_rows_start_relaxed_by_distinct_shifts(self):
+        lp = placement_program(50, 10)
+        solver = _BoundedSimplex(lp, relax=True)
+        shift = lp.rhs - solver.b
+        # each request's >= row moves down; a capacity row moves up only
+        # where the start loads its node to the brim
+        assert (shift[:50] > 0.0).all() and np.unique(shift[:50]).size == 50
+        brim = lp.rhs[50:] == constraint_matrix(lp)[50:] @ lp.start
+        assert (shift[50:][brim] < 0.0).all() and (shift[50:][~brim] == 0.0).all()
+
+    def test_infeasible_program_feasible_only_relaxed(self, monkeypatch):
+        # x0 + x1 <= 0 starts at zero slack and is relaxed; x0 >= 5e-7 gets
+        # an artificial.  The relaxed rows admit 5e-7 <= x0 <= 1e-6, the true ones nothing.
+        calls = self.spy_solve(monkeypatch)
+        lp = LinearProgram(n_vars=2, objective=[1.0, 0.0])
+        lp.add_row([(0, 1.0), (1, 1.0)], LE, 0.0)
+        lp.add_row([(0, 1.0)], GE, 5e-7)
+        assert highs_solve(lp) == ("infeasible", None)
+        with pytest.raises(InfeasibleProgramError):
+            simplex_solve(lp)
+        assert calls == [(True, "restore failed"), (False, "InfeasibleProgramError")]
+
+    def test_restore_failure_solves_again_unrelaxed(self, monkeypatch):
+        # shifts of up to 20% leave the relaxed optimum's basis infeasible
+        # for the true rows
+        lp = placement_program(50, 10)
+        calls = self.spy_solve(monkeypatch)
+        monkeypatch.setattr(lp_module, "_RELAX", 0.1)
+        result = simplex_solve(lp)
+        assert calls == [(True, "restore failed"), (False, "optimal")]
+        assert result.objective == pytest.approx(highs_solve(lp)[1], abs=1e-6)
+        with lp_module._one_blas_thread():
+            unrelaxed = _BoundedSimplex(lp).solve()
+        assert result.values.tolist() == unrelaxed.values.tolist()
+        assert result.iterations > unrelaxed.iterations
+
+    def test_unbounded_relaxed_program_solves_again_unrelaxed(self, monkeypatch):
+        # as above, infeasible, but x2 can grow without bound once the
+        # relaxed rows are feasible
+        calls = self.spy_solve(monkeypatch)
+        lp = LinearProgram(n_vars=3, objective=[0.0, 0.0, 1.0], upper=[1.0, 1.0, np.inf])
+        lp.add_row([(0, 1.0), (1, 1.0)], LE, 0.0)
+        lp.add_row([(0, 1.0)], GE, 5e-7)
+        assert highs_solve(lp) == ("infeasible", None)
+        with pytest.raises(InfeasibleProgramError):
+            simplex_solve(lp)
+        assert calls == [(True, "UnboundedProgramError"), (False, "InfeasibleProgramError")]
+
+    def test_iterations_on_200x20_stay_under_a_ceiling(self):
+        # 5,245 before the relaxation, 3,855 with it; the margin leaves room
+        # for the outer-product update's pivots
+        iterations = sum(simplex_solve(build_relaxed_program(generate(GeneratorConfig(
+            request_count=200, mec_count=20, seed=seed)))).iterations for seed in range(6))
+        assert iterations <= 4_500

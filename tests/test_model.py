@@ -239,6 +239,14 @@ class TestSerialization:
         assert back.objective == pytest.approx(5.25)
         assert back.x[0, 1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("entry", [0.7, 1.5, 300, -1, float("nan")])
+    def test_integral_entry_other_than_0_or_1_rejected(self, field, entry):
+        doc = {"version": 1, "kind": "integral", "x": [[1, 0]], "y": [1]}
+        doc[field] = [[entry, 0]] if field == "x" else [entry]
+        with pytest.raises(ValueError, match=f"'{field}' holds an entry other than 0 or 1"):
+            solution_from_dict(doc)
+
     def test_unknown_solution_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             solution_from_dict({"version": 1, "kind": "mystery", "x": [], "y": []})

@@ -274,6 +274,14 @@ class TestRegressionPins:
         assert placement_rows(result.solution) == FIXED_14X4_ROWS
         assert evaluate_solution(inst, result.solution).feasible
 
+    def test_16x4_seed_1_equals_the_milp_referee(self):
+        # the largest generated instance the default mode finishes in about a second
+        inst = generate(GeneratorConfig(request_count=16, mec_count=4, seed=1))
+        result = solve_exact(inst)
+        assert result.nodes == 136_025
+        assert result.objective == pytest.approx(111.8212319974743, abs=1e-9)
+        assert result.objective == pytest.approx(milp_optimum(inst), rel=1e-9)
+
 
 @st.composite
 def tiny_instances(draw):

@@ -3,6 +3,7 @@ import pytest
 
 import vnfplace
 from helpers import bench_tracer
+from reference import milp_optimum
 from vnfplace import schemes
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
@@ -72,6 +73,26 @@ def test_outcomes_equal_the_direct_stage_calls(gen_seed, round_seed, baseline_se
     assert all(out[s].bounds is None for s in SCHEMES if s != "rr")
     assert all(out[s].nodes is None for s in SCHEMES if s != "exact")
     assert out["lr"].seconds <= out["rr"].seconds <= out["greedy"].seconds
+
+
+def test_mean_ratios_to_the_milp_optimum():
+    """rr/opt and greedy/opt, each the mean over 20x5 seeds 0-9 of the mean
+    over rounding seeds 0-39, against HiGHS's MILP optimum.  The floors sit
+    0.01 under 0.981 and 0.888, read before the simplex relaxed its
+    zero-slack rows (0.978 and 0.881 since): a change that moves the LP
+    vertex must not cost quality.  rr meets the paper's figure; greedy
+    misses it until a fill stage reuses the capacity repair frees."""
+    rr, greedy = [], []
+    for seed in range(10):
+        inst = generate(GeneratorConfig(request_count=20, mec_count=5, seed=seed))
+        opt = milp_optimum(inst)
+        frac = solve_lp(build_relaxed_program(inst))
+        for round_seed in range(40):
+            rounded = randomized_round(frac, inst, round_seed)
+            rr.append(evaluate_solution(inst, rounded).total_reward / opt)
+            greedy.append(evaluate_solution(inst, greedy_repair(inst, rounded)).total_reward / opt)
+    assert np.mean(rr) >= 0.971        # the paper claims 0.95
+    assert np.mean(greedy) >= 0.878    # the paper claims 0.90
 
 
 def test_lr_rr_greedy_share_one_relaxation(monkeypatch):
