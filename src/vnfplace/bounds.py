@@ -89,15 +89,13 @@ def empirical_violation_check(inst: ProblemInstance, frac: FractionalSolution,
     if n_seeds < 100:
         raise ValueError("need at least 100 seeds for a meaningful rate")
     report = compute_bound_report(frac, inst)
-    lp_loads = {res: inst.demand_vector(res) @ frac.x for res in RESOURCES}
-    ceilings = {res: report.resource_factor[res] * lp_loads[res] for res in RESOURCES}
+    ceilings = [report.resource_factor[res] * lp_load
+                for res, lp_load in zip(RESOURCES, inst.loads(frac.x))]
 
     exceed_counts = {res: 0 for res in RESOURCES}
     for seed in range(n_seeds):
-        sol = randomized_round(frac, inst, seed)
-        for res in RESOURCES:
-            load = inst.demand_vector(res) @ sol.x
-            ceiling = ceilings[res]
+        loads = inst.loads(randomized_round(frac, inst, seed).x)
+        for res, load, ceiling in zip(RESOURCES, loads, ceilings):
             defined = ~np.isnan(ceiling)
             if (load[defined] > ceiling[defined] + FEAS_EPS).any():
                 exceed_counts[res] += 1

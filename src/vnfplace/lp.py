@@ -225,10 +225,9 @@ def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
                 np.column_stack([np.ones((R, M)), -inst.replica_vector()]).ravel(),
                 np.full(R, GE), np.zeros(R))
     # one row per (resource, node): demand @ x[:, m] <= capacity
-    demand = np.array([inst.demand_vector(res) for res in RESOURCES])
     lp.add_rows(np.repeat(np.arange(len(RESOURCES) * M), R), np.tile(x.T.ravel(), len(RESOURCES)),
-                np.repeat(demand, M, axis=0).ravel(), np.full(len(RESOURCES) * M, LE),
-                np.concatenate([inst.capacity_vector(res) for res in RESOURCES]))
+                np.repeat(inst.demands, M, axis=0).ravel(), np.full(len(RESOURCES) * M, LE),
+                inst.capacities.ravel())
     return lp
 
 

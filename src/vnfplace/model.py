@@ -17,7 +17,7 @@ placements (copies of requests that are not served).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class MecNode:
 
     def __post_init__(self):
         for res in RESOURCES:
-            if self.capacity(res) <= 0:
-                raise ValueError(f"mec {self.id}: {res} capacity must be positive")
+            if not 0 < self.capacity(res) < math.inf:   # nan fails too
+                raise ValueError(f"mec {self.id}: {res} capacity must be positive and finite")
 
     def capacity(self, resource: str) -> float:
         return getattr(self, resource + "_capacity")
@@ -78,12 +78,12 @@ class ServiceRequest:
 
     def __post_init__(self):
         for res in RESOURCES:
-            if self.demand(res) <= 0:
-                raise ValueError(f"request {self.id}: {res} demand must be positive")
+            if not 0 < self.demand(res) < math.inf:     # nan fails too
+                raise ValueError(f"request {self.id}: {res} demand must be positive and finite")
         if not 0.0 < self.failure_threshold < 1.0:
             raise ValueError(f"request {self.id}: failure threshold must lie in (0, 1)")
-        if self.reward < 0:
-            raise ValueError(f"request {self.id}: reward must be nonnegative")
+        if not 0 <= self.reward < math.inf:
+            raise ValueError(f"request {self.id}: reward must be nonnegative and finite")
 
     def demand(self, resource: str) -> float:
         return getattr(self, resource + "_demand")
@@ -134,17 +134,21 @@ class ProblemInstance:
     """Nodes, requests, failure model, and per-request replica counts.
 
     Ids must equal list positions (0..n-1); matrices across the package index
-    requests by row and nodes by column.  Treat instances as immutable after
-    construction: demand and capacity vectors are cached on first use.
+    requests by row and nodes by column.  Construction builds the array form
+    every stage reads: ``demands`` (resources x requests) and ``capacities``
+    (resources x nodes), one row per resource in ``RESOURCES`` order, plus
+    the reward and replica vectors, all read-only.  Treat instances as
+    immutable; ``dataclasses.replace`` builds a new one with new arrays.
     """
 
     mecs: list
     requests: list
     failure_model: FailureModel
     replicas: list
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.mecs:
+            raise ValueError("an instance needs at least one mec")
         for pos, mec in enumerate(self.mecs):
             if mec.id != pos:
                 raise ValueError("mec ids must be 0..M-1 in list order")
@@ -155,6 +159,14 @@ class ProblemInstance:
             raise ValueError("one replica count per request required")
         if any(k < 1 for k in self.replicas):
             raise ValueError("replica counts must be at least 1")
+        self.demands = np.array([[r.demand(res) for r in self.requests] for res in RESOURCES],
+                                dtype=float)
+        self.capacities = np.array([[m.capacity(res) for m in self.mecs] for res in RESOURCES],
+                                   dtype=float)
+        self._rewards = np.array([r.reward for r in self.requests], dtype=float)
+        self._replicas = np.array(self.replicas, dtype=int)
+        for arr in (self.demands, self.capacities, self._rewards, self._replicas):
+            arr.flags.writeable = False
 
     @classmethod
     def from_parts(cls, mecs, requests, failure_model):
@@ -172,26 +184,26 @@ class ProblemInstance:
         return len(self.requests)
 
     def demand_vector(self, resource: str) -> np.ndarray:
-        key = "d_" + resource
-        if key not in self._cache:
-            self._cache[key] = np.array([r.demand(resource) for r in self.requests], dtype=float)
-        return self._cache[key]
+        return self.demands[RESOURCES.index(resource)]
 
     def capacity_vector(self, resource: str) -> np.ndarray:
-        key = "c_" + resource
-        if key not in self._cache:
-            self._cache[key] = np.array([m.capacity(resource) for m in self.mecs], dtype=float)
-        return self._cache[key]
+        return self.capacities[RESOURCES.index(resource)]
 
     def reward_vector(self) -> np.ndarray:
-        if "rewards" not in self._cache:
-            self._cache["rewards"] = np.array([r.reward for r in self.requests], dtype=float)
-        return self._cache["rewards"]
+        return self._rewards
 
     def replica_vector(self) -> np.ndarray:
-        if "replicas" not in self._cache:
-            self._cache["replicas"] = np.array(self.replicas, dtype=int)
-        return self._cache["replicas"]
+        return self._replicas
+
+    def loads(self, x) -> np.ndarray:
+        """Per-node load of placement ``x`` (R x M): resources x nodes.
+
+        One product per resource, ``demands[i] @ x``: a stacked
+        ``demands @ x`` may round differently in the last bit, and every
+        load in the package (evaluation, repair, utilization, bound checks)
+        must round the same way so that seeded outputs stay bit-stable.
+        """
+        return np.array([d @ x for d in self.demands])
 
 
 @dataclass
@@ -255,9 +267,7 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
         if placed[r] < need[r]:
             violations.append(("redundancy", int(r), float(need[r] - placed[r])))
 
-    for res in RESOURCES:
-        load = inst.demand_vector(res) @ x
-        cap = inst.capacity_vector(res)
+    for res, load, cap in zip(RESOURCES, inst.loads(x), inst.capacities):
         for m in np.flatnonzero(load > cap + FEAS_EPS):
             violations.append((res, int(m), float(load[m] - cap[m])))
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import build_relaxed_program, simplex_solve
-from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
-                    VnfplaceError, evaluate_solution)
+from .model import (InfeasibleSolutionError, IntegralSolution, ProblemInstance, VnfplaceError,
+                    evaluate_solution)
 
 _PRUNE_EPS = 1e-9
 DEFAULT_MAX_NODES = 1_000_000
@@ -107,7 +107,7 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
     suffix = np.append(np.cumsum(rewards[order][::-1])[::-1], 0.0).tolist()  # from k on
 
     # column k of each (resource, request) array describes request order[k]
-    demand = np.array([inst.demand_vector(res) for res in RESOURCES])[:, order]
+    demand = inst.demands[:, order]
     psi = inst.replica_vector()[order]
     bound = _KnapsackBound(rewards[order], demand, psi)
     cost = demand.T.tolist()
@@ -165,7 +165,7 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
         dfs(k + 1, residual, current)
 
     if R:
-        dfs(0, list(zip(*(inst.capacity_vector(res).tolist() for res in RESOURCES))), 0.0)
+        dfs(0, list(zip(*inst.capacities.tolist())), 0.0)
     solution = build_solution(best_assign)
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:

@@ -13,8 +13,8 @@ serves a request the input did not serve.
 
 import numpy as np
 
-from .model import (FEAS_EPS, RESOURCES, InfeasibleSolutionError, IntegralSolution,
-                    ProblemInstance, evaluate_solution)
+from .model import (FEAS_EPS, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
+                    evaluate_solution)
 
 
 def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolution:
@@ -29,10 +29,8 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
         raise ValueError("solution shape does not match instance")
 
     x[y == 0] = 0  # wasted placements cost capacity and earn nothing
-    rewards = inst.reward_vector()
-    demand, cap = _stacked(inst)
-    # one product per resource: a stacked demand @ x may round differently
-    loads = np.array([d @ x for d in demand])
+    rewards, demand, cap = inst.reward_vector(), inst.demands, inst.capacities
+    loads = inst.loads(x)
     for m in range(inst.n_mecs):
         while (loads[:, m] > cap[:, m] + FEAS_EPS).any():
             hosted = np.flatnonzero(x[:, m] == 1)
@@ -49,12 +47,6 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
     return repaired
 
 
-def _stacked(inst):
-    """Demand (4 x R) and capacity (4 x M), one row per resource."""
-    return (np.array([inst.demand_vector(res) for res in RESOURCES]),
-            np.array([inst.capacity_vector(res) for res in RESOURCES]))
-
-
 def pack(inst: ProblemInstance) -> IntegralSolution:
     """A feasible placement serving every request that the greedy fits.
 
@@ -66,8 +58,7 @@ def pack(inst: ProblemInstance) -> IntegralSolution:
     demand is at most the slack, with no tolerance, so the placement breaks
     no row by float dust.  No numpy call runs per request.
     """
-    demand, cap = _stacked(inst)
-    psi = inst.replica_vector()
+    demand, cap, psi = inst.demands, inst.capacities, inst.replica_vector()
     density = inst.reward_vector() / (psi * ((1.0 / cap.sum(axis=1)) @ demand))
     caps = list(zip(*cap.tolist()))        # per node, as the oracle's residuals
     slack, needs, counts = caps.copy(), demand.T.tolist(), psi.tolist()

@@ -57,9 +57,8 @@ class SchemeOutcome:
 
 def _load_pct(inst, x):
     """Total load over total capacity per resource, in percent."""
-    return {res: 100.0 * float((inst.demand_vector(res) @ x).sum()
-                               / inst.capacity_vector(res).sum())
-            for res in RESOURCES}
+    return {res: 100.0 * float(load.sum() / cap.sum())
+            for res, load, cap in zip(RESOURCES, inst.loads(x), inst.capacities)}
 
 
 def _scored(scheme, inst, solution, metrics, seconds, reward=None, **extra):

@@ -135,6 +135,32 @@ class TestSolve:
         assert "incumbent" in err
         assert "upper bound" in err and "after 3 nodes" in err
 
+    @pytest.mark.parametrize("part,index,key,value,message", [
+        ("requests", 1, "reward", float("nan"), "request 1: reward"),
+        ("requests", 1, "reward", float("inf"), "request 1: reward"),
+        ("requests", 0, "ram_demand", float("nan"), "request 0: ram demand"),
+        ("mecs", 2, "uplink_capacity", float("inf"), "mec 2: uplink capacity"),
+    ])
+    def test_nonfinite_instance_number_exits_2(self, tmp_path, capsys, part, index, key,
+                                               value, message):
+        path, _ = small_instance_file(tmp_path)
+        data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
+        data[part][index][key] = value
+        write_yaml(tmp_path / "instance.yaml", data)
+        code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["greedy", "exact"])
+    def test_instance_without_mecs_exits_2(self, tmp_path, capsys, scheme):
+        path, _ = small_instance_file(tmp_path)
+        data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
+        data["mecs"] = []
+        write_yaml(tmp_path / "instance.yaml", data)
+        code = main(["solve", "--instance", path, "--scheme", scheme, "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "at least one mec" in capsys.readouterr().err
+
     def test_missing_instance_exits_5(self, tmp_path):
         assert main(["solve", "--instance", str(tmp_path / "nope.yaml"),
                      "--scheme", "lr"]) == EXIT_IO

@@ -393,14 +393,15 @@ class TestSimplexCore:
 
 def highs_solve(lp):
     """Status ("optimal", "infeasible" or "unbounded") and objective of the
-    program under scipy's HiGHS, as an independent reference."""
+    program under scipy's HiGHS, as an independent reference.  Presolve is
+    off: it calls some unbounded programs infeasible (see draw 703 below)."""
     sign = np.where(lp.sense == LE, 1.0, -1.0)
     A, b = sign[:, None] * constraint_matrix(lp), sign * lp.rhs
     res = linprog(-lp.objective, A_ub=A if b.size else None,
                   b_ub=b if b.size else None,
                   bounds=[(lo, None if np.isinf(hi) else hi)
                           for lo, hi in zip(lp.lower, lp.upper)],
-                  method="highs")
+                  method="highs", options={"presolve": False})
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (-res.fun if res.status == 0 else None)
 
@@ -439,6 +440,18 @@ class TestAgainstHighs:
         inst = generate(GeneratorConfig(request_count=50, seed=1))
         solver = _BoundedSimplex(build_relaxed_program(inst))
         assert solver.artificials.size == 0
+
+    def test_unbounded_program_that_highs_presolve_calls_infeasible(self):
+        # draw 703 (10 variables, 7 rows) is unbounded: capping its free
+        # variables at 1e3 and 1e6 gives objectives near 8e3 and 8e6
+        rng = np.random.default_rng(12345)
+        for _ in range(703):
+            random_box_program(rng)
+        lp = random_box_program(rng)
+        assert (lp.n_vars, lp.rhs.size) == (10, 7)
+        assert highs_solve(lp) == ("unbounded", None)
+        with pytest.raises(UnboundedProgramError):
+            simplex_solve(lp)
 
     def test_random_box_programs_with_phase_one(self):
         rng = np.random.default_rng(31)

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import make_instance, slack_caps
 from reference import brute_force_feasible
 from vnfplace.gen import GeneratorConfig, generate
-from vnfplace.model import (FailureModel, FractionalSolution, IntegralSolution,
+from vnfplace.lp import build_relaxed_program, solve_lp
+from vnfplace.repair import greedy_repair
+from vnfplace.rounding import randomized_round
+from vnfplace.model import (RESOURCES, FailureModel, FractionalSolution, IntegralSolution,
                             InvalidModelError, MecNode, ProblemInstance,
                             ServiceRequest, evaluate_solution, instance_from_dict,
                             instance_to_dict, load_instance, load_solution,
@@ -73,6 +78,33 @@ class TestConstruction:
             ServiceRequest(id=0, cpu_demand=1, ram_demand=-1, uplink_demand=1,
                            downlink_demand=1, failure_threshold=0.01, reward=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("res", RESOURCES)
+    def test_nonfinite_capacity_rejected(self, res, value):
+        caps = dict.fromkeys(RESOURCES, 1.0) | {res: value}
+        with pytest.raises(ValueError, match=f"mec 3: {res} capacity"):
+            MecNode(id=3, **{f"{k}_capacity": v for k, v in caps.items()})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("res", RESOURCES)
+    def test_nonfinite_demand_rejected(self, res, value):
+        demands = dict.fromkeys(RESOURCES, 1.0) | {res: value}
+        with pytest.raises(ValueError, match=f"request 2: {res} demand"):
+            ServiceRequest(id=2, failure_threshold=0.01, reward=1,
+                           **{f"{k}_demand": v for k, v in demands.items()})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_reward_rejected(self, value):
+        with pytest.raises(ValueError, match="request 2: reward"):
+            ServiceRequest(id=2, cpu_demand=1, ram_demand=1, uplink_demand=1,
+                           downlink_demand=1, failure_threshold=0.01, reward=value)
+
+    def test_instance_without_mecs_rejected(self):
+        req = ServiceRequest(id=0, cpu_demand=1, ram_demand=1, uplink_demand=1,
+                             downlink_demand=1, failure_threshold=0.01, reward=1)
+        with pytest.raises(ValueError, match="at least one mec"):
+            ProblemInstance.from_parts([], [req], FailureModel(0.001, 0.004))
+
     def test_ids_must_match_positions(self):
         mec = MecNode(id=1, cpu_capacity=1, ram_capacity=1,
                       uplink_capacity=1, downlink_capacity=1)
@@ -83,6 +115,48 @@ class TestConstruction:
     def test_from_parts_derives_replicas(self):
         inst = make_instance(slack_caps(2), [{"eps": 0.01}, {"eps": 0.001}])
         assert inst.replicas == [1, 2]
+
+
+class TestArrayForm:
+    @pytest.fixture(scope="class")
+    def placements(self):
+        inst = generate(GeneratorConfig(request_count=200, mec_count=20, seed=0))
+        frac = solve_lp(build_relaxed_program(inst))
+        greedy = greedy_repair(inst, randomized_round(frac, inst, seed=0))
+        assert greedy.x.dtype == np.int8 and frac.x.dtype == float
+        return inst, [greedy.x, frac.x]
+
+    def test_loads_match_per_resource_products_bit_for_bit(self, placements):
+        inst, xs = placements
+        for x in xs:
+            expected = np.array([inst.demand_vector(res) @ x for res in RESOURCES])
+            assert np.array_equal(inst.loads(x), expected)
+
+    def test_rows_follow_resource_order(self):
+        inst = make_instance([(4, 5, 6, 7), (8, 9, 10, 11)],
+                             [{"c": 1, "d": 2, "up": 3, "dw": 4, "reward": 6}])
+        assert inst.demands.tolist() == [[1], [2], [3], [4]]
+        assert inst.capacities.tolist() == [[4, 8], [5, 9], [6, 10], [7, 11]]
+        assert inst.capacity_vector("uplink").tolist() == [6, 10]
+        assert inst.reward_vector().tolist() == [6.0]
+        assert inst.loads(np.array([[0, 1]])).tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
+
+    def test_arrays_are_read_only(self):
+        inst = make_instance(slack_caps(2), [{}])
+        for arr in (inst.demands, inst.capacities, inst.reward_vector(),
+                    inst.replica_vector(), inst.demand_vector("cpu")):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2
+
+    def test_replace_rebuilds_the_arrays(self):
+        inst = make_instance(slack_caps(3), [{"eps": 0.001}, {"eps": 0.01}])
+        assert inst.replica_vector().tolist() == [2, 1]
+        other = dataclasses.replace(inst, replicas=[3, 3],
+                                    mecs=[dataclasses.replace(m, cpu_capacity=7.0)
+                                          for m in inst.mecs])
+        assert other.replica_vector().tolist() == [3, 3]
+        assert other.capacity_vector("cpu").tolist() == [7.0] * 3
+        assert inst.replica_vector().tolist() == [2, 1]
 
 
 class TestEvaluateSolution:

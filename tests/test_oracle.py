@@ -137,8 +137,7 @@ class TestKnapsackBound:
                 downlink_capacity=float(rng.uniform(80.0, 160.0)), seed=seed,
             ))
             R, M = inst.n_requests, inst.n_mecs
-            demand = np.array([inst.demand_vector(res) for res in RESOURCES])
-            residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
+            demand, residual = inst.demands, inst.capacities.copy()
             order = rng.permutation(R)
             k = int(rng.integers(2, R))
             for r in order[:k]:
@@ -157,9 +156,8 @@ class TestKnapsackBound:
     def test_request_without_enough_fitting_nodes_adds_nothing(self):
         # two copies needed, one node: the summed capacity would admit it
         inst = make_instance(caps=[{"c": 10}], reqs=[{"c": 3, "eps": 0.001, "reward": 7.0}])
-        demand = np.array([inst.demand_vector(res) for res in RESOURCES])
-        residual = np.array([inst.capacity_vector(res) for res in RESOURCES])
-        bound = _KnapsackBound(inst.reward_vector(), demand, inst.replica_vector())
+        residual = inst.capacities
+        bound = _KnapsackBound(inst.reward_vector(), inst.demands, inst.replica_vector())
         assert bound(0, [tuple(c) for c in residual.T.tolist()]) == 0.0
         assert bound(0, [tuple(c) for c in (2 * residual).T.tolist()]) == 0.0
 
