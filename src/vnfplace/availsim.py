@@ -8,15 +8,12 @@ The simulation accepts solutions that are short of their replica counts
 
 Trials are simulated in fixed-size chunks, each drawn from a stream derived
 from (seed, chunk index), so results are identical whether chunks run
-serially or across worker processes.  A chunk draws only the failed copies
-among its row-major (trial, copy) cells.  They form a Bernoulli process,
-drawn as geometric gaps between successive failure positions, so the work is
-trials x copies x eps_m draws in place of one uniform per cell.  Positions
-are drawn and counted in row blocks holding about 1 MB of expected failures,
-with the failures past a block's end carried over to the next, so memory
-stays fixed at any eps_m and trial count, and the counts do not depend on
-the block size.  The failures of one (trial, request) form a group, which
-loses its trial when its length equals the request's copy count.
+serially or across worker processes.  A request loses a trial only when all
+k of its copies fail, with probability eps_m**k; trials are independent and
+no two requests share a copy, so a request's lost trials in a chunk are
+exactly Binomial(size, eps_m**k), independent across requests.  A chunk
+therefore draws one binomial per request.  An unplaced request (k = 0) loses
+every trial.
 """
 
 import bisect
@@ -32,7 +29,6 @@ from .model import (RESOURCES, IntegralSolution, ProblemInstance,
 
 MIN_TRIALS = 1000
 _CHUNK = 1 << 15
-_BLOCK_BYTES = 1 << 20    # expected failure positions per row block, about 1 MB of int64
 CONFIDENCE = 0.99         # of the binomial acceptance test
 _TAIL = 1e-20             # pmf relative to the mode's, below which the quantile stops summing
 
@@ -123,39 +119,7 @@ def _chunk_counts(seed, chunk_index, size, eps_m, widths):
     """Delivered counts per request for one chunk of trials: the trials in
     which not every copy of the request failed."""
     rng = np.random.default_rng([seed, chunk_index])
-    widths = np.asarray(widths, dtype=np.int64)
-    total = int(widths.sum())
-    lost = np.zeros(widths.size, dtype=np.int64)
-    if total and eps_m > 0.0:
-        req = np.repeat(np.arange(widths.size), widths)        # request of each copy
-        cells = size * total
-        rows = min(size, max(1, int(_BLOCK_BYTES / (8 * total * eps_m))))
-        pending = np.empty(0, dtype=np.int64)   # drawn failure positions not yet counted
-        last = -1                               # the latest drawn position
-        for lo in range(0, size, rows):
-            end = min(lo + rows, size) * total
-            drawn = [pending]
-            while last < end:
-                expected = (end - last) * eps_m
-                gaps = rng.geometric(eps_m, int(expected + 4 * math.sqrt(expected)) + 16)
-                # a gap past the chunk ends it; capping it keeps the sums in range
-                np.minimum(gaps, cells + 1, out=gaps)
-                positions = np.cumsum(gaps, out=gaps)
-                positions += last
-                last = int(positions[-1])
-                drawn.append(positions)
-            pending = np.concatenate(drawn)
-            split = int(np.searchsorted(pending, end))
-            pos, pending = pending[:split], pending[split:]
-            # the failures of one (trial, request) share a key and, since the
-            # positions are sorted, lie next to each other
-            key = pos // total * widths.size + req[pos % total]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            group_req = key[first] % widths.size
-            # lost when every copy failed: the group is as long as the request is wide
-            length = np.diff(first, append=key.size)
-            lost += np.bincount(group_req[length == widths[group_req]], minlength=widths.size)
-    return np.where(widths > 0, size - lost, 0)
+    return size - rng.binomial(size, eps_m ** np.asarray(widths))
 
 
 def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,

@@ -50,10 +50,9 @@ def compute_bound_report(frac: FractionalSolution, inst: ProblemInstance) -> Bou
         raise UndefinedBoundError("no requests, nothing to bound")
     log_r = math.log(R)
     factors = {}
-    for res in RESOURCES:
-        demand = inst.demand_vector(res)
+    for res, demand, load in zip(RESOURCES, inst.demands, inst.loads(frac.x)):
         alpha = float(demand.max())
-        mu = (frac.x.T @ demand) / alpha
+        mu = load / alpha
         factor = np.full(inst.n_mecs, np.nan)
         loaded = mu > 0.0
         factor[loaded] = 3.0 * log_r / mu[loaded] + 4.0

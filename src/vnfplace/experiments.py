@@ -172,6 +172,12 @@ def _oracle_fits(cfg: ExperimentConfig, point_value) -> bool:
             and point.mec_count <= cfg.oracle_max_mecs)
 
 
+def _point_schemes(cfg: ExperimentConfig, point_value):
+    """The schemes that run at this sweep point: exact only within the oracle limits."""
+    fits = _oracle_fits(cfg, point_value)
+    return [s for s in cfg.schemes if s != "exact" or fits]
+
+
 def _run_row(cfg, point_value, run, outcome):
     """One runs.csv row; bound factors are defined for rr alone."""
     metrics, report = outcome.metrics, outcome.bounds
@@ -201,10 +207,8 @@ def _execute_run(cfg: ExperimentConfig, point_index: int, run: int):
     baseline_seed = derive_seed(cfg.base_seed, _STREAM_BASELINE, point_index, run)
     inst = gen.generate(_point_generator(cfg, point_value, inst_seed))
 
-    schemes = cfg.schemes
-    if not _oracle_fits(cfg, point_value):
-        schemes = [s for s in schemes if s != "exact"]
-    outcomes = run_schemes(inst, schemes, round_seed, baseline_seed, cfg.oracle_max_nodes)
+    outcomes = run_schemes(inst, _point_schemes(cfg, point_value), round_seed,
+                           baseline_seed, cfg.oracle_max_nodes)
     rows = [_run_row(cfg, point_value, run, out) for out in outcomes]
     timings = [{"sweep": cfg.sweep, "sweep_value": point_value, "run": run,
                 "scheme": out.scheme, "seconds": out.seconds} for out in outcomes]
@@ -289,19 +293,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     summary_rows = []
     for point_value in points:
-        for scheme in cfg.schemes:
+        for scheme in _point_schemes(cfg, point_value):
             samples = {metric: [] for metric in METRICS}
             for row in run_rows:
                 if row["sweep_value"] == point_value and row["scheme"] == scheme:
                     for metric in METRICS:
                         samples[metric].append(row[metric])
-            if not samples["reward"]:
-                continue  # scheme skipped at this point (oracle limits)
             for metric in METRICS:
                 if len(samples[metric]) > 1:
                     mean, half = confidence_interval(samples[metric], cfg.confidence)
-                else:   # the point's other runs were excluded: no interval
+                elif samples[metric]:   # the point's other runs were excluded: no interval
                     mean, half = float(samples[metric][0]), math.nan
+                else:                   # every run at the point was excluded
+                    mean, half = math.nan, math.nan
                 summary_rows.append({
                     "sweep": cfg.sweep, "sweep_value": point_value,
                     "scheme": scheme, "metric": metric,

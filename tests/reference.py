@@ -215,24 +215,14 @@ def greedy_vertex(inst):
 
 
 def reference_chunk_counts(seed, chunk_index, size, eps_m, widths):
-    """Delivered counts per request for one availability-simulation chunk.
-
-    The chunk's stream places the failed copies on the row-major (trial,
-    copy) cells by geometric gaps.  Here every failure is drawn at once,
-    expanded into one full failure matrix, and counted request by request:
-    the trials in which all of its copies failed.
+    """Delivered counts per request for one availability-simulation chunk,
+    simulated copy by copy: one full (trial, copy) failure matrix, each cell
+    failing with probability eps_m, counted request by request as the trials
+    in which not all of its copies failed.  The package draws one binomial
+    per request instead, so the two agree in distribution, not draw for draw.
     """
     rng = np.random.default_rng([seed, chunk_index])
-    total = int(sum(widths))
-    cells = size * total
-    failed = np.zeros(cells, dtype=bool)
-    position = -1
-    while eps_m > 0.0 and position < cells:
-        gaps = np.minimum(rng.geometric(eps_m, 4096), cells + 1)
-        positions = position + np.cumsum(gaps)
-        failed[positions[positions < cells]] = True
-        position = int(positions[-1])
-    failed = failed.reshape(size, total)
+    failed = rng.random((size, int(sum(widths)))) < eps_m
     counts = np.zeros(len(widths), dtype=np.int64)
     col = 0
     for i, k in enumerate(widths):

@@ -9,7 +9,6 @@ from scipy import stats
 
 from helpers import make_instance, slack_caps
 from reference import reference_chunk_counts
-from vnfplace import availsim
 from vnfplace.availsim import (
     MIN_TRIALS,
     _binomial_quantile,
@@ -183,34 +182,7 @@ class TestSimulation:
 
 
 class TestChunkCounts:
-    """The row-blocked counts against one full failure matrix per chunk."""
-
-    def test_counts_match_full_matrix_reference(self, monkeypatch):
-        # 4 KB blocks keep every chunk below a million trials
-        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1 << 12)
-        rng = np.random.default_rng(55)
-        ragged = 0
-        for case in range(24):
-            widths = [int(w) for w in rng.integers(0, 6, int(rng.integers(1, 40)))]
-            widths[0] = 0                          # always an unplaced request
-            total = sum(widths)
-            eps = float(10 ** rng.uniform(-4, np.log10(0.9)))
-            # the sampler's rows per block, from the expected hits per row
-            p = eps
-            rows = max(1, int(availsim._BLOCK_BYTES / (8 * max(total, 1) * p)))
-            size = int(rng.integers(rows + 1, 3 * rows)) if case % 2 else 1 << 15
-            ragged += size % min(size, rows) != 0
-            got = _chunk_counts(case, 3, size, eps, widths)
-            assert np.array_equal(got, reference_chunk_counts(case, 3, size, eps, widths)), \
-                (widths, size, eps)
-            assert got[0] == 0
-        assert ragged >= 12          # several chunks end in a partial row block
-
-    def test_one_row_blocks_match_reference(self, monkeypatch):
-        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1)    # floor: one row a block
-        widths = [2, 0, 1, 3, 2, 2, 1]
-        got = _chunk_counts(8, 1, 37, 0.4, widths)
-        assert np.array_equal(got, reference_chunk_counts(8, 1, 37, 0.4, widths))
+    """One binomial draw per request and chunk, and the copy-level referee."""
 
     def test_zero_copy_solution_delivers_nothing(self):
         widths = [0, 0, 0]
@@ -230,35 +202,27 @@ class TestChunkCounts:
             tracemalloc.stop()
         assert peak < 16e6, peak
 
-    def test_counts_match_reference_on_both_sides_of_one_half(self, monkeypatch):
-        # small blocks, so that hits drawn for one block carry over to the next
-        monkeypatch.setattr(availsim, "_BLOCK_BYTES", 1 << 10)
-        widths = [0, 1, 3, 2, 1, 4, 0, 2]
-        for case, eps in enumerate((1e-4, 0.02, 0.3, 0.5, 0.5 + 1e-9, 0.7, 0.97)):
-            for size in (1, 613, 4099):
-                got = _chunk_counts(case, size, size, eps, widths)
-                assert np.array_equal(
-                    got, reference_chunk_counts(case, size, size, eps, widths)), (eps, size)
-
     def test_certain_outcomes(self):
         widths = [2, 0, 1]
         assert np.array_equal(_chunk_counts(1, 0, 777, 0.0, widths), [777, 0, 777])
         assert np.array_equal(_chunk_counts(1, 0, 777, 1.0, widths), [0, 0, 0])
 
     def test_delivery_follows_survival_law_at_any_eps(self):
-        # k copies deliver with probability 1 - eps**k: each of the 18 counts
+        # k copies deliver with probability 1 - eps**k: for the package's
+        # binomial draw and for the copy-level referee, each of the 18 counts
         # lies in its binomial band, Bonferroni-corrected to a 1e-3 family
         widths = [1, 2, 3]
         epsilons = (1e-4, 0.005, 0.3, 0.5, 0.7, 0.9)
         chunks, size = 4, 1 << 15
         trials = chunks * size
         alpha = 1e-3 / (len(epsilons) * len(widths))
-        for e, eps in enumerate(epsilons):
-            delivered = sum(_chunk_counts(100 + e, c, size, eps, widths)
-                            for c in range(chunks))
-            for k, count in zip(widths, delivered):
-                low, high = stats.binom.interval(1 - alpha, trials, 1.0 - eps**k)
-                assert low <= count <= high, (eps, k, count, trials)
+        for sampler in (_chunk_counts, reference_chunk_counts):
+            for e, eps in enumerate(epsilons):
+                delivered = sum(sampler(100 + e, c, size, eps, widths)
+                                for c in range(chunks))
+                for k, count in zip(widths, delivered):
+                    low, high = stats.binom.interval(1 - alpha, trials, 1.0 - eps**k)
+                    assert low <= count <= high, (sampler.__name__, eps, k, count, trials)
 
     def test_chunk_memory_stays_bounded_at_one_half(self):
         # half of 32,768 trials x 330 copies fail: 43 MB of int64 positions

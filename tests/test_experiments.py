@@ -375,7 +375,36 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.failed_runs) == 3
         assert not report.run_rows
-        assert not report.summary_rows
+        assert [(r["scheme"], r["metric"]) for r in report.summary_rows] == \
+            [(scheme, metric) for scheme in ("lr", "exact") for metric in METRICS]
+        assert all(r["runs"] == 0 and r["failed"] == 3 for r in report.summary_rows)
+
+    def test_point_whose_runs_all_failed_keeps_its_rows(self, tmp_path):
+        # the oracle's 3-node budget fails every run at both points
+        cfg = ExperimentConfig(request_counts=(6, 8), runs=2,
+                               schemes=("lr", "greedy", "exact"), oracle_max_nodes=3,
+                               on_error="exclude", generator=GeneratorConfig(mec_count=3))
+        report = run_experiment(cfg)
+        assert len(report.failed_runs) == 4
+        with open(report.write(tmp_path)["summary"]) as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["sweep_value"], r["scheme"], r["metric"]) for r in summary] == \
+            [(str(point), scheme, metric) for point in (6, 8)
+             for scheme in ("lr", "greedy", "exact") for metric in METRICS]
+        for row in summary:
+            assert (row["mean"], row["ci_half_width"], row["runs"], row["failed"]) == \
+                ("", "", "0", "2")
+
+    def test_failed_point_beyond_the_oracle_limits_has_no_exact_rows(self, monkeypatch):
+        def every_run_fails(cfg, point_index, run):
+            raise SimplexError("solver failure")
+
+        monkeypatch.setattr(experiments, "_execute_run", every_run_fails)
+        report = run_experiment(tiny_config(request_counts=(4, 12), runs=2,
+                                            schemes=("lr", "exact"), on_error="exclude"))
+        assert [(r["sweep_value"], r["scheme"]) for r in report.summary_rows[::len(METRICS)]] == \
+            [(4, "lr"), (4, "exact"), (12, "lr")]
+        assert all(r["runs"] == 0 and r["failed"] == 2 for r in report.summary_rows)
 
     def test_point_left_with_one_run_is_summarized_without_interval(self, monkeypatch, tmp_path):
         def run_1_fails_at_point_4(cfg, point_index, run):
