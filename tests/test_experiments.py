@@ -1,8 +1,10 @@
 import csv
 import functools
+import math
 import textwrap
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import yaml
@@ -17,6 +19,7 @@ from vnfplace.experiments import (
     _execute_run,
     _point_generator,
     _splitmix64,
+    _t_quantile,
     confidence_interval,
     derive_seed,
     run_experiment,
@@ -41,6 +44,37 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def mpmath_t_quantile(df, confidence, start):
+    """The t with I_x(df/2, 1/2) = 1 - confidence, x = df / (df + t^2), at
+    40 digits: Newton's method from ``start`` on the regularized incomplete
+    beta, whose t-derivative is -2 f(t), f the Student-t density."""
+    half = mpmath.mpf(df) / 2
+    tail = 1 - mpmath.mpf(confidence)
+
+    def excess(t):
+        return mpmath.betainc(half, 0.5, 0, df / (df + t * t), regularized=True) - tail
+
+    def slope(t):
+        return -2 * (1 + t * t / df) ** -(half + 0.5) / (mpmath.sqrt(df) * mpmath.beta(half, 0.5))
+
+    return mpmath.findroot(excess, mpmath.mpf(start), solver="newton", df=slope)
+
+
+def quantile_errors(dfs, confidences):
+    """{(df, confidence): (|error| in ulp, relative error)} of _t_quantile."""
+    errors = {}
+    with mpmath.workdps(40):
+        for df in dfs:
+            for confidence in confidences:
+                t = _t_quantile(df, confidence)
+                off = abs(t - mpmath_t_quantile(df, confidence, t))
+                errors[df, confidence] = (float(off / math.ulp(t)), float(off / t))
+    return errors
+
+
+GRID_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 def marked_run(marker_dir, cfg, point_index, run, fail_run=None):
@@ -90,13 +124,51 @@ class TestConfidenceInterval:
         assert half == pytest.approx((hi - lo) / 2)
 
     def test_quantile_matches_scipy_stats_on_grid(self):
+        # a second reference; scipy is not the truth (see the mpmath tests)
         rng = np.random.default_rng(5)
         for n in list(range(2, 40)) + [100, 1000]:
             vals = rng.normal(size=n)
-            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            for confidence in GRID_CONFIDENCES:
                 _, half = confidence_interval(vals, confidence)
                 t = stats.t.ppf(0.5 + confidence / 2.0, n - 1)
-                assert half == t * (vals.std(ddof=1) / np.sqrt(n)), (n, confidence)
+                sem = vals.std(ddof=1) / np.sqrt(n)
+                assert half == pytest.approx(t * sem, rel=1e-12), (n, confidence)
+
+    def test_quantile_within_16_ulp_of_mpmath(self):
+        errors = quantile_errors(range(1, 101), GRID_CONFIDENCES)
+        assert {cell: ulp for cell, (ulp, _) in errors.items() if ulp > 16} == {}
+
+    def test_quantile_within_1e_14_of_mpmath_at_large_df(self):
+        errors = quantile_errors((199, 499, 999), GRID_CONFIDENCES)
+        assert {cell: rel for cell, (_, rel) in errors.items() if rel > 1e-14} == {}
+
+    @pytest.mark.parametrize("confidence", [1e-12, 0.001, 0.3, 0.5, 0.8, 0.95, 0.999,
+                                            1 - 1e-9, 1 - 4e-15, 0.9999999999999999])
+    def test_quantile_closed_forms_of_df_1_and_2(self, confidence):
+        with mpmath.workdps(40):
+            c = mpmath.mpf(confidence)
+            for df, exact in ((1, mpmath.tan(mpmath.pi * c / 2)),
+                              (2, c * mpmath.sqrt(2 / (1 - c * c)))):
+                t = _t_quantile(df, confidence)
+                assert abs(t - exact) <= 8 * math.ulp(t), df
+
+    def test_quantile_rises_with_confidence_and_falls_with_df(self):
+        # the extremes too: each search ends with a finite, positive t
+        confidences = (1e-12, 0.1, 0.5, 0.8, 0.95, 0.999, 0.9999999999999999)
+        table = [[_t_quantile(df, c) for c in confidences] for df in (1, 2, 3, 10, 100, 999)]
+        assert all(math.isfinite(t) and t > 0.0 for row in table for t in row)
+        assert all(a < b for row in table for a, b in zip(row, row[1:]))
+        assert all(a > b for col in zip(*table) for a, b in zip(col, col[1:]))
+
+    def test_nan_sample_gives_an_empty_half_width_cell(self, tmp_path):
+        mean, half = confidence_interval([1.0, float("nan"), 3.0])
+        assert math.isnan(mean) and math.isnan(half)
+        row = dict.fromkeys(ExperimentReport.SUMMARY_COLUMNS, 1)
+        row.update(mean=mean, ci_half_width=half)
+        paths = ExperimentReport(tiny_config(), [], [row], [], []).write(tmp_path)
+        with open(paths["summary"]) as fh:
+            (written,) = csv.DictReader(fh)
+        assert (written["mean"], written["ci_half_width"]) == ("", "")
 
     def test_zero_variance(self):
         assert confidence_interval([4.0, 4.0, 4.0]) == (4.0, 0.0)
