@@ -264,3 +264,38 @@ def milp_optimum(inst):
                   options={"mip_rel_gap": 0.0})
     assert result.success, result.message
     return float(reward @ np.round(result.x[R * M:]))
+
+
+def knapsack_bound(rewards, demand, psi, k, residual):
+    """The exact oracle's bound on the reward of requests k and later.
+
+    ``rewards`` (R), ``demand`` (4 x R) and ``psi`` (R) list the requests in
+    search order; ``residual`` holds one (cpu, ram, uplink, downlink) tuple
+    per node.  A request counts only when at least psi nodes can each hold a
+    copy (demand up to 1e-12 of float dust).  Per resource, the counted
+    requests fill the summed positive residual as a fractional knapsack of
+    weight psi times demand, in descending order of reward per weight; the
+    smallest of the four values bounds what is left.
+    """
+    R = len(rewards)
+    rewards, demand, psi = (np.asarray(a).tolist() for a in (rewards, demand, psi))
+
+    def fits(node, i):
+        return all(node[j] >= demand[j][i] - 1e-12 for j in range(4))
+
+    eligible = [i >= k and sum(fits(node, i) for node in residual) >= psi[i] for i in range(R)]
+    values = []
+    for j in range(4):
+        room = sum(node[j] for node in residual if node[j] > 0.0)
+        weight = [psi[i] * demand[j][i] for i in range(R)]
+        used = value = 0.0
+        for i in sorted(range(R), key=lambda i: -rewards[i] / weight[i]):
+            if not eligible[i]:
+                continue
+            used += weight[i]
+            share = (room - used + weight[i]) / weight[i]     # of request i that still fits
+            value += rewards[i] * min(max(share, 0.0), 1.0)
+            if share < 1.0:
+                break
+        values.append(value)
+    return min(values)

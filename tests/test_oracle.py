@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, slack_caps
-from reference import exhaustive_any_subset_optimum, milp_optimum
+from reference import exhaustive_any_subset_optimum, knapsack_bound, milp_optimum
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
                             evaluate_solution)
-from vnfplace.oracle import DEFAULT_MAX_NODES, _KnapsackBound, OracleLimitError, solve_exact
+from vnfplace.oracle import (_PRUNE_EPS, DEFAULT_MAX_NODES, _KnapsackBound, OracleLimitError,
+                             solve_exact)
 from vnfplace.schemes import evaluate_with_true_replicas, strip_availability
 
 
@@ -123,35 +125,73 @@ def residual_instance(inst, req_ids, residual):
                            replicas=[inst.replicas[r] for r in req_ids])
 
 
+def random_residual_states():
+    """Forty random partial assignments: instance, search order, depth k and
+    the residual capacities (4 x M) the first k requests in order leave."""
+    rng = np.random.default_rng(2024)
+    for seed in range(40):
+        inst = generate(GeneratorConfig(
+            mec_count=int(rng.integers(2, 4)), request_count=6,
+            cpu_range=(10, 18), ram_range=(14, 24),
+            uplink_capacity=float(rng.uniform(25.0, 50.0)),
+            downlink_capacity=float(rng.uniform(80.0, 160.0)), seed=seed,
+        ))
+        R, M = inst.n_requests, inst.n_mecs
+        demand, residual = inst.demands, inst.capacities.copy()
+        order = rng.permutation(R)
+        k = int(rng.integers(2, R))
+        for r in order[:k]:
+            fitting = [list(c) for c in itertools.combinations(range(M), inst.replicas[r])
+                       if (residual[:, list(c)] >= demand[:, r, None]).all()]
+            if fitting and rng.random() < 0.7:
+                residual[:, fitting[rng.integers(len(fitting))]] -= demand[:, r, None]
+        yield inst, order, k, residual
+
+
+def in_search_order(inst, order):
+    """Rewards, demands (4 x R) and replica counts of the requests in ``order``."""
+    return inst.reward_vector()[order], inst.demands[:, order], inst.replica_vector()[order]
+
+
 class TestKnapsackBound:
     def test_bound_covers_the_residual_optimum(self):
         # random partial assignments: the bound over the undecided requests
         # must reach their optimum under the residual capacities
-        rng = np.random.default_rng(2024)
         below_reward_sum = 0
-        for seed in range(40):
-            inst = generate(GeneratorConfig(
-                mec_count=int(rng.integers(2, 4)), request_count=6,
-                cpu_range=(10, 18), ram_range=(14, 24),
-                uplink_capacity=float(rng.uniform(25.0, 50.0)),
-                downlink_capacity=float(rng.uniform(80.0, 160.0)), seed=seed,
-            ))
-            R, M = inst.n_requests, inst.n_mecs
-            demand, residual = inst.demands, inst.capacities.copy()
-            order = rng.permutation(R)
-            k = int(rng.integers(2, R))
-            for r in order[:k]:
-                fitting = [list(c) for c in itertools.combinations(range(M), inst.replicas[r])
-                           if (residual[:, list(c)] >= demand[:, r, None]).all()]
-                if fitting and rng.random() < 0.7:
-                    residual[:, fitting[rng.integers(len(fitting))]] -= demand[:, r, None]
-            rewards, psi = inst.reward_vector(), inst.replica_vector()
-            knapsack = _KnapsackBound(rewards[order], demand[:, order], psi[order])
+        for inst, order, k, residual in random_residual_states():
+            knapsack = _KnapsackBound(*in_search_order(inst, order))
             bound = knapsack(k, [tuple(c) for c in residual.T.tolist()])
             want = exhaustive_any_subset_optimum(residual_instance(inst, order[k:], residual))
             assert bound >= want - 1e-9
-            below_reward_sum += bound < rewards[order[k:]].sum() - 1e-9
+            below_reward_sum += bound < inst.reward_vector()[order[k:]].sum() - 1e-9
         assert below_reward_sum >= 20   # the bound is tighter than the reward sum
+
+    def test_bound_equals_the_reference_and_prunes_alike(self):
+        # each state also with one node's cpu at -1e-12, float dust that the
+        # fit test's tolerance lets a search leave behind
+        rng = np.random.default_rng(7)
+        for inst, order, k, residual in random_residual_states():
+            knapsack = _KnapsackBound(*in_search_order(inst, order))
+            dusted = residual.copy()
+            dusted[0, rng.integers(inst.n_mecs)] = -1e-12
+            for state in (residual, dusted):
+                nodes = [tuple(c) for c in state.T.tolist()]
+                want = knapsack_bound(*in_search_order(inst, order), k, nodes)
+                assert knapsack(k, nodes) == want
+                # what a residual scanned at a shallower depth tells holds at k
+                for depth in range(k):
+                    assert knapsack(k, nodes, knapsack.scan(depth, nodes)) == want
+                for current in rng.uniform(0.0, 30.0, size=4).tolist():
+                    reach = current + want
+                    # an exact tie, best + _PRUNE_EPS == reach, the floats either side
+                    # of it, and four random incumbents
+                    tie = next(b for b in (reach - _PRUNE_EPS + n * math.ulp(reach)
+                                           for n in range(-4, 5)) if b + _PRUNE_EPS == reach)
+                    near = [math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)]
+                    for best in [tie, *near, *rng.uniform(0.0, 2 * reach, 4).tolist()]:
+                        value = knapsack(k, nodes, prune=(current, best))
+                        pruned = current + value <= best + _PRUNE_EPS
+                        assert pruned == (reach <= best + _PRUNE_EPS)
 
     def test_request_without_enough_fitting_nodes_adds_nothing(self):
         # two copies needed, one node: the summed capacity would admit it
@@ -279,6 +319,52 @@ class TestRegressionPins:
         assert result.nodes == 136_025
         assert result.objective == pytest.approx(111.8212319974743, abs=1e-9)
         assert result.objective == pytest.approx(milp_optimum(inst), rel=1e-9)
+
+
+def oracle_small_instances():
+    """The sixteen 8-request, 3-node instances of the benchmark's oracle-small
+    workload: heterogeneous nodes (uplink and downlink capacities drawn from
+    seed 424) alternating with identical ones, generator seeds 0-7 each."""
+    caps = np.random.default_rng(424).uniform((25.0, 80.0), (60.0, 200.0), size=(8, 2))
+    hetero = [GeneratorConfig(mec_count=3, request_count=8, cpu_range=(10, 20),
+                              ram_range=(14, 26), uplink_capacity=float(up),
+                              downlink_capacity=float(dw), seed=s)
+              for s, (up, dw) in enumerate(caps.tolist())]
+    identical = [GeneratorConfig(mec_count=3, request_count=8, cpu_range=(15, 15),
+                                 ram_range=(20, 20), uplink_capacity=40.0,
+                                 downlink_capacity=140.0, seed=s) for s in range(8)]
+    return [generate(cfg) for pair in zip(hetero, identical) for cfg in pair]
+
+
+# per oracle-small instance: the optimum, then the nodes each mode visits
+# (3,581 in all for branch_and_bound, 8,331 for exhaustive)
+ORACLE_SMALL = [
+    (22.688634738107005, {"branch_and_bound": 357, "exhaustive": 882}),
+    (29.48398768382539, {"branch_and_bound": 94, "exhaustive": 330}),
+    (30.177603509248353, {"branch_and_bound": 467, "exhaustive": 1165}),
+    (30.177603509248353, {"branch_and_bound": 84, "exhaustive": 254}),
+    (22.85174562342294, {"branch_and_bound": 365, "exhaustive": 793}),
+    (29.80453360656479, {"branch_and_bound": 111, "exhaustive": 329}),
+    (34.93522057349436, {"branch_and_bound": 377, "exhaustive": 783}),
+    (28.95925779262344, {"branch_and_bound": 183, "exhaustive": 320}),
+    (29.777545077785305, {"branch_and_bound": 247, "exhaustive": 694}),
+    (29.777545077785305, {"branch_and_bound": 118, "exhaustive": 304}),
+    (27.841034741908533, {"branch_and_bound": 331, "exhaustive": 609}),
+    (27.841034741908533, {"branch_and_bound": 87, "exhaustive": 146}),
+    (28.442578547560085, {"branch_and_bound": 154, "exhaustive": 508}),
+    (28.442578547560085, {"branch_and_bound": 97, "exhaustive": 240}),
+    (28.752068569373954, {"branch_and_bound": 421, "exhaustive": 737}),
+    (35.035413298648095, {"branch_and_bound": 88, "exhaustive": 237}),
+]
+
+
+class TestBenchmarkSearch:
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "exhaustive"])
+    def test_oracle_small_optima_and_node_counts(self, mode):
+        results = [solve_exact(inst, mode=mode) for inst in oracle_small_instances()]
+        assert [r.objective for r in results] == pytest.approx(
+            [objective for objective, _ in ORACLE_SMALL], abs=1e-9)
+        assert [r.nodes for r in results] == [nodes[mode] for _, nodes in ORACLE_SMALL]
 
 
 @st.composite
