@@ -19,7 +19,6 @@ every trial.
 import bisect
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +140,7 @@ def simulate_availability(inst: ProblemInstance, sol: IntegralSolution,
 
     delivered = np.zeros(inst.n_requests, dtype=np.int64)
     if jobs > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_chunk_counts, seed, c, size, eps_m, widths)
                        for c, size in chunks]

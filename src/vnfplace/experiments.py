@@ -20,7 +20,6 @@ import csv
 import functools
 import math
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -366,7 +365,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells = [(pi, run) for pi in range(len(points)) for run in range(cfg.runs)]
 
     run_rows, timing_rows, failed = [], [], []
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    pool = None
+    if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
+        pool = ProcessPoolExecutor(max_workers=cfg.jobs)
     in_flight = deque()         # futures of cells i, i+1, ... in cell order
     try:
         for i, cell in enumerate(cells):

@@ -4,7 +4,8 @@ field of the package goes unread, every name and keyword that the benchmark
 in ``perfbench/`` calls on the package exists, the README's config blocks
 list exactly the config fields, the package solves an instance, checks its
 availability and runs an experiment without loading scipy or yaml, and
-also with scipy blocked, and no module of the package imports scipy.
+also with scipy blocked, its import leaves the process pool unloaded, and
+no module of the package imports scipy.
 
 ``vnfplace/__init__.py`` is skipped: its imports are the public re-exports.
 """
@@ -204,13 +205,18 @@ print("yaml" in sys.modules)
 """
 
 
-def run_cold_pipeline(*args):
-    """The lines _COLD_PIPELINE prints, run in a fresh interpreter."""
+def run_cold(source, *args):
+    """What ``source`` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _COLD_PIPELINE, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", source, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return done.stdout.split("\n")[:3]
+    return done.stdout
+
+
+def run_cold_pipeline(*args):
+    """The lines _COLD_PIPELINE prints, run in a fresh interpreter."""
+    return run_cold(_COLD_PIPELINE, *args).split("\n")[:3]
 
 
 def test_solving_from_a_cold_import_leaves_scipy_and_yaml_unloaded():
@@ -219,6 +225,15 @@ def test_solving_from_a_cold_import_leaves_scipy_and_yaml_unloaded():
     # solving, the availability check and an experiment load neither, and
     # saving an instance loads yaml
     assert run_cold_pipeline() == ["[]", "[]", "True"]
+
+
+def test_the_import_leaves_the_process_pool_unloaded():
+    # only jobs > 1 starts worker processes; concurrent.futures and
+    # multiprocessing, with logging, added about 50 ms and 2 MB to the import
+    loaded = run_cold("import sys, vnfplace\n"
+                      "print(sorted(m for m in sys.modules\n"
+                      "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert loaded == "[]\n"
 
 
 def test_the_cold_pipeline_runs_with_scipy_blocked():

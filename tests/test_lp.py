@@ -485,6 +485,30 @@ class TestAgainstHighsOnTheOuterProductUpdate(TestAgainstHighs):
         assert _BoundedSimplex(placement_program(8, 3))._dger is None
 
 
+class TestAgainstHighsWithARefactorizationAfterEveryPivot(TestAgainstHighs):
+    """The same checks with a negative drift bound, so that every pricing
+    after a pivot refactorizes and computes the duals afresh."""
+
+    @pytest.fixture(autouse=True)
+    def forced_trigger(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_DRIFT", -1.0)
+
+    def test_random_box_programs_with_phase_one(self, monkeypatch):
+        # phase 1 refactorizes while artificials are basic and may still move
+        in_phase_one = []
+        refactorize = _BoundedSimplex._refactorize
+
+        def spy(self):
+            refactorize(self)
+            artificial = self.basis >= self.n_real
+            if self.iterations and artificial.any() and np.isinf(self.upper[self.n_real:]).all():
+                in_phase_one.append(int(np.count_nonzero(artificial)))
+
+        monkeypatch.setattr(_BoundedSimplex, "_refactorize", spy)
+        super().test_random_box_programs_with_phase_one()
+        assert len(in_phase_one) >= 30
+
+
 _SMALL = st.integers(-3, 3).map(float)
 
 
@@ -646,17 +670,18 @@ class TestNucleusRefactorization:
 
     @pytest.mark.parametrize("requests,mecs", [(50, 10), (200, 20)])
     def test_placement_solves(self, monkeypatch, requests, mecs):
-        # the greedy start leaves 50x10 about 240 pivots: refactorize more
-        # often, so that the solve still refactorizes at least five times
-        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 32)
+        # the duals hardly drift on these programs: a negative bound makes
+        # every pricing after a pivot refactorize, so that the solve
+        # refactorizes at least five times
+        monkeypatch.setattr(lp_module, "_DRIFT", -1.0)
         seen = self.check_every_refactorization(monkeypatch)
         simplex_solve(placement_program(requests, mecs))
         assert len(seen) >= 5
 
     def test_phase_one_with_basic_artificials(self, monkeypatch):
-        # refactorize every other pivot, so that phase 1 refactorizes
+        # refactorize after every pivot, so that phase 1 refactorizes
         # while artificials are still basic
-        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 2)
+        monkeypatch.setattr(lp_module, "_DRIFT", -1.0)
         seen = self.check_every_refactorization(monkeypatch)
         rng = np.random.default_rng(5)
         draws = 0
@@ -703,6 +728,73 @@ class TestNucleusRefactorization:
         assert sizes and max(sizes) <= lp.rhs.size // 2
 
 
+class TestCarriedDuals:
+    """The duals y = c_B Binv, carried across a pivot as y + d_q * pivot_row
+    and computed afresh at the start of a phase, after a refactorization
+    and before a phase declares its optimum."""
+
+    @staticmethod
+    def ladder():
+        """(name, program): the 50x10 and 200x20 placement programs, then
+        200 random box programs."""
+        yield "50x10", placement_program(50, 10)
+        yield "200x20", placement_program(200, 20)
+        rng = np.random.default_rng(8)
+        for i in range(200):
+            yield f"box {i}", random_box_program(rng)
+
+    def test_carried_duals_stay_within_the_drift_bound_or_refactorize(self, monkeypatch):
+        # per solve, in call order: |y - c_B Binv| at each pricing on carried
+        # duals, and "refactorize" at each refactorization
+        events = []
+        reduced_costs, refactorize = _BoundedSimplex._reduced_costs, _BoundedSimplex._refactorize
+
+        def priced(self, cost, basic_cost=None):
+            if basic_cost is None:
+                fresh = np.matmul(cost[self.basis], self.Binv)
+                events.append(float(np.abs(self._duals - fresh).max(initial=0.0)))
+            return reduced_costs(self, cost, basic_cost)
+
+        def counted(self):
+            refactorize(self)
+            events.append("refactorize")
+
+        monkeypatch.setattr(_BoundedSimplex, "_reduced_costs", priced)
+        monkeypatch.setattr(_BoundedSimplex, "_refactorize", counted)
+        carried = 0
+        for name, lp in self.ladder():
+            del events[:]
+            with contextlib.suppress(SimplexError):
+                simplex_solve(lp)
+            drifted = [i for i, e in enumerate(events)
+                       if e != "refactorize" and e > lp_module._DRIFT]
+            assert all(events[i + 1:i + 2] == ["refactorize"] for i in drifted), name
+            carried += len(events) - events.count("refactorize")
+            if not name.startswith("box"):
+                # the starting basis and the restored right-hand side, and a spare
+                assert events.count("refactorize") <= 3, name
+        assert carried >= 1_000
+
+    def test_every_phase_ends_on_an_accurate_inverse_and_fresh_duals(self, monkeypatch):
+        phases = []
+        optimize = _BoundedSimplex._optimize
+
+        def checked(self, cost):
+            optimize(self, cost)
+            B = dense_basis(self.padded_rows, self.padded_data, self.count, self.basis)
+            fresh = np.matmul(cost[self.basis], self.Binv)
+            phases.append((float(np.abs(self.Binv @ B - np.eye(self.m)).max(initial=0.0)),
+                           self._duals.tobytes() == fresh.tobytes()))
+
+        monkeypatch.setattr(_BoundedSimplex, "_optimize", checked)
+        for _, lp in self.ladder():
+            with contextlib.suppress(SimplexError):
+                simplex_solve(lp)
+        # 4.6e-13 at most when measured
+        assert len(phases) >= 200 and max(error for error, _ in phases) <= 1e-9
+        assert all(fresh for _, fresh in phases)
+
+
 _SOLVE_200x20 = """
 import sys
 from vnfplace.gen import GeneratorConfig, generate
@@ -744,9 +836,9 @@ class TestRankOneUpdate:
             assert solver.Binv.tobytes(order="F") == expected.tobytes(order="F")
 
     def test_buffers_keep_their_addresses_through_a_solve(self, monkeypatch):
-        # refactorize every 32 pivots, so that the solve refactorizes at least
-        # five times; each one must rewrite the buffers the update points at
-        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 32)
+        # refactorize after every pivot, so that the solve refactorizes at
+        # least five times; each one must rewrite the buffers the update points at
+        monkeypatch.setattr(lp_module, "_DRIFT", -1.0)
         solver = _BoundedSimplex(placement_program(50, 10))
         buffers = (solver.Binv, solver.w, solver.pivot_row)
         addresses = [b.ctypes.data for b in buffers]
