@@ -247,6 +247,23 @@ def reference_round(frac, inst, seed):
     return x, y
 
 
+def expected_reward(frac, inst):
+    """Expected reward of randomized rounding, with no sampling:
+    sum_r reward_r * y_r * P(sum_m Bernoulli(x_rm) >= psi_r).  Each
+    probability comes from the Poisson-binomial recursion over the
+    request's nodes, one node at a time; x and y are clipped to [0, 1], as
+    the rounding clips them."""
+    x = np.clip(np.asarray(frac.x, dtype=float), 0.0, 1.0).tolist()
+    y = np.clip(np.asarray(frac.y, dtype=float), 0.0, 1.0).tolist()
+    total = 0.0
+    for r, request in enumerate(inst.requests):
+        placed = [1.0]                  # placed[j]: P(j copies on the nodes so far)
+        for p in x[r]:
+            placed = [a * (1.0 - p) + b * p for a, b in zip(placed + [0.0], [0.0] + placed)]
+        total += request.reward * y[r] * sum(placed[inst.replicas[r]:])
+    return total
+
+
 def milp_optimum(inst):
     """Optimal reward of the 0/1 placement program, from HiGHS's MILP solver
     run to a zero relative gap on the dense matrix of ``placement_entries``.

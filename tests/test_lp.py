@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from vnfplace.lp import (
     simplex_solve,
     solve_lp,
 )
+from vnfplace.model import RESOURCES
 from vnfplace.oracle import solve_exact
 from vnfplace.schemes import strip_availability
 
@@ -590,7 +592,9 @@ class TestProperties:
 
 
 class TestPricingProduct:
-    """The padded pricing product against the entry-list bincount, bit for bit."""
+    """The padded pricing product against the entry-list bincount, bit for
+    bit.  It prices every program below ``_GRID_MIN`` and, on a placement
+    grid, every column after the grid."""
 
     @staticmethod
     def assert_matches_bincount(simplex, y):
@@ -642,6 +646,101 @@ class TestPricingProduct:
 def placement_program(requests, mecs):
     return build_relaxed_program(generate(GeneratorConfig(request_count=requests,
                                                           mec_count=mecs, seed=0)))
+
+
+def program_with(lp, **changes):
+    """A copy of the program with some of its fields replaced."""
+    fields = {f.name: getattr(lp, f.name) for f in dataclasses.fields(lp)}
+    return LinearProgram(**{**fields, **changes})
+
+
+class TestGridPricing:
+    """The placement grid's pricing, x[r, m] = y[r] + sum_k D[k, r]
+    y[R + kM + m] as one product, against the entry-list bincount within
+    float64 rounding error; and the programs that must fall back to the
+    padded product."""
+
+    @staticmethod
+    def grid_programs():
+        yield placement_program(200, 20)
+        yield placement_program(400, 20)
+        inst = generate(GeneratorConfig(request_count=100, mec_count=10, seed=5))
+        row, var, coef, sense, rhs = placement_entries(inst)
+        yield LinearProgram(n_vars=inst.n_requests * (inst.n_mecs + 1), shape=(100, 10),
+                            row=row, var=var, coef=coef, sense=sense, rhs=rhs)
+
+    @staticmethod
+    def assert_close_to_bincount(simplex, y):
+        expected = bincount_transposed_product(simplex.padded_rows, simplex.padded_data,
+                                               simplex.count, y)
+        padded = simplex._transposed_product(y).copy()
+        got = simplex._grid_product(y)
+        # each column adds at most five products: 8 eps of the summed
+        # magnitudes bounds float64's rounding, whatever the order
+        magnitude = bincount_transposed_product(simplex.padded_rows,
+                                                np.abs(simplex.padded_data), simplex.count,
+                                                np.abs(y))
+        assert (np.abs(got - expected) <= 8 * np.finfo(float).eps * magnitude).all()
+        grid = simplex._x.size
+        assert got[grid:].tobytes() == padded[grid:].tobytes()
+
+    def test_matches_bincount_within_rounding(self):
+        rng = np.random.default_rng(26)
+        for lp in self.grid_programs():
+            simplex = _BoundedSimplex(lp)
+            R, M = lp.shape
+            assert simplex._grid.shape == (R, len(RESOURCES)) and simplex._x.shape == (R, M)
+            for scale in (1e-6, 1.0, 1e6):
+                self.assert_close_to_bincount(simplex, scale * rng.normal(size=simplex.m))
+            self.assert_close_to_bincount(simplex, np.zeros(simplex.m))
+            self.assert_close_to_bincount(simplex, -np.ones(simplex.m))
+
+    def test_program_without_shape_falls_back(self):
+        lp = placement_program(200, 20)
+        assert _BoundedSimplex(lp)._grid is not None
+        assert _BoundedSimplex(program_with(lp, shape=None))._grid is None
+
+    def test_program_without_entries_falls_back(self):
+        lp = LinearProgram(n_vars=1_100, objective=np.ones(1_100), shape=(100, 10))
+        assert _BoundedSimplex(lp)._grid is None
+        assert simplex_solve(lp).objective == 1_100.0
+
+    def test_coefficient_that_depends_on_the_node_falls_back(self):
+        lp = placement_program(200, 20)
+        R, M = lp.shape
+        # the cpu demand of request 3, on node 7 only
+        coef = lp.coef.copy()
+        coef[(lp.var == 3 * M + 7) & (lp.row == R + 7)] *= 1.5
+        assert _BoundedSimplex(program_with(lp, coef=coef))._grid is None
+
+    def test_appended_row_on_an_x_column_falls_back_and_matches_highs(self):
+        lp = placement_program(100, 10)
+        lp.add_row([(0, 1.0), (11, 1.0), (25, 1.0)], LE, 1.5)
+        assert _BoundedSimplex(lp)._grid is None
+        status, expected = highs_solve(lp)
+        assert status == "optimal"
+        assert simplex_solve(lp).objective == pytest.approx(expected, abs=1e-6)
+
+    # the switch sits at R*M = 1,000; 40x20 starts at its optimum, the
+    # others take 230 to 620 pivots
+    @pytest.mark.parametrize("requests,mecs", [(30, 10), (50, 10), (80, 10), (40, 20),
+                                               (100, 10), (120, 10), (150, 10), (200, 20)])
+    def test_switch_boundary(self, monkeypatch, requests, mecs):
+        lp = placement_program(requests, mecs)
+        grid = _BoundedSimplex(lp)._grid is not None
+        assert grid == (requests * mecs >= 1_000)
+        on = simplex_solve(lp)
+        monkeypatch.setattr(lp_module, "_GRID_MIN", math.inf)
+        off = simplex_solve(lp)
+        if not grid:
+            # below the switch the padded sum prices: the same solve, byte for byte
+            assert (on.values.tobytes(), on.objective, on.iterations) == \
+                   (off.values.tobytes(), off.objective, off.iterations)
+            return
+        status, expected = highs_solve(lp)
+        assert status == "optimal"
+        assert on.objective == pytest.approx(expected, abs=1e-6)
+        assert on.objective == pytest.approx(off.objective, rel=1e-9)
 
 
 class TestNucleusRefactorization:

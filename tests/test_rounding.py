@@ -1,10 +1,12 @@
 from dataclasses import replace
 
+import itertools
+
 import numpy as np
 import pytest
 
 from helpers import make_instance, slack_caps
-from reference import reference_round
+from reference import expected_reward, reference_round
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import FractionalSolution, evaluate_solution
@@ -166,3 +168,52 @@ class TestAgainstReference:
                     assert sol.x.dtype == x.dtype and sol.y.dtype == y.dtype
                     assert np.array_equal(sol.x, x) and np.array_equal(sol.y, y), round_seed
         assert fractional_y > 0      # some admission draw decides a bit
+
+
+def enumerated_expected_reward(frac, inst):
+    """Expected reward over every rounding, each weighted by its
+    probability: every 0/1 placement, then every outcome of the admission
+    draws, which count only where the placement clears the gate."""
+    x = np.clip(np.asarray(frac.x, dtype=float), 0.0, 1.0)
+    y = np.clip(np.asarray(frac.y, dtype=float), 0.0, 1.0)
+    R, M = x.shape
+    rewards = np.array([request.reward for request in inst.requests])
+    # one row per rounding: R * M placement bits, then R admission bits
+    bits = np.array(list(itertools.product((0, 1), repeat=R * M + R)), dtype=bool)
+    placed, admitted = bits[:, :R * M].reshape(-1, R, M), bits[:, R * M:]
+    weight = (np.where(placed, x, 1.0 - x).prod(axis=(1, 2))
+              * np.where(admitted, y, 1.0 - y).prod(axis=1))
+    served = (placed.sum(axis=2) >= inst.replica_vector()) & admitted
+    return float(weight @ (served @ rewards))
+
+
+class TestExpectedReward:
+    """The test-side expectation of randomized rounding's reward."""
+
+    def test_matches_enumeration_of_every_rounding(self):
+        rng = np.random.default_rng(11)
+        for replicas in ([1, 2, 3, 1], [2, 2, 1, 3], [3, 1, 2]):
+            inst = make_instance(caps=slack_caps(3),
+                                 reqs=[{"reward": float(rng.uniform(1, 9))} for _ in replicas],
+                                 replicas=replicas)
+            for _ in range(3):
+                x = rng.choice([0.0, 1.0, 0.3, 0.55, 0.9], size=(len(replicas), 3))
+                frac = FractionalSolution(x=x, y=rng.uniform(0, 1, len(replicas)), objective=0.0)
+                assert expected_reward(frac, inst) == pytest.approx(
+                    enumerated_expected_reward(frac, inst), rel=1e-12)
+        # fractional LP optima of generated 4x3 instances with tight links
+        for seed in range(4):
+            inst = generate(GeneratorConfig(request_count=4, mec_count=3, seed=seed,
+                                            uplink_capacity=25.0, downlink_capacity=70.0))
+            frac = frac_for(inst)
+            assert ((frac.x > 1e-9) & (frac.x < 1 - 1e-9)).any()
+            assert expected_reward(frac, inst) == pytest.approx(
+                enumerated_expected_reward(frac, inst), rel=1e-12)
+
+    def test_matches_the_mean_of_sampled_roundings(self):
+        inst, frac = loaded_frac()
+        n = 2000
+        rewards = [evaluate_solution(inst, randomized_round(frac, inst, seed)).total_reward
+                   for seed in range(n)]
+        se = np.std(rewards) / np.sqrt(n)
+        assert abs(np.mean(rewards) - expected_reward(frac, inst)) <= 4 * se
