@@ -61,28 +61,42 @@ A recomputation inverts densely only the basis nucleus: basic columns with
 one entry (slacks, artificials, the y[r] columns) are singletons whose
 rows and inverse entries follow by substitution, so only the remaining
 columns over the remaining rows, under half the basis on the placement
-program, go through ``np.linalg.inv``.  The basic values are updated
+program, go through ``np.linalg.inv``.  From ``_NUCLEUS_MIN`` = 200 rows on,
+pivots exploit it too.  A basic singleton at position s with entry a_s in
+row t has B e_s = a_s e_t, so column t of B^-1 is exactly e_s / a_s, zero
+in every other pivot row, and the rank-1 update leaves it alone.  ``Binv``
+keeps its columns permuted, the k nucleus rows' first (``order[c]`` is the
+row of column c, ``where`` its inverse), and ``dger`` updates those alone;
+a leaving singleton's column joins them first, an entering one's leaves
+after as e_r / a_q.  k averages 87 of 280 rows at 200x20 seed 0 and 65 of
+480 at 400x20, which take the same pivots 1.27x and 2.21x as fast.  Below
+the switch the bookkeeping, about 2 us a pivot, costs more than it saves
+(every program tracked: 0.98x at 80x20, 1.00-1.04x at 130-150x10 and
+120x20, 1.13x at 200x20).  The basic values are updated
 incrementally along each step, with the leaving variable pinned exactly
 at the bound it hit, and recomputed whenever the inverse is.  The cost
 and bounds of each basic variable and the improving sign of every column
 are arrays that a pivot or a bound flip updates in at most two places; a
 bound flip leaves the basis as it was and reuses the reduced costs.
 
-A placement grid prices its x block in one BLAS product instead, as
-x[r, m] = y[r] + sum_k D[k, r] y[R + kM + m], that is D^T @ y[R:R+KM]
-reshaped (K, M) plus y[:R] on each row; the columns after it keep the padded
-sum.  The solver recognises the grid at construction: ``shape`` = (R, M),
-R*M >= ``_GRID_MIN``, and column r*M + m holds row r at 1.0, then rows
-R + kM + m at D[k, r], the same for every m.  Grid over padded pricing,
-measured: 0.47x at 8x3, 0.61x at 20x5, 0.78x at 30x10, 0.92x at 50x10,
-1.04-1.07x at 60-80x10, 1.40x at 40x20, 2.46x at 200x20, 1.85x at 400x20.
+A placement grid at zero cost prices its x block in one BLAS product
+instead, as x[r, m] = y[r] + sum_k D[k, r] y[R + kM + m]: its reduced costs
+are [-D^T | -y[:R]] @ [Y; 1], Y being y[R:R+KM] reshaped (K, M), the same
+bits as 0 - (D^T @ Y + y[:R]).  The columns after it, of one entry each,
+cost a take and a multiply.  The solver recognises the grid at
+construction: ``shape`` = (R, M), R*M >= ``_GRID_MIN``, no cost on the
+first R*M columns, column r*M + m holds row r at 1.0, then rows R + kM + m
+at D[k, r], the same for every m, and no later column holds two entries.
+Grid over padded pricing, measured: 0.47x at 8x3, 0.61x at 20x5, 0.78x at
+30x10, 0.92x at 50x10, 1.04-1.07x at 60-80x10, 1.40x at 40x20, 2.46x at
+200x20, 1.85x at 400x20.
 Below the switch solves stay byte-identical; above it the product sums in
 another order and may end at another optimal vertex.
 
 The rank-1 update is ``cblas_dger`` of numpy's bundled OpenBLAS, called
 through ``ctypes`` with its arguments bound once per solve: the basis
-inverse, the entering column and the pivot row live in buffers allocated
-with the solver and rewritten in place.  BLAS computes the update with
+inverse, the entering column, the pivot row and the width k live in
+buffers allocated with the solver and rewritten in place.  BLAS computes the update with
 fused multiply-adds, so ``Binv - np.multiply.outer(w, pivot_row)`` differs
 in the last bit of about a quarter of the entries and moves the pivots;
 it is used only where that library or symbol is not found (another BLAS,
@@ -121,6 +135,7 @@ _DEGENERATE_STREAK = 40
 _RELAX = 1e-6                               # right-hand-side shift of a zero-slack row
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0      # spreads the shifts: frac(golden * i)
 _GRID_MIN = 1_000                           # R*M from which a grid pays (the ladder above)
+_NUCLEUS_MIN = 200                          # rows from which the permuted inverse pays (above)
 
 
 class SimplexError(VnfplaceError, RuntimeError):
@@ -266,7 +281,8 @@ class _BoundedSimplex:
     once, padded: column q holds its entries' rows and values in the first
     ``count[q]`` slots of ``padded_rows`` and ``padded_data`` (width x
     columns).  The state also keeps the basis inverse ``Binv`` as a
-    Fortran-ordered dense array and the basic values ``xb`` incrementally.
+    Fortran-ordered dense array, its columns permuted from ``_NUCLEUS_MIN``
+    rows on, and the basic values ``xb`` incrementally.
     With ``relax``, the rows the start leaves at zero slack are relaxed: the
     phases run against ``b``, and ``rhs`` holds the true right-hand side.
     """
@@ -325,17 +341,21 @@ class _BoundedSimplex:
         self._priced, self._reduced = np.empty(total), np.empty(total)
         self._grid = _placement_grid(lp, self.padded_rows, self.padded_data, self.count)
         if self._grid is not None:
-            # the columns after the grid, padded only to the widest of them
+            # the grid's reduced costs and the one-entry columns after it
             grid = math.prod(lp.shape)
-            self._x = self._priced[:grid].reshape(lp.shape)
-            tail = np.s_[:int(self.count[grid:].max(initial=0)), grid:]
-            self._tail = (self.padded_rows[tail].copy(), self.padded_data[tail].copy(),
-                          np.empty(self.padded_rows[tail].shape), self._priced[grid:])
+            self._x = self._reduced[:grid].reshape(lp.shape)
+            self._Y = np.ones((self._grid.shape[1], lp.shape[1]))
+            self._tail = (self.padded_rows[0, grid:].copy(), self.padded_data[0, grid:].copy(),
+                          self._priced[grid:])
+        # Binv's column c holds row order[c], row i sits in column where[i]
+        self._tracks = m >= _NUCLEUS_MIN
+        self._order, self._where, self._k, self._spare = np.arange(m), np.arange(m), m, np.empty(m)
         blas = _openblas()
         self._dger = blas and functools.partial(blas[2], *(
             kind(value) for kind, value in zip(blas[2].argtypes, (
                 102, m, m, -1.0, self.w.ctypes.data, 1, self.pivot_row.ctypes.data, 1,
                 self.Binv.ctypes.data, m))))
+        self._width = self._dger and self._dger.args[2]   # the columns the update reaches
         # slacks and artificials are singletons: no nucleus to invert
         self._refactorize()
 
@@ -352,13 +372,17 @@ class _BoundedSimplex:
         Returns a buffer that the next call overwrites."""
         return _padded_product(y, self.padded_rows, self.padded_data, self._terms, self._priced)
 
-    def _grid_product(self, y) -> np.ndarray:
-        """y @ A on a placement grid: the x block as one (R x K)(K x M) product,
-        the columns after it padded.  Returns the buffer ``_transposed_product`` does."""
-        x, (R, M), K = self._x, self._x.shape, self._grid.shape[1]
-        np.add(np.matmul(self._grid, y[R:R + K * M].reshape(K, M), out=x), y[:R, None], out=x)
-        _padded_product(y, *self._tail)
-        return self._priced
+    def _grid_reduced(self, cost, y) -> np.ndarray:
+        """Reduced costs on a placement grid at zero cost (see the module
+        docstring), into the buffer ``_reduced``."""
+        (R, M), K = self._x.shape, self._Y.shape[0] - 1
+        np.negative(y[:R], out=self._grid[:, K])
+        self._Y[:K] = y[R:R + K * M].reshape(K, M)
+        np.matmul(self._grid, self._Y, out=self._x)
+        rows, data, priced = self._tail
+        np.multiply(np.take(y, rows, out=priced, mode="clip"), data, out=priced)
+        np.subtract(cost[self._x.size:], priced, out=self._reduced[self._x.size:])
+        return self._reduced
 
     def _column(self, q) -> np.ndarray:
         """FTRAN: Binv @ A[:, q], written into ``w``."""
@@ -367,13 +391,22 @@ class _BoundedSimplex:
         return np.matmul(self.Binv[:, self.padded_rows[:k, q]], self.padded_data[:k, q].copy(),
                          out=self.w)
 
+    def _nucleus_column(self, q) -> np.ndarray:
+        """``_column`` on the permuted inverse."""
+        k = self.count[q]
+        return np.matmul(self.Binv[:, self._where[self.padded_rows[:k, q]]],
+                         self.padded_data[:k, q].copy(), out=self.w)
+
     def _reduced_costs(self, cost, basic_cost=None) -> np.ndarray:
         """Reduced costs on the duals ``_duals``, into a reused buffer; given
         basic_cost = cost[basis], the duals are first computed afresh."""
         if basic_cost is not None:
             np.matmul(basic_cost, self.Binv, out=self._duals)
-        product = self._transposed_product if self._grid is None else self._grid_product
-        return np.subtract(cost, product(self._duals), out=self._reduced)
+            if self._tracks:
+                self._duals[:] = self._duals[self._where]
+        if self._grid is not None:
+            return self._grid_reduced(cost, self._duals)
+        return np.subtract(cost, self._transposed_product(self._duals), out=self._reduced)
 
     # -- basis -----------------------------------------------------------------
 
@@ -416,6 +449,10 @@ class _BoundedSimplex:
             nucleus_inv = np.linalg.inv(nucleus)
         except np.linalg.LinAlgError as exc:
             raise NumericalInstabilityError("basis matrix is singular") from exc
+        if self._tracks:    # the nucleus rows' columns first, then the singleton rows'
+            self._order, self._k = np.concatenate([N, t]), N.size
+            self._where[self._order] = np.arange(self.m)
+            N, t = np.arange(N.size), np.arange(N.size, self.m)
         self.Binv.fill(0.0)
         self.Binv[np.ix_(K, N)] = nucleus_inv
         self.Binv[S, t] = 1.0 / a
@@ -423,10 +460,12 @@ class _BoundedSimplex:
         hit = np.flatnonzero(coupling.any(axis=1))
         self.Binv[np.ix_(S[hit], N)] = (coupling[hit] @ nucleus_inv) / -a[hit, None]
         v = self._nonbasic_values()
-        self.xb = self.Binv @ (self.b - self._product(v))
+        rhs = self.b - self._product(v)
+        self.xb = self.Binv @ (rhs[self._order] if self._tracks else rhs)
 
-    def _pivot(self, r, q):
-        """Column q replaces basis row r; w = Binv @ A[:, q] is consumed."""
+    def _pivot(self, r, q) -> np.ndarray:
+        """Column q replaces basis row r; w = Binv @ A[:, q] is consumed.
+        Returns the pivot row in row order."""
         self.basis[r] = q
         w = self.w
         np.divide(self.Binv[r], w[r], out=self.pivot_row)
@@ -436,6 +475,43 @@ class _BoundedSimplex:
         else:
             self.Binv -= np.multiply.outer(w, self.pivot_row)
         self.Binv[r] = self.pivot_row
+        return self.pivot_row
+
+    def _nucleus_pivot(self, r, q) -> np.ndarray:
+        """``_pivot`` on the permuted inverse: the update reaches its first k
+        columns alone, the others being e_s / a_s with a zero in row r."""
+        Binv, pivot_row, w, k = self.Binv, self.pivot_row, self.w, self._k
+        if self.count[self.basis[r]] == 1:
+            # the leaving singleton's row joins the nucleus rows
+            self._swap(self._where[self.padded_rows[0, self.basis[r]]], k)
+            k += 1
+        self.basis[r] = q
+        np.divide(Binv[r], w[r], out=pivot_row)
+        w[r] -= 1.0
+        if self._dger:
+            self._width.value = k
+            self._dger()
+        else:
+            Binv[:, :k] -= np.multiply.outer(w, pivot_row[:k])
+        Binv[r, :k] = pivot_row[:k]
+        if self.count[q] == 1:
+            # the entering singleton's row leaves them, its column exactly e_r / a_q
+            k -= 1
+            self._swap(self._where[self.padded_rows[0, q]], k)
+            Binv[:, k] = 0.0
+            Binv[r, k] = 1.0 / self.padded_data[0, q]
+        self._k = k
+        return pivot_row[self._where]
+
+    def _swap(self, i, j):
+        """Exchange columns i and j of the permuted inverse and of the pivot row."""
+        a, b, row, order = self.Binv[:, i], self.Binv[:, j], self.pivot_row, self._order
+        self._spare[:] = a
+        a[:] = b
+        b[:] = self._spare
+        row[i], row[j] = row[j], row[i]
+        order[i], order[j] = order[j], order[i]
+        self._where[order[i]], self._where[order[j]] = i, j
 
     # -- state ---------------------------------------------------------------
 
@@ -466,6 +542,9 @@ class _BoundedSimplex:
         gain = np.empty(sign.size)
         negated, gap, size, steps = (np.empty(self.m) for _ in range(4))
         above, usable = np.empty(self.m, bool), np.empty(self.m, bool)
+        # bound per phase: on the instance they would hold it in a reference cycle
+        column, pivot = ((self._nucleus_column, self._nucleus_pivot) if self._tracks
+                         else (self._column, self._pivot))
         reduced = self._reduced_costs(cost, basic_cost)   # None until priced after a pivot
         fresh = True             # the duals are basic_cost @ Binv, not carried
         while True:
@@ -487,7 +566,7 @@ class _BoundedSimplex:
             if q < 0:
                 return
 
-            w = self._column(q)
+            w = column(q)
             entering_lower = self.status[q] == _AT_LOWER
             # basic values move as xb - t*delta
             delta = w if entering_lower else np.negative(w, out=negated)
@@ -533,9 +612,8 @@ class _BoundedSimplex:
                 basic_upper[r] = self.upper[q]
                 xb -= step * delta
                 xb[r] = entering
-                self._pivot(r, q)
                 # y = basic_cost @ Binv moves by d_q times the pivot row
-                self._duals += reduced[q] * self.pivot_row
+                self._duals += reduced[q] * pivot(r, q)
                 reduced, fresh = None, False
 
             if step <= _TOL:
@@ -605,18 +683,20 @@ def _padded_product(y, rows, data, terms, out) -> np.ndarray:
 
 
 def _placement_grid(lp, rows, data, count):
-    """D^T, an (R, K) array, where the program's first R*M columns form a
-    placement grid (see the module docstring); None for any other program."""
+    """[-D^T | 0], an (R, K + 1) array, where the program's first R*M columns
+    form a placement grid at zero cost and no later column has two entries
+    (see the module docstring); None for any other program."""
     if lp.shape is None or not _GRID_MIN <= math.prod(lp.shape) <= lp.n_vars or not count[0]:
         return None
     (R, M), K = lp.shape, int(count[0]) - 1
     r, m = np.divmod(np.arange(R * M), M)
     expected = np.vstack([r, R + M * np.arange(K)[:, None] + m])
     if ((count[:R * M] != K + 1).any() or (rows[:K + 1, :R * M] != expected).any()
-            or (data[0, :R * M] != 1.0).any()):
+            or (data[0, :R * M] != 1.0).any() or lp.objective[:R * M].any()
+            or count[R * M:].max(initial=0) > 1):
         return None
     D = data[1:K + 1, :R * M].reshape(K, R, M)
-    return None if (D != D[:, :, :1]).any() else D[:, :, 0].T.copy()
+    return None if (D != D[:, :, :1]).any() else np.column_stack([-D[:, :, 0].T, np.zeros(R)])
 
 
 def _entering(gain, bland) -> int:

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -670,30 +672,67 @@ class TestGridPricing:
                             row=row, var=var, coef=coef, sense=sense, rhs=rhs)
 
     @staticmethod
+    def duals(simplex, rng):
+        """Dual vectors at scales 1e-6, 1 and 1e6, half-zero, zero and -1."""
+        for scale in (1e-6, 1.0, 1e6):
+            yield scale * rng.normal(size=simplex.m)
+        yield np.where(rng.random(simplex.m) < 0.5, 0.0, rng.normal(size=simplex.m))
+        yield np.zeros(simplex.m)
+        yield -np.ones(simplex.m)
+
+    @staticmethod
     def assert_close_to_bincount(simplex, y):
         expected = bincount_transposed_product(simplex.padded_rows, simplex.padded_data,
                                                simplex.count, y)
         padded = simplex._transposed_product(y).copy()
-        got = simplex._grid_product(y)
+        # at zero cost the reduced costs are the product negated
+        reduced = simplex._grid_reduced(np.zeros(simplex.status.size), y)
         # each column adds at most five products: 8 eps of the summed
         # magnitudes bounds float64's rounding, whatever the order
         magnitude = bincount_transposed_product(simplex.padded_rows,
                                                 np.abs(simplex.padded_data), simplex.count,
                                                 np.abs(y))
-        assert (np.abs(got - expected) <= 8 * np.finfo(float).eps * magnitude).all()
+        assert (np.abs(-reduced - expected) <= 8 * np.finfo(float).eps * magnitude).all()
         grid = simplex._x.size
-        assert got[grid:].tobytes() == padded[grid:].tobytes()
+        assert reduced[grid:].tobytes() == (0.0 - padded[grid:]).tobytes()
 
     def test_matches_bincount_within_rounding(self):
         rng = np.random.default_rng(26)
         for lp in self.grid_programs():
             simplex = _BoundedSimplex(lp)
             R, M = lp.shape
-            assert simplex._grid.shape == (R, len(RESOURCES)) and simplex._x.shape == (R, M)
-            for scale in (1e-6, 1.0, 1e6):
-                self.assert_close_to_bincount(simplex, scale * rng.normal(size=simplex.m))
-            self.assert_close_to_bincount(simplex, np.zeros(simplex.m))
-            self.assert_close_to_bincount(simplex, -np.ones(simplex.m))
+            assert simplex._grid.shape == (R, len(RESOURCES) + 1) and simplex._x.shape == (R, M)
+            for y in self.duals(simplex, rng):
+                self.assert_close_to_bincount(simplex, y)
+
+    def test_one_product_matches_the_grid_product_plus_y_bit_for_bit(self):
+        # [-D^T | -y[:R]] @ [Y; 1] adds the y[r] term last, as the sum
+        # D^T @ Y + y[:R] does, with every term negated: the same bits
+        rng = np.random.default_rng(27)
+        for lp in self.grid_programs():
+            simplex = _BoundedSimplex(lp)
+            (R, M), K = lp.shape, len(RESOURCES)
+            cost = np.zeros(simplex.status.size)
+            cost[:simplex.n_struct] = lp.objective
+            transposed = -simplex._grid[:, :K]
+            for y in self.duals(simplex, rng):
+                two_step = np.matmul(transposed, y[R:R + K * M].reshape(K, M)) + y[:R, None]
+                expected = np.concatenate([0.0 - two_step.ravel(),
+                                           cost[R * M:] - simplex._transposed_product(y)[R * M:]])
+                got = simplex._grid_reduced(cost, y)
+                assert got.tobytes() == expected.tobytes()
+
+    def test_program_with_a_cost_on_the_grid_falls_back(self):
+        lp = placement_program(200, 20)
+        objective = lp.objective.copy()
+        objective[5] = 1.0
+        assert _BoundedSimplex(program_with(lp, objective=objective))._grid is None
+
+    def test_column_after_the_grid_with_two_entries_falls_back(self):
+        lp = placement_program(100, 10)
+        lp.add_row([(1_000, 1.0)], LE, 0.5)     # y[0]'s second entry
+        assert _BoundedSimplex(lp)._grid is None
+        assert simplex_solve(lp).objective == pytest.approx(highs_solve(lp)[1], abs=1e-6)
 
     def test_program_without_shape_falls_back(self):
         lp = placement_program(200, 20)
@@ -759,8 +798,9 @@ class TestNucleusRefactorization:
             refactorize(self)
             B = dense_basis(self.padded_rows, self.padded_data, self.count, self.basis)
             assert self.Binv.flags.f_contiguous
-            assert np.abs(self.Binv @ B - np.eye(self.m)).max() <= 1e-9
-            assert np.abs(self.Binv - np.linalg.inv(B)).max() <= 1e-9
+            # Binv's columns are rows of B^-1 permuted: column c holds row order[c]
+            assert np.abs(self.Binv @ B[self._order] - np.eye(self.m)).max() <= 1e-9
+            assert np.abs(self.Binv[:, self._where] - np.linalg.inv(B)).max() <= 1e-9
             seen.append(int(np.count_nonzero(self.basis >= self.n_real))
                         if self.iterations else 0)
 
@@ -827,6 +867,128 @@ class TestNucleusRefactorization:
         assert sizes and max(sizes) <= lp.rhs.size // 2
 
 
+class TestNucleusColumns:
+    """The permuted inverse: Binv's first k columns hold the nucleus rows'
+    columns of B^-1 and take the rank-1 update; each later one holds a
+    singleton's row t, whose column of B^-1 is exactly e_s / a_s."""
+
+    @staticmethod
+    def check_every_pivot(monkeypatch):
+        """Check the permuted inverse after every pivot; returns the widths k."""
+        widths = []
+        pivot = _BoundedSimplex._nucleus_pivot
+
+        def checked(self, r, q):
+            row = pivot(self, r, q)
+            B = dense_basis(self.padded_rows, self.padded_data, self.count, self.basis)
+            assert np.abs(self.Binv @ B[self._order] - np.eye(self.m)).max() <= 1e-9
+            assert (self._order[self._where] == np.arange(self.m)).all()
+            single = np.flatnonzero(self.count[self.basis] == 1)
+            first = self.basis[single]
+            t, a = self.padded_rows[0, first], self.padded_data[0, first]
+            # the block holds the non-singleton basics' rows, the rest are exact
+            assert self._k == self.m - single.size
+            assert sorted(self._order[self._k:]) == sorted(t)
+            expected = np.zeros((self.m, single.size))
+            expected[single, np.arange(single.size)] = 1.0 / a
+            assert self.Binv[:, self._where[t]].tobytes(order="F") == \
+                   np.asfortranarray(expected).tobytes(order="F")
+            # the pivot row returned for the duals is the new row r of B^-1
+            new_row = self.Binv[r, self._where]
+            assert np.abs(row - new_row).max() <= 1e-9 * np.abs(new_row).max()
+            widths.append(self._k)
+            return row
+
+        monkeypatch.setattr(_BoundedSimplex, "_nucleus_pivot", checked)
+        return widths
+
+    @pytest.mark.parametrize("requests,mecs", [(200, 20), (400, 20)])
+    def test_every_pivot_on_placement_programs(self, monkeypatch, requests, mecs):
+        widths = self.check_every_pivot(monkeypatch)
+        lp = placement_program(requests, mecs)
+        result = simplex_solve(lp)
+        assert len(widths) >= 400
+        # the block spans well under half the rows on average
+        assert 0 < np.mean(widths) < lp.rhs.size / 2
+        assert result.objective == pytest.approx(highs_solve(lp)[1], abs=1e-6)
+
+    def test_every_pivot_with_phase_one(self, monkeypatch):
+        # artificials and slacks of one row enter and leave as singletons
+        monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+        widths = self.check_every_pivot(monkeypatch)
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            with contextlib.suppress(SimplexError):
+                simplex_solve(random_box_program(rng))
+        assert len(widths) >= 200 and 0 in widths
+
+    @pytest.mark.parametrize("requests,mecs", [(50, 10), (200, 20), (400, 20)])
+    def test_tracked_solve_refactorizes_at_most_three_times(self, monkeypatch, requests, mecs):
+        # carried duals that go wrong with the columns show as drift, and
+        # every refactorization it forces counts here
+        monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+        calls = []
+        refactorize = _BoundedSimplex._refactorize
+
+        def counted(self):
+            calls.append(self._tracks)
+            refactorize(self)
+
+        monkeypatch.setattr(_BoundedSimplex, "_refactorize", counted)
+        simplex_solve(placement_program(requests, mecs))
+        assert all(calls) and len(calls) <= 3
+
+    def test_solver_state_is_freed_without_the_cycle_collector(self):
+        # a reference cycle through the state would keep its m x m inverse
+        # until the collector ran: it doubled greedy-large's peak memory
+        gc.disable()
+        try:
+            solver = _BoundedSimplex(placement_program(200, 20), relax=True)
+            with lp_module._one_blas_thread():
+                solver.solve()
+            assert solver._tracks
+            state = weakref.ref(solver)
+            del solver
+            assert state() is None
+        finally:
+            gc.enable()
+
+    # the switch sits at m = 200 rows: R + 4M, so 120x20 is the first rung on it
+    @pytest.mark.parametrize("requests,mecs", [(30, 10), (50, 10), (80, 20), (150, 10),
+                                               (119, 20), (120, 20), (200, 20)])
+    def test_switch_boundary(self, monkeypatch, requests, mecs):
+        lp = placement_program(requests, mecs)
+        tracks = _BoundedSimplex(lp)._tracks
+        assert tracks == (lp.rhs.size >= 200)
+        on = simplex_solve(lp)
+        monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", math.inf)
+        off = simplex_solve(lp)
+        if not tracks:
+            # below the switch the whole inverse is updated: the same solve, byte for byte
+            assert (on.values.tobytes(), on.objective, on.iterations) == \
+                   (off.values.tobytes(), off.objective, off.iterations)
+            return
+        assert on.objective == pytest.approx(highs_solve(lp)[1], abs=1e-6)
+        assert on.objective == pytest.approx(off.objective, rel=1e-9)
+
+
+class TestAgainstHighsWithEveryInverseTracked(TestAgainstHighs):
+    """The same checks with the permuted inverse on every program, so that
+    phase 1, artificials, the restore and the infeasible and unbounded
+    cases run through it."""
+
+    @pytest.fixture(autouse=True)
+    def tracked(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+        assert _BoundedSimplex(placement_program(8, 3))._tracks
+
+
+class TestPropertiesWithEveryInverseTracked(TestProperties):
+    @pytest.fixture(autouse=True)
+    def tracked(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+
+
 class TestCarriedDuals:
     """The duals y = c_B Binv, carried across a pivot as y + d_q * pivot_row
     and computed afresh at the start of a phase, after a refactorization
@@ -850,7 +1012,7 @@ class TestCarriedDuals:
 
         def priced(self, cost, basic_cost=None):
             if basic_cost is None:
-                fresh = np.matmul(cost[self.basis], self.Binv)
+                fresh = np.matmul(cost[self.basis], self.Binv)[self._where]
                 events.append(float(np.abs(self._duals - fresh).max(initial=0.0)))
             return reduced_costs(self, cost, basic_cost)
 
@@ -881,8 +1043,9 @@ class TestCarriedDuals:
         def checked(self, cost):
             optimize(self, cost)
             B = dense_basis(self.padded_rows, self.padded_data, self.count, self.basis)
-            fresh = np.matmul(cost[self.basis], self.Binv)
-            phases.append((float(np.abs(self.Binv @ B - np.eye(self.m)).max(initial=0.0)),
+            fresh = np.matmul(cost[self.basis], self.Binv)[self._where]
+            phases.append((float(np.abs(self.Binv @ B[self._order] - np.eye(self.m))
+                                 .max(initial=0.0)),
                            self._duals.tobytes() == fresh.tobytes()))
 
         monkeypatch.setattr(_BoundedSimplex, "_optimize", checked)
@@ -921,26 +1084,29 @@ class TestRankOneUpdate:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 90, 280])
     def test_matches_scipy_dger_bit_for_bit(self, m):
+        # on the leading k columns alone; the others keep their bits
         solver = _BoundedSimplex(rows_program(m))
         if solver._dger is None:
             pytest.skip("numpy's OpenBLAS is not loaded")
         rng = np.random.default_rng(m)
-        for _ in range(5):
+        for k in sorted({m, m // 3, 1, 0}):
             binv = np.asfortranarray(rng.normal(size=(m, m)))
             solver.Binv[...] = binv
             solver.w[...] = rng.normal(size=m)
             solver.pivot_row[...] = rng.normal(size=m) * 10.0 ** rng.integers(-6, 7, size=m)
-            expected = dger(-1.0, solver.w, solver.pivot_row, a=binv, overwrite_a=False)
+            expected = binv.copy(order="F")
+            if k:
+                expected[:, :k] = dger(-1.0, solver.w, solver.pivot_row[:k], a=binv[:, :k],
+                                       overwrite_a=False)
+            solver._width.value = k
             solver._dger()
             assert solver.Binv.tobytes(order="F") == expected.tobytes(order="F")
 
     def test_buffers_keep_their_addresses_through_a_solve(self, monkeypatch):
-        # refactorize after every pivot, so that the solve refactorizes at
-        # least five times; each one must rewrite the buffers the update points at
+        # refactorize after every pivot, so that each solve refactorizes at
+        # least five times; each one must rewrite the buffers the update
+        # points at, with the whole inverse (50x10) or the permuted one (200x20)
         monkeypatch.setattr(lp_module, "_DRIFT", -1.0)
-        solver = _BoundedSimplex(placement_program(50, 10))
-        buffers = (solver.Binv, solver.w, solver.pivot_row)
-        addresses = [b.ctypes.data for b in buffers]
         seen = []
         refactorize = _BoundedSimplex._refactorize
 
@@ -949,13 +1115,20 @@ class TestRankOneUpdate:
             seen.append([b.ctypes.data for b in (self.Binv, self.w, self.pivot_row)])
 
         monkeypatch.setattr(_BoundedSimplex, "_refactorize", spy)
-        with lp_module._one_blas_thread():
-            solver.solve()
-        assert len(seen) >= 5 and all(s == addresses for s in seen)
-        assert all(a is b for a, b in zip((solver.Binv, solver.w, solver.pivot_row), buffers))
-        if solver._dger is not None:
-            bound = solver._dger.args    # order, m, n, alpha, w, 1, pivot_row, 1, Binv, lda
-            assert [bound[8].value, bound[4].value, bound[6].value] == addresses
+        for requests, mecs in ((50, 10), (200, 20)):
+            solver = _BoundedSimplex(placement_program(requests, mecs))
+            buffers = (solver.Binv, solver.w, solver.pivot_row)
+            addresses = [b.ctypes.data for b in buffers]
+            del seen[:]
+            with lp_module._one_blas_thread():
+                solver.solve()
+            assert len(seen) >= 5 and all(s == addresses for s in seen)
+            assert all(a is b for a, b in zip((solver.Binv, solver.w, solver.pivot_row), buffers))
+            if solver._dger is not None:
+                bound = solver._dger.args    # order, m, n, alpha, w, 1, pivot_row, 1, Binv, lda
+                assert [bound[8].value, bound[4].value, bound[6].value] == addresses
+                # the width is the one argument a pivot rewrites
+                assert bound[2] is solver._width and bound[9].value == solver.m
 
 
 class TestBlasThreads:
