@@ -11,12 +11,11 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import FailureModel, MecNode, ProblemInstance, ServiceRequest
+from .model import FailureModel, MecNode, ProblemInstance, ServiceRequest, check_type
 
 # (cpu cores, ram GB) per user-plane function
 DEFAULT_UPF_SPECS = {
@@ -111,29 +110,11 @@ def config_from_dict(cls, data, version: int, kind: str, nested=None):
         if value is not None and name in (nested or {}):
             value = nested[name](value)
         elif value is not None:
-            _check_type(f"{kind} config key {name!r}", value, declared[name])
+            check_type(f"{kind} config key {name!r}", value, declared[name])
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     cfg = cls(**kwargs)
     cfg.validate()
     return cfg
-
-
-_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number"),
-          str: (str, "a str")}
-
-
-def _check_type(key, value, field):
-    """Raise unless ``value`` suits ``field``: an int field takes an int, a
-    float field a number, a str field a str, and a tuple field a list of strs
-    where its default holds strs, else of numbers.  A bool is no number."""
-    kind, items = field.type, [value]
-    if kind is tuple:   # the kind of each item; a value that is no list fails
-        kind = str if field.default and isinstance(field.default[0], str) else float
-        items = value if isinstance(value, (list, tuple)) else [None]
-    cls, expected = _KINDS[kind]
-    if not all(isinstance(v, cls) and not isinstance(v, bool) for v in items):
-        expected = f"a list of {expected.split()[1]}s" if field.type is tuple else expected
-        raise ValueError(f"{key} must be {expected}, got {type(value).__name__}")
 
 
 def generate(cfg: GeneratorConfig) -> ProblemInstance:

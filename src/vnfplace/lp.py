@@ -64,15 +64,18 @@ columns over the remaining rows, under half the basis on the placement
 program, go through ``np.linalg.inv``.  From ``_NUCLEUS_MIN`` = 200 rows on,
 pivots exploit it too.  A basic singleton at position s with entry a_s in
 row t has B e_s = a_s e_t, so column t of B^-1 is exactly e_s / a_s, zero
-in every other pivot row, and the rank-1 update leaves it alone.  ``Binv``
-keeps its columns permuted, the k nucleus rows' first (``order[c]`` is the
-row of column c, ``where`` its inverse), and ``dger`` updates those alone;
-a leaving singleton's column joins them first, an entering one's leaves
-after as e_r / a_q.  k averages 87 of 280 rows at 200x20 seed 0 and 65 of
-480 at 400x20, which take the same pivots 1.27x and 2.21x as fast.  Below
-the switch the bookkeeping, about 2 us a pivot, costs more than it saves
-(every program tracked: 0.98x at 80x20, 1.00-1.04x at 130-150x10 and
-120x20, 1.13x at 200x20).  The basic values are updated
+in every other pivot row, and the rank-1 update leaves it alone.  There is
+one update, over the first k columns of ``Binv``; ``order[c]`` is the row
+of column c and ``where`` its inverse, through which FTRAN, the fresh
+duals and the basic values read the inverse.  Below the switch k = m and
+the columns keep row order.  From it on, tracking is column swaps around
+that update: the k nucleus rows' columns come first, a leaving
+singleton's column joins them before the update, and an entering one's
+leaves after it as e_r / a_q.  k averages 87 of 280 rows at 200x20 seed 0
+and 65 of 480 at 400x20, which take the same pivots 1.27x and 2.21x as
+fast.  Below the switch the swaps, about 2 us a pivot, cost more than
+they save (every program tracked: 0.98x at 80x20, 1.00-1.04x at
+130-150x10 and 120x20, 1.13x at 200x20).  The basic values are updated
 incrementally along each step, with the leaving variable pinned exactly
 at the bound it hit, and recomputed whenever the inverse is.  The cost
 and bounds of each basic variable and the improving sign of every column
@@ -96,8 +99,9 @@ another order and may end at another optimal vertex.
 The rank-1 update is ``cblas_dger`` of numpy's bundled OpenBLAS, called
 through ``ctypes`` with its arguments bound once per solve: the basis
 inverse, the entering column, the pivot row and the width k live in
-buffers allocated with the solver and rewritten in place.  BLAS computes the update with
-fused multiply-adds, so ``Binv - np.multiply.outer(w, pivot_row)`` differs
+buffers allocated with the solver and rewritten in place.  BLAS computes
+the update with fused multiply-adds, so the fallback
+``Binv[:, :k] -= np.multiply.outer(w, pivot_row[:k])`` differs
 in the last bit of about a quarter of the entries and moves the pivots;
 it is used only where that library or symbol is not found (another BLAS,
 or no ``/proc/self/maps``).
@@ -287,13 +291,13 @@ class _BoundedSimplex:
     phases run against ``b``, and ``rhs`` holds the true right-hand side.
     """
 
-    def __init__(self, lp, max_iterations=None, relax=False):
+    def __init__(self, lp, relax=False):
         self.objective_coeffs = lp.objective
         m, n = lp.rhs.size, lp.n_vars
         self.m = m
         self.n_struct = n
         self.n_real = n + m            # structural + one slack per row
-        self.max_iterations = max_iterations or (50 * (3 * m + n) + 1000)
+        self.max_iterations = 50 * (3 * m + n) + 1000
         self.iterations = 0
 
         # structural entries, column by column; repeated entries add up
@@ -355,7 +359,8 @@ class _BoundedSimplex:
             kind(value) for kind, value in zip(blas[2].argtypes, (
                 102, m, m, -1.0, self.w.ctypes.data, 1, self.pivot_row.ctypes.data, 1,
                 self.Binv.ctypes.data, m))))
-        self._width = self._dger and self._dger.args[2]   # the columns the update reaches
+        # the columns the update reaches: m, or k while the inverse is permuted
+        self._width = self._dger.args[2] if self._dger else ctypes.c_int64(m)
         # slacks and artificials are singletons: no nucleus to invert
         self._refactorize()
 
@@ -380,7 +385,7 @@ class _BoundedSimplex:
         self._Y[:K] = y[R:R + K * M].reshape(K, M)
         np.matmul(self._grid, self._Y, out=self._x)
         rows, data, priced = self._tail
-        np.multiply(np.take(y, rows, out=priced, mode="clip"), data, out=priced)
+        np.multiply(y.take(rows, out=priced, mode="clip"), data, out=priced)
         np.subtract(cost[self._x.size:], priced, out=self._reduced[self._x.size:])
         return self._reduced
 
@@ -388,12 +393,6 @@ class _BoundedSimplex:
         """FTRAN: Binv @ A[:, q], written into ``w``."""
         k = self.count[q]
         # a contiguous copy: BLAS may round a strided operand differently
-        return np.matmul(self.Binv[:, self.padded_rows[:k, q]], self.padded_data[:k, q].copy(),
-                         out=self.w)
-
-    def _nucleus_column(self, q) -> np.ndarray:
-        """``_column`` on the permuted inverse."""
-        k = self.count[q]
         return np.matmul(self.Binv[:, self._where[self.padded_rows[:k, q]]],
                          self.padded_data[:k, q].copy(), out=self.w)
 
@@ -401,9 +400,7 @@ class _BoundedSimplex:
         """Reduced costs on the duals ``_duals``, into a reused buffer; given
         basic_cost = cost[basis], the duals are first computed afresh."""
         if basic_cost is not None:
-            np.matmul(basic_cost, self.Binv, out=self._duals)
-            if self._tracks:
-                self._duals[:] = self._duals[self._where]
+            (basic_cost @ self.Binv).take(self._where, out=self._duals)
         if self._grid is not None:
             return self._grid_reduced(cost, self._duals)
         return np.subtract(cost, self._transposed_product(self._duals), out=self._reduced)
@@ -433,18 +430,12 @@ class _BoundedSimplex:
             raise NumericalInstabilityError(
                 "basis matrix is singular: singleton columns clash on a row or hold a zero")
         N = np.flatnonzero(~in_t)
-        place = np.empty(self.m, dtype=np.intp)   # a row's index within N or within t
-        place[N] = np.arange(N.size)
-        place[t] = np.arange(S.size)
-        # the nucleus entries, column by column: the slots below each count
+        # the nucleus columns over every row; padding slots add zero to row 0
         nuclear = self.basis[K]
-        cols, slot = np.nonzero(np.arange(self.padded_rows.shape[0]) < self.count[nuclear, None])
-        rows, vals = self.padded_rows[slot, nuclear[cols]], self.padded_data[slot, nuclear[cols]]
-        on_t = in_t[rows]
-        nucleus = np.zeros((N.size, K.size))
-        np.add.at(nucleus, (place[rows[~on_t]], cols[~on_t]), vals[~on_t])
-        coupling = np.zeros((S.size, K.size))
-        np.add.at(coupling, (place[rows[on_t]], cols[on_t]), vals[on_t])
+        dense = np.zeros((self.m, K.size))
+        np.add.at(dense, (self.padded_rows[:, nuclear], np.arange(K.size)),
+                  self.padded_data[:, nuclear])
+        nucleus, coupling = dense[N], dense[t]
         try:
             nucleus_inv = np.linalg.inv(nucleus)
         except np.linalg.LinAlgError as exc:
@@ -461,46 +452,39 @@ class _BoundedSimplex:
         self.Binv[np.ix_(S[hit], N)] = (coupling[hit] @ nucleus_inv) / -a[hit, None]
         v = self._nonbasic_values()
         rhs = self.b - self._product(v)
-        self.xb = self.Binv @ (rhs[self._order] if self._tracks else rhs)
+        self.xb = self.Binv @ rhs[self._order]
 
     def _pivot(self, r, q) -> np.ndarray:
         """Column q replaces basis row r; w = Binv @ A[:, q] is consumed.
-        Returns the pivot row in row order."""
+        The rank-1 update reaches Binv's first k columns.  Returns the pivot
+        row in Binv's column order."""
         self.basis[r] = q
-        w = self.w
-        np.divide(self.Binv[r], w[r], out=self.pivot_row)
-        w[r] -= 1.0
-        if self._dger:
-            self._dger()
-        else:
-            self.Binv -= np.multiply.outer(w, self.pivot_row)
-        self.Binv[r] = self.pivot_row
-        return self.pivot_row
-
-    def _nucleus_pivot(self, r, q) -> np.ndarray:
-        """``_pivot`` on the permuted inverse: the update reaches its first k
-        columns alone, the others being e_s / a_s with a zero in row r."""
         Binv, pivot_row, w, k = self.Binv, self.pivot_row, self.w, self._k
-        if self.count[self.basis[r]] == 1:
-            # the leaving singleton's row joins the nucleus rows
-            self._swap(self._where[self.padded_rows[0, self.basis[r]]], k)
-            k += 1
-        self.basis[r] = q
         np.divide(Binv[r], w[r], out=pivot_row)
         w[r] -= 1.0
         if self._dger:
-            self._width.value = k
             self._dger()
         else:
             Binv[:, :k] -= np.multiply.outer(w, pivot_row[:k])
         Binv[r, :k] = pivot_row[:k]
+        return pivot_row
+
+    def _nucleus_pivot(self, r, q) -> np.ndarray:
+        """``_pivot`` on the permuted inverse, whose columns after the first
+        k are e_s / a_s with a zero in row r.  Returns the pivot row in row order."""
+        leaving = self.basis[r]
+        if self.count[leaving] == 1:
+            # the leaving singleton's row joins the nucleus rows
+            self._swap(self._where[self.padded_rows[0, leaving]], self._k)
+            self._k += 1
+        self._width.value = self._k
+        pivot_row = self._pivot(r, q)
         if self.count[q] == 1:
             # the entering singleton's row leaves them, its column exactly e_r / a_q
-            k -= 1
-            self._swap(self._where[self.padded_rows[0, q]], k)
-            Binv[:, k] = 0.0
-            Binv[r, k] = 1.0 / self.padded_data[0, q]
-        self._k = k
+            self._k -= 1
+            self._swap(self._where[self.padded_rows[0, q]], self._k)
+            self.Binv[:, self._k] = 0.0
+            self.Binv[r, self._k] = 1.0 / self.padded_data[0, q]
         return pivot_row[self._where]
 
     def _swap(self, i, j):
@@ -542,9 +526,8 @@ class _BoundedSimplex:
         gain = np.empty(sign.size)
         negated, gap, size, steps = (np.empty(self.m) for _ in range(4))
         above, usable = np.empty(self.m, bool), np.empty(self.m, bool)
-        # bound per phase: on the instance they would hold it in a reference cycle
-        column, pivot = ((self._nucleus_column, self._nucleus_pivot) if self._tracks
-                         else (self._column, self._pivot))
+        # bound per phase: stored on the instance it would hold it in a reference cycle
+        pivot = self._nucleus_pivot if self._tracks else self._pivot
         reduced = self._reduced_costs(cost, basic_cost)   # None until priced after a pivot
         fresh = True             # the duals are basic_cost @ Binv, not carried
         while True:
@@ -566,7 +549,7 @@ class _BoundedSimplex:
             if q < 0:
                 return
 
-            w = column(q)
+            w = self._column(q)
             entering_lower = self.status[q] == _AT_LOWER
             # basic values move as xb - t*delta
             delta = w if entering_lower else np.negative(w, out=negated)
@@ -677,7 +660,7 @@ class _BoundedSimplex:
 
 def _padded_product(y, rows, data, terms, out) -> np.ndarray:
     """y @ A for columns stored padded, each summed from zero over its slots in order."""
-    np.take(y, rows, out=terms, mode="clip")
+    y.take(rows, out=terms, mode="clip")
     terms *= data
     return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 

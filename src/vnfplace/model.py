@@ -16,8 +16,10 @@ every placement constraint and reports reward, violations and wasted
 placements (copies of requests that are not served).
 """
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +46,39 @@ class InfeasibleSolutionError(VnfplaceError, RuntimeError):
     """A solver stage returned a solution that fails its own feasibility check."""
 
 
+_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number"),
+          str: (str, "a str")}
+
+
+def check_type(key, value, field):
+    """Raise unless ``value`` suits the dataclass ``field``: an int field takes
+    an int, a float field a number, a str field a str, and a tuple field a
+    list of strs where its default holds strs, else of numbers.  A bool is
+    no number."""
+    kind, items = field.type, [value]
+    if kind is tuple:   # the kind of each item; a value that is no list fails
+        kind = str if field.default and isinstance(field.default[0], str) else float
+        items = value if isinstance(value, (list, tuple)) else [None]
+    cls, expected = _KINDS[kind]
+    if not all(isinstance(v, cls) and not isinstance(v, bool) for v in items):
+        expected = f"a list of {expected.split()[1]}s" if field.type is tuple else expected
+        raise ValueError(f"{key} must be {expected}, got {type(value).__name__}")
+
+
+@functools.cache
+def _numeric_fields(cls) -> tuple:
+    return tuple(field for field in fields(cls) if field.type in (int, float))
+
+
+def _check_numbers(record, obj):
+    """Raise unless each int or float field of the dataclass ``obj`` holds an
+    int or a number, naming ``record`` and the field."""
+    for field in _numeric_fields(type(obj)):
+        value = getattr(obj, field.name)
+        if type(value) is not field.type:   # a value of the declared type passes
+            check_type(f"{record}: {field.name}", value, field)
+
+
 @dataclass(frozen=True)
 class MecNode:
     """One edge node with four capacity dimensions."""
@@ -55,6 +90,7 @@ class MecNode:
     downlink_capacity: float
 
     def __post_init__(self):
+        _check_numbers(f"mec {self.id}", self)
         for res in RESOURCES:
             if not 0 < self.capacity(res) < math.inf:   # nan fails too
                 raise ValueError(f"mec {self.id}: {res} capacity must be positive and finite")
@@ -77,6 +113,7 @@ class ServiceRequest:
     upf_chain: tuple = ()
 
     def __post_init__(self):
+        _check_numbers(f"request {self.id}", self)
         for res in RESOURCES:
             if not 0 < self.demand(res) < math.inf:     # nan fails too
                 raise ValueError(f"request {self.id}: {res} demand must be positive and finite")
@@ -97,6 +134,7 @@ class FailureModel:
     pm_failure: float
 
     def __post_init__(self):
+        _check_numbers("failure model", self)
         if self.vnf_failure < 0 or self.pm_failure < 0:
             raise InvalidModelError("failure probabilities must be nonnegative")
         total = self.vnf_failure + self.pm_failure

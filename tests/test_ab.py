@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -14,8 +15,12 @@ def test_ab_times_a_small_solve_against_head():
             capture_output=True).returncode:
         pytest.skip("not a git checkout")
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--base", "HEAD",
-                           "--pairs", "3", "solve:30x10x0"],
+                           "--pairs", "3", "solve:30x10x0", "oracle-small"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    line, = done.stdout.splitlines()
-    assert line.startswith("solve:30x10x0: base ") and line.endswith(" of 3")
+    solve, oracle = done.stdout.splitlines()
+    assert solve.startswith("solve:30x10x0: base ") and solve.endswith(" of 3")
+    # one solve per pair, and a round of 16 ops
+    assert re.search(r", \d of 3 op fingerprints differ, ", solve)
+    assert oracle.startswith("oracle-small: base ") and oracle.endswith(" of 3")
+    assert re.search(r", \d+ of 48 op fingerprints differ, ", oracle)

@@ -151,6 +151,24 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part,index,key,value,message", [
+        ("mecs", 1, "id", True, "mec True: id must be an int, got bool"),
+        ("mecs", 2, "cpu_capacity", True, "mec 2: cpu_capacity must be a number, got bool"),
+        ("requests", 1, "reward", True, "request 1: reward must be a number, got bool"),
+        ("requests", 0, "cpu_demand", "5", "request 0: cpu_demand must be a number, got str"),
+        ("failure_model", None, "pm_failure", "0.004",
+         "failure model: pm_failure must be a number, got str"),
+    ])
+    def test_instance_value_of_another_type_exits_2(self, tmp_path, capsys, part, index, key,
+                                                    value, message):
+        path, _ = small_instance_file(tmp_path)
+        data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
+        (data[part] if index is None else data[part][index])[key] = value
+        write_yaml(tmp_path / "instance.yaml", data)
+        code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("scheme", ["greedy", "exact"])
     def test_instance_without_mecs_exits_2(self, tmp_path, capsys, scheme):
         path, _ = small_instance_file(tmp_path)

@@ -320,8 +320,10 @@ class TestSimplexCore:
         lp = build_relaxed_program(inst)
         # the start is not optimal, so one iteration cannot end the solve
         assert simplex_solve(lp).objective > lp.objective @ lp.start + 1.0
+        solver = _BoundedSimplex(lp)
+        solver.max_iterations = 1
         with pytest.raises(IterationLimitError):
-            _BoundedSimplex(lp, 1).solve()
+            solver.solve()
 
     def test_negative_lower_bounds(self):
         # maximize x0 + x1 with x in [-2, 1]^2 and x0 + x1 <= 1
@@ -350,7 +352,8 @@ class TestSimplexCore:
         lp = LinearProgram(n_vars=2, objective=np.array([1.0, 1.0]))
         lp.add_row([(0, 1.0), (1, -1.0)], LE, 0.0)
         lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.5)
-        solver = _BoundedSimplex(lp, 1)
+        solver = _BoundedSimplex(lp)
+        solver.max_iterations = 1
         solver.xb[0] = -1e-9
         with pytest.raises(IterationLimitError):
             solver._optimize(np.array([1.0, 1.0, 0.0, 0.0]))
@@ -987,6 +990,27 @@ class TestPropertiesWithEveryInverseTracked(TestProperties):
     @pytest.fixture(autouse=True)
     def tracked(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+
+
+@pytest.fixture
+def tracked_outer_product(monkeypatch):
+    """Every inverse permuted and numpy's OpenBLAS hidden: the one fallback
+    update, ``Binv[:, :k] -= np.multiply.outer(...)``, runs on every program."""
+    monkeypatch.setattr(lp_module, "_NUCLEUS_MIN", 0)
+    monkeypatch.setattr(lp_module, "_openblas", lambda: None)
+    solver = _BoundedSimplex(placement_program(8, 3))
+    assert solver._tracks and solver._dger is None
+
+
+@pytest.mark.usefixtures("tracked_outer_product")
+class TestAgainstHighsOnTheTrackedOuterProduct(TestAgainstHighs):
+    """The same checks through the fallback update on the permuted inverse:
+    phase 1, artificials, the restore and the infeasible and unbounded cases."""
+
+
+@pytest.mark.usefixtures("tracked_outer_product")
+class TestPropertiesOnTheTrackedOuterProduct(TestProperties):
+    pass
 
 
 class TestCarriedDuals:

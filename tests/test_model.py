@@ -99,6 +99,35 @@ class TestConstruction:
             ServiceRequest(id=2, cpu_demand=1, ram_demand=1, uplink_demand=1,
                            downlink_demand=1, failure_threshold=0.01, reward=value)
 
+    @pytest.mark.parametrize("make,field,value,message", [
+        (MecNode, "id", True, "mec True: id must be an int, got bool"),
+        (MecNode, "id", 1.0, "mec 1.0: id must be an int, got float"),
+        (MecNode, "cpu_capacity", True, "mec 1: cpu_capacity must be a number, got bool"),
+        (MecNode, "downlink_capacity", "5", "mec 1: downlink_capacity must be a number, got str"),
+        (ServiceRequest, "id", False, "request False: id must be an int, got bool"),
+        (ServiceRequest, "reward", True, "request 1: reward must be a number, got bool"),
+        (ServiceRequest, "cpu_demand", "5", "request 1: cpu_demand must be a number, got str"),
+        (ServiceRequest, "failure_threshold", None,
+         "request 1: failure_threshold must be a number, got NoneType"),
+        (FailureModel, "pm_failure", True, "failure model: pm_failure must be a number, got bool"),
+        (FailureModel, "vnf_failure", "0.001",
+         "failure model: vnf_failure must be a number, got str"),
+    ])
+    def test_field_of_another_type_rejected(self, make, field, value, message):
+        valid = {MecNode: dict(id=1, cpu_capacity=1, ram_capacity=1, uplink_capacity=1,
+                               downlink_capacity=1),
+                 ServiceRequest: dict(id=1, cpu_demand=1, ram_demand=1, uplink_demand=1,
+                                      downlink_demand=1, failure_threshold=0.01, reward=1),
+                 FailureModel: dict(vnf_failure=0.001, pm_failure=0.004)}[make]
+        with pytest.raises(ValueError) as caught:
+            make(**valid | {field: value})
+        assert str(caught.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        mec = MecNode(id=np.int64(0), cpu_capacity=np.float64(2.0), ram_capacity=np.int32(3),
+                      uplink_capacity=1, downlink_capacity=1.5)
+        assert mec.capacity("ram") == 3
+
     def test_instance_without_mecs_rejected(self):
         req = ServiceRequest(id=0, cpu_demand=1, ram_demand=1, uplink_demand=1,
                              downlink_demand=1, failure_threshold=0.01, reward=1)

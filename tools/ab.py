@@ -1,19 +1,23 @@
 """In-process A/B timing of the package against another revision.
 
-    python tools/ab.py --base REV [--pairs N] solve:RxMxS ... | greedy-large
+    python tools/ab.py --base REV [--pairs N] WORKLOAD ...
 
 The base side is ``src/`` at REV, extracted with ``git archive``; the change
 side is the ``src/`` beside this script.  Both are imported into one
 process, and each op runs with its own side's modules swapped into
-``sys.modules``.  ``solve:RxMxS`` times ``simplex_solve`` on the placement
-program of the R x M instance of seed S; ``greedy-large`` times perfbench's
-greedy-large op.  Each pair runs both sides, alternating which goes first,
-and stops if their LP objectives differ by more than 1e-9 relative.  It
-prints both sides' median time, the median base/change ratio with its
-quartiles, and the pairs the change won.
+``sys.modules``.  A workload is ``solve:RxMxS``, which times
+``simplex_solve`` on the placement program of the R x M instance of seed
+S, or one of perfbench's workloads (``sweep-paper``, ``greedy-large``,
+``oracle-small``), built per side from ``perfbench/workload.py`` with
+workload seed 0 and timed a whole round at a time.  Each pair runs both
+sides, alternating which goes first; a solve stops if the two LP
+objectives differ by more than 1e-9 relative.  It prints both sides'
+median time, the median base/change ratio with its quartiles, how many
+ops' fingerprints differ between the sides, and the pairs the change won.
 """
 
 import argparse
+import functools
 import importlib
 import io
 import statistics
@@ -24,7 +28,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))   # perfbench/ is no package
+import workload  # noqa: E402
+
+WORKLOADS = {"sweep-paper": workload.SweepPaper, "greedy-large": workload.GreedyLarge,
+             "oracle-small": workload.OracleSmall}
 
 
 class Side:
@@ -52,50 +63,49 @@ class Side:
 
 
 def solve_op(vp, spec):
+    """The op returns a one-item list: the LP objective."""
     R, M, S = (int(part) for part in spec.split("x"))
     inst = vp.generate(vp.GeneratorConfig(request_count=R, mec_count=M, seed=S))
     lp = vp.build_relaxed_program(inst)
-    return lambda: vp.simplex_solve(lp).objective
+    return lambda: [vp.simplex_solve(lp).objective]
 
 
-def greedy_large_op(vp):
-    inst = vp.generate(vp.GeneratorConfig(request_count=200, mec_count=20, seed=0))
-
-    def op():
-        frac = vp.solve_lp(vp.build_relaxed_program(inst))
-        sol = vp.greedy_repair(inst, vp.randomized_round(frac, inst, seed=1))
-        vp.evaluate_solution(inst, sol)
-        vp.simulate_availability(inst, sol, trials=4 * 32768, seed=2)
-        return frac.objective
-    return op
+def workload_op(cls, vp, tmp):
+    """The op runs one round of the workload, its output in a directory of
+    its own under tmp, and returns each op's fingerprint."""
+    wl = cls(vp, np, 0, Path(tempfile.mkdtemp(dir=tmp)))
+    return lambda: [wl.fingerprint(wl.run(op)) for op in wl.round]
 
 
-def compare(sides, make, pairs):
-    """Per pair: (base seconds, change seconds)."""
+def compare(sides, make, pairs, solve):
+    """Per pair: (base seconds, change seconds); then, over all pairs, the
+    ops compared and those whose fingerprints differ between the sides."""
     ops = [make(side.activate()) for side in sides]
 
     def timed(i):
         sides[i].activate()
         start = time.perf_counter()
-        objective = ops[i]()
-        return time.perf_counter() - start, objective
+        prints = ops[i]()
+        return time.perf_counter() - start, prints
 
     timed(0), timed(1)     # warm-up
-    times = []
+    times, compared, differ = [], 0, 0
     for pair in range(pairs):
         got = {i: timed(i) for i in ((0, 1) if pair % 2 == 0 else (1, 0))}
         (base, a), (change, b) = got[0], got[1]
-        if abs(a - b) > 1e-9 * max(1.0, abs(a)):
-            sys.exit(f"objectives differ: base {a!r}, change {b!r}")
+        if solve and abs(a[0] - b[0]) > 1e-9 * max(1.0, abs(a[0])):
+            sys.exit(f"objectives differ: base {a[0]!r}, change {b[0]!r}")
+        compared += len(a)
+        differ += sum(x != y for x, y in zip(a, b))
         times.append((base, change))
-    return times
+    return times, compared, differ
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to time against")
     parser.add_argument("--pairs", type=int, default=11)
-    parser.add_argument("workloads", nargs="+", help="solve:RxMxS or greedy-large")
+    parser.add_argument("workloads", nargs="+", help="solve:RxMxS or " + ", ".join(WORKLOADS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -109,16 +119,20 @@ def main(argv=None):
         sides = Side(Path(tmp) / "src"), Side(ROOT / "src")
         for name in args.workloads:
             kind, _, spec = name.partition(":")
-            if kind not in ("solve", "greedy-large"):
+            if kind == "solve":
+                make = functools.partial(solve_op, spec=spec)
+            elif name in WORKLOADS:
+                make = functools.partial(workload_op, WORKLOADS[name], tmp=tmp)
+            else:
                 sys.exit(f"unknown workload {name!r}")
-            make = (lambda vp: solve_op(vp, spec)) if kind == "solve" else greedy_large_op
-            times = compare(sides, make, args.pairs)
+            times, compared, differ = compare(sides, make, args.pairs, solve=kind == "solve")
             ratios = [base / change for base, change in times]
             low, _, high = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
             wins = sum(ratio > 1.0 for ratio in ratios)
             print(f"{name}: base {statistics.median(t[0] for t in times) * 1e3:.1f} ms, "
                   f"change {statistics.median(t[1] for t in times) * 1e3:.1f} ms, "
                   f"ratio {statistics.median(ratios):.3f}x (quartiles {low:.3f}-{high:.3f}), "
+                  f"{differ} of {compared} op fingerprints differ, "
                   f"change faster in {wins} of {len(ratios)}")
 
 
