@@ -21,7 +21,7 @@ from .bounds import UndefinedBoundError
 from .experiments import ExperimentConfig, run_experiment
 from .lp import SimplexError
 from .model import (RESOURCES, InfeasibleSolutionError, IntegralSolution, InvalidModelError,
-                    load_instance, load_solution, save_instance, save_solution)
+                    load_instance, load_solution, read_yaml, save_instance, save_solution)
 from .oracle import DEFAULT_MAX_NODES, OracleLimitError
 from .schemes import SCHEMES, run_schemes
 
@@ -48,11 +48,6 @@ def _resolve_seed(value, label):
         value = secrets.randbits(63)
         print(f"{label} seed drawn from entropy: {value}")
     return value
-
-
-def _load_yaml(path):
-    with open(path) as fh:
-        return yaml.safe_load(fh)
 
 
 def _print_outcome(out, inst):
@@ -83,7 +78,7 @@ def _print_outcome(out, inst):
 
 
 def _cmd_generate(args):
-    data = (_load_yaml(args.config) or {}) if args.config is not None else {}
+    data = (read_yaml(args.config) or {}) if args.config is not None else {}
     cfg = gen.GeneratorConfig.from_dict(data)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -110,8 +105,7 @@ def _cmd_solve(args):
 
 
 def _cmd_experiment(args):
-    data = _load_yaml(args.config)
-    cfg = ExperimentConfig.from_dict(data or {})
+    cfg = ExperimentConfig.from_dict(read_yaml(args.config) or {})
     if args.jobs is not None:
         cfg.jobs = args.jobs
     report = run_experiment(cfg)
@@ -130,8 +124,7 @@ def _cmd_availsim(args):
     if not isinstance(sol, IntegralSolution):
         raise ValueError("availability simulation needs an integral solution")
     seed = _resolve_seed(args.seed, "simulation")
-    report = availsim_mod.simulate_availability(inst, sol, trials=args.trials,
-                                                seed=seed, jobs=args.jobs)
+    report = availsim_mod.simulate_availability(inst, sol, trials=args.trials, seed=seed)
     if args.output:
         with open(args.output, "w") as fh:
             fh.writelines(line + "\n" for line in report.csv_rows())
@@ -181,10 +174,6 @@ def build_parser():
     p.add_argument("--solution", required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, help="simulation seed (drawn if omitted)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the chunks of trials; on a 2-core x86_64 host "
-                        "2 was slower than 1 at every count measured (0.1 to 8 million "
-                        "trials), since a chunk costs less to draw than to hand to a worker")
     p.add_argument("--output", help="per-request CSV file")
     p.set_defaults(func=_cmd_availsim)
     return parser

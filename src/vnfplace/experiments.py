@@ -183,12 +183,12 @@ class ExperimentConfig:
     """One sweep: which axis varies, the template for the rest, how many runs."""
 
     sweep: str = "requests"
-    request_counts: tuple = (30, 35, 40, 50, 60)
-    sweep_values: tuple = None          # capacity values when sweep != requests
+    request_counts: tuple[float, ...] = (30, 35, 40, 50, 60)
+    sweep_values: tuple[float, ...] = None    # capacity values when sweep != requests
     runs: int = 50
     confidence: float = 0.95
     base_seed: int = 0
-    schemes: tuple = ("lr", "rr", "greedy", "wo-avl")
+    schemes: tuple[str, ...] = ("lr", "rr", "greedy", "wo-avl")
     generator: gen.GeneratorConfig = None   # template for every non-swept setting
     oracle_max_nodes: int = DEFAULT_MAX_NODES
     oracle_max_requests: int = 10

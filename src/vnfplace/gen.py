@@ -41,15 +41,15 @@ class GeneratorConfig:
     """Knobs for one random instance; defaults mirror the simulated deployment."""
 
     mec_count: int = 10
-    cpu_range: tuple = (32, 56)
-    ram_range: tuple = (32, 80)
+    cpu_range: tuple[float, ...] = (32, 56)
+    ram_range: tuple[float, ...] = (32, 80)
     uplink_capacity: float = 75.0
     downlink_capacity: float = 250.0
     request_count: int = 50
-    availability_levels: tuple = (0.99, 0.999, 0.9999)
-    reward_base_range: tuple = (6.0, 8.0)
-    uplink_demand_range: tuple = (6.0, 15.0)
-    downlink_demand_range: tuple = (20.0, 40.0)
+    availability_levels: tuple[float, ...] = (0.99, 0.999, 0.9999)
+    reward_base_range: tuple[float, ...] = (6.0, 8.0)
+    uplink_demand_range: tuple[float, ...] = (6.0, 15.0)
+    downlink_demand_range: tuple[float, ...] = (20.0, 40.0)
     vnf_failure: float = 0.001
     pm_failure: float = 0.004
     seed: int = 0

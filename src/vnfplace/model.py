@@ -19,6 +19,7 @@ placements (copies of requests that are not served).
 import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,30 +53,39 @@ _KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a number"),
 
 def check_type(key, value, field):
     """Raise unless ``value`` suits the dataclass ``field``: an int field takes
-    an int, a float field a number, a str field a str, and a tuple field a
-    list of strs where its default holds strs, else of numbers.  A bool is
-    no number."""
-    kind, items = field.type, [value]
-    if kind is tuple:   # the kind of each item; a value that is no list fails
-        kind = str if field.default and isinstance(field.default[0], str) else float
-        items = value if isinstance(value, (list, tuple)) else [None]
-    cls, expected = _KINDS[kind]
-    if not all(isinstance(v, cls) and not isinstance(v, bool) for v in items):
-        expected = f"a list of {expected.split()[1]}s" if field.type is tuple else expected
-        raise ValueError(f"{key} must be {expected}, got {type(value).__name__}")
+    an int, a float field a number, a str field a str, and a
+    ``tuple[kind, ...]`` field a list of that kind.  A bool is no number."""
+    if field.type in _KINDS:
+        cls, expected = _KINDS[field.type]
+        if not isinstance(value, cls) or isinstance(value, bool):
+            raise ValueError(f"{key} must be {expected}, got {type(value).__name__}")
+        return
+    cls, expected = _KINDS[typing.get_args(field.type)[0]]
+    got = type(value).__name__
+    if isinstance(value, (list, tuple)):    # name the first item of another kind
+        got = next((f"a list holding {type(v).__name__}" for v in value
+                    if not isinstance(v, cls) or isinstance(v, bool)), None)
+    if got is not None:
+        raise ValueError(f"{key} must be a list of {expected.split()[1]}s, got {got}")
 
 
 @functools.cache
-def _numeric_fields(cls) -> tuple:
-    return tuple(field for field in fields(cls) if field.type in (int, float))
+def _typed_fields(cls) -> tuple:
+    """(field, type, item type) of each field of the dataclass ``cls``: a
+    ``tuple[kind, ...]`` field has type ``tuple`` and item type kind, any
+    other field its own type and item type None."""
+    return tuple((field, typing.get_origin(field.type) or field.type,
+                  (typing.get_args(field.type) or [None])[0]) for field in fields(cls))
 
 
-def _check_numbers(record, obj):
-    """Raise unless each int or float field of the dataclass ``obj`` holds an
-    int or a number, naming ``record`` and the field."""
-    for field in _numeric_fields(type(obj)):
+def _check_fields(record, obj):
+    """Raise unless each field of the dataclass ``obj`` suits its type
+    (``check_type``), naming ``record`` and the field."""
+    for field, kind, item in _typed_fields(type(obj)):
         value = getattr(obj, field.name)
-        if type(value) is not field.type:   # a value of the declared type passes
+        # a value of the declared type, with items of the declared type, passes
+        if type(value) is not kind or item is not None and not all(
+                type(v) is item for v in value):
             check_type(f"{record}: {field.name}", value, field)
 
 
@@ -90,7 +100,7 @@ class MecNode:
     downlink_capacity: float
 
     def __post_init__(self):
-        _check_numbers(f"mec {self.id}", self)
+        _check_fields(f"mec {self.id}", self)
         for res in RESOURCES:
             if not 0 < self.capacity(res) < math.inf:   # nan fails too
                 raise ValueError(f"mec {self.id}: {res} capacity must be positive and finite")
@@ -110,10 +120,10 @@ class ServiceRequest:
     downlink_demand: float
     failure_threshold: float
     reward: float
-    upf_chain: tuple = ()
+    upf_chain: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _check_numbers(f"request {self.id}", self)
+        _check_fields(f"request {self.id}", self)
         for res in RESOURCES:
             if not 0 < self.demand(res) < math.inf:     # nan fails too
                 raise ValueError(f"request {self.id}: {res} demand must be positive and finite")
@@ -134,7 +144,7 @@ class FailureModel:
     pm_failure: float
 
     def __post_init__(self):
-        _check_numbers("failure model", self)
+        _check_fields("failure model", self)
         if self.vnf_failure < 0 or self.pm_failure < 0:
             raise InvalidModelError("failure probabilities must be nonnegative")
         total = self.vnf_failure + self.pm_failure
@@ -323,37 +333,33 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
 # ---------------------------------------------------------------------------
 # serialization
 
+def _record_to_dict(record) -> dict:
+    """The document form of a node, request or failure model: each field
+    written as its declared type, a tuple as a list of its item type."""
+    return {field.name: kind(getattr(record, field.name)) if item is None
+            else [item(v) for v in getattr(record, field.name)]
+            for field, kind, item in _typed_fields(type(record))}
+
+
 def instance_to_dict(inst: ProblemInstance) -> dict:
-    return {
-        "version": INSTANCE_SCHEMA_VERSION,
-        "failure_model": {
-            "vnf_failure": float(inst.failure_model.vnf_failure),
-            "pm_failure": float(inst.failure_model.pm_failure),
-        },
-        "mecs": [
-            {
-                "id": int(m.id),
-                "cpu_capacity": float(m.cpu_capacity),
-                "ram_capacity": float(m.ram_capacity),
-                "uplink_capacity": float(m.uplink_capacity),
-                "downlink_capacity": float(m.downlink_capacity),
-            }
-            for m in inst.mecs
-        ],
-        "requests": [
-            {
-                "id": int(r.id),
-                "cpu_demand": float(r.cpu_demand),
-                "ram_demand": float(r.ram_demand),
-                "uplink_demand": float(r.uplink_demand),
-                "downlink_demand": float(r.downlink_demand),
-                "failure_threshold": float(r.failure_threshold),
-                "reward": float(r.reward),
-                "upf_chain": [str(u) for u in r.upf_chain],
-            }
-            for r in inst.requests
-        ],
-    }
+    # replica counts are derived, not stored
+    return {"version": INSTANCE_SCHEMA_VERSION,
+            "failure_model": _record_to_dict(inst.failure_model),
+            "mecs": [_record_to_dict(m) for m in inst.mecs],
+            "requests": [_record_to_dict(r) for r in inst.requests]}
+
+
+def _record_from_dict(cls, name, doc):
+    """The ``cls`` record that the mapping ``doc`` describes, a list made a
+    tuple where the field is one; an error in the call names ``name``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a mapping")
+    tuples = {field.name for field, kind, _ in _typed_fields(cls) if kind is tuple}
+    try:
+        return cls(**{key: tuple(value) if key in tuples and isinstance(value, list) else value
+                      for key, value in doc.items()})
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
@@ -362,49 +368,52 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     version = data.get("version")
     if version != INSTANCE_SCHEMA_VERSION:
         raise ValueError(f"unsupported instance schema version: {version!r}")
+    unknown = set(data) - {"version", "failure_model", "mecs", "requests"}
+    if unknown:
+        raise ValueError(f"unknown instance document keys: {sorted(unknown, key=str)}")
     try:
-        fm = FailureModel(**data["failure_model"])
-        mecs = [MecNode(**m) for m in data["mecs"]]
-        requests = [
-            ServiceRequest(**{**r, "upf_chain": tuple(r.get("upf_chain", ()))})
-            for r in data["requests"]
-        ]
+        fm = _record_from_dict(FailureModel, "failure model", data["failure_model"])
+        mecs = [_record_from_dict(MecNode, f"mec {pos}", m) for pos, m in enumerate(data["mecs"])]
+        requests = [_record_from_dict(ServiceRequest, f"request {pos}", r)
+                    for pos, r in enumerate(data["requests"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-    # replica counts are derived, not stored
     return ProblemInstance.from_parts(mecs, requests, fm)
 
 
-# the YAML functions import yaml on first use, keeping it out of start-up
-def save_instance(inst: ProblemInstance, path) -> None:
+# yaml is imported on first use, keeping it out of start-up
+def read_yaml(path):
+    """The document in the YAML file at ``path``."""
+    import yaml
+    with open(path) as fh:
+        return yaml.safe_load(fh)
+
+
+def write_yaml(doc, path) -> None:
+    """Write ``doc`` to the file at ``path`` as YAML, keys sorted."""
     import yaml
     with open(path, "w") as fh:
-        yaml.safe_dump(instance_to_dict(inst), fh, sort_keys=True)
+        yaml.safe_dump(doc, fh, sort_keys=True)
+
+
+def save_instance(inst: ProblemInstance, path) -> None:
+    write_yaml(instance_to_dict(inst), path)
 
 
 def load_instance(path) -> ProblemInstance:
-    import yaml
-    with open(path) as fh:
-        return instance_from_dict(yaml.safe_load(fh))
+    return instance_from_dict(read_yaml(path))
 
 
 def solution_to_dict(sol) -> dict:
     if isinstance(sol, IntegralSolution):
-        return {
-            "version": SOLUTION_SCHEMA_VERSION,
-            "kind": "integral",
-            "x": [[int(v) for v in row] for row in sol.x],
-            "y": [int(v) for v in sol.y],
-        }
-    if isinstance(sol, FractionalSolution):
-        return {
-            "version": SOLUTION_SCHEMA_VERSION,
-            "kind": "fractional",
-            "x": [[float(v) for v in row] for row in sol.x],
-            "y": [float(v) for v in sol.y],
-            "objective": float(sol.objective),
-        }
-    raise TypeError(f"cannot serialize {type(sol).__name__}")
+        kind, number, extra = "integral", int, {}
+    elif isinstance(sol, FractionalSolution):
+        kind, number, extra = "fractional", float, {"objective": float(sol.objective)}
+    else:
+        raise TypeError(f"cannot serialize {type(sol).__name__}")
+    return {"version": SOLUTION_SCHEMA_VERSION, "kind": kind,
+            "x": np.asarray(sol.x, dtype=number).tolist(),
+            "y": np.asarray(sol.y, dtype=number).tolist(), **extra}
 
 
 def solution_from_dict(data: dict):
@@ -431,12 +440,8 @@ def solution_from_dict(data: dict):
 
 
 def save_solution(sol, path) -> None:
-    import yaml
-    with open(path, "w") as fh:
-        yaml.safe_dump(solution_to_dict(sol), fh, sort_keys=True)
+    write_yaml(solution_to_dict(sol), path)
 
 
 def load_solution(path):
-    import yaml
-    with open(path) as fh:
-        return solution_from_dict(yaml.safe_load(fh))
+    return solution_from_dict(read_yaml(path))

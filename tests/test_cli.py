@@ -158,12 +158,33 @@ class TestSolve:
         ("requests", 0, "cpu_demand", "5", "request 0: cpu_demand must be a number, got str"),
         ("failure_model", None, "pm_failure", "0.004",
          "failure model: pm_failure must be a number, got str"),
+        ("requests", 0, "upf_chain", [1, 2],
+         "request 0: upf_chain must be a list of strs, got a list holding int"),
+        ("requests", 0, "upf_chain", 5, "request 0: upf_chain must be a list of strs, got int"),
     ])
     def test_instance_value_of_another_type_exits_2(self, tmp_path, capsys, part, index, key,
                                                     value, message):
         path, _ = small_instance_file(tmp_path)
         data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
         (data[part] if index is None else data[part][index])[key] = value
+        write_yaml(tmp_path / "instance.yaml", data)
+        code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(notes="x"), "unknown instance document keys: ['notes']"),
+        (lambda doc: doc["mecs"][0].update(colour="red"),
+         "mec 0: MecNode.__init__() got an unexpected keyword argument 'colour'"),
+        (lambda doc: doc["mecs"][1].pop("ram_capacity"),
+         "mec 1: MecNode.__init__() missing 1 required positional argument: 'ram_capacity'"),
+        (lambda doc: doc["requests"].__setitem__(2, 7), "request 2 must be a mapping"),
+    ], ids=["top-level key", "record key", "missing key", "record not a mapping"])
+    def test_malformed_instance_names_the_key_or_record(self, tmp_path, capsys, edit,
+                                                         message):
+        path, _ = small_instance_file(tmp_path)
+        data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
+        edit(data)
         write_yaml(tmp_path / "instance.yaml", data)
         code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
         assert code == EXIT_CONFIG
@@ -296,17 +317,6 @@ class TestAvailsim:
         assert len(lines) == 1 + inst.n_requests
         out = capsys.readouterr().out
         assert "aggregate delivery ratio" in out
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_exits_2(self, tmp_path, capsys, jobs):
-        path, _ = small_instance_file(tmp_path, requests=5)
-        sol_file = tmp_path / "sol.yaml"
-        assert main(["solve", "--instance", path, "--scheme", "greedy",
-                     "--seed", "1", "--output", str(sol_file)]) == EXIT_OK
-        code = main(["availsim", "--instance", path, "--solution", str(sol_file),
-                     "--trials", "2000", "--seed", "1", "--jobs", jobs])
-        assert code == EXIT_CONFIG
-        assert "config error: jobs must be positive" in capsys.readouterr().err
 
     def test_fractional_solution_rejected(self, tmp_path, capsys):
         path, inst = small_instance_file(tmp_path, requests=5)

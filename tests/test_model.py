@@ -1,7 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import make_instance, slack_caps
 from reference import brute_force_feasible
@@ -14,7 +18,7 @@ from vnfplace.model import (RESOURCES, FailureModel, FractionalSolution, Integra
                             ServiceRequest, evaluate_solution, instance_from_dict,
                             instance_to_dict, load_instance, load_solution,
                             required_replicas, save_instance, save_solution,
-                            service_failure_prob, solution_from_dict)
+                            service_failure_prob, solution_from_dict, solution_to_dict)
 
 
 class TestFailureModel:
@@ -109,6 +113,9 @@ class TestConstruction:
         (ServiceRequest, "cpu_demand", "5", "request 1: cpu_demand must be a number, got str"),
         (ServiceRequest, "failure_threshold", None,
          "request 1: failure_threshold must be a number, got NoneType"),
+        (ServiceRequest, "upf_chain", ("NAT", 1),
+         "request 1: upf_chain must be a list of strs, got a list holding int"),
+        (ServiceRequest, "upf_chain", "NAT", "request 1: upf_chain must be a list of strs, got str"),
         (FailureModel, "pm_failure", True, "failure model: pm_failure must be a number, got bool"),
         (FailureModel, "vnf_failure", "0.001",
          "failure model: vnf_failure must be a number, got str"),
@@ -303,6 +310,43 @@ class TestSerialization:
         back = load_instance(path)
         assert instance_to_dict(back) == instance_to_dict(inst)
         assert back.replicas == inst.replicas
+
+    def test_save_reproduces_the_golden_document(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "instance_3x2_s0.yaml"
+        inst = generate(GeneratorConfig(request_count=3, mec_count=2, seed=0))
+        save_instance(inst, tmp_path / "inst.yaml")
+        assert (tmp_path / "inst.yaml").read_bytes() == golden.read_bytes()
+        assert load_instance(golden).requests == inst.requests
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(requests=st.integers(0, 10), mecs=st.integers(1, 3),
+           seed=st.integers(0, 2**63 - 1))
+    def test_instance_round_trip(self, tmp_path_factory, requests, mecs, seed):
+        inst = generate(GeneratorConfig(request_count=requests, mec_count=mecs, seed=seed))
+        first, second = (tmp_path_factory.mktemp("doc") / "inst.yaml" for _ in range(2))
+        save_instance(inst, first)
+        back = load_instance(first)
+        assert instance_to_dict(back) == instance_to_dict(inst)
+        save_instance(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), requests=st.integers(0, 10), mecs=st.integers(1, 3))
+    def test_solution_round_trip(self, tmp_path_factory, data, requests, mecs):
+        for make, dtype, entries in [(IntegralSolution, np.int8, st.integers(0, 1)),
+                                     (FractionalSolution, float, st.floats(0.0, 1.0))]:
+            parts = {"x": data.draw(hnp.arrays(dtype, (requests, mecs), elements=entries)),
+                     "y": data.draw(hnp.arrays(dtype, requests, elements=entries))}
+            if make is FractionalSolution:
+                parts["objective"] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+            sol = make(**parts)
+            first, second = (tmp_path_factory.mktemp("sol") / "sol.yaml" for _ in range(2))
+            save_solution(sol, first)
+            back = load_solution(first)
+            assert type(back) is make
+            assert solution_to_dict(back) == solution_to_dict(sol)
+            save_solution(back, second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_document_layout(self):
         inst = make_instance(slack_caps(1), [{"eps": 0.01}])
