@@ -71,8 +71,13 @@ def confidence_interval(samples, confidence: float = 0.95):
         raise ValueError("confidence interval needs at least 2 samples")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    mean = float(arr.mean())
-    sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    # arr.mean() and arr.std(ddof=1) through the reductions that numpy's
+    # own _mean and _var make, in their order: the same bits
+    n = arr.size
+    mean = float(np.add.reduce(arr)) / n
+    deviation = arr - mean
+    sem = math.sqrt(float(np.add.reduce(np.square(deviation, out=deviation))) / (n - 1)) \
+        / math.sqrt(n)
     if sem == 0.0:
         return mean, 0.0
     return mean, _t_quantile(arr.size - 1, confidence) * sem
@@ -207,7 +212,7 @@ class ExperimentConfig:
             raise ValueError("base_seed must be nonnegative")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
-            raise ValueError(f"unknown schemes: {sorted(unknown)}")
+            raise ValueError(f"unknown schemes: {sorted(unknown, key=str)}")
         if not self.schemes:
             raise ValueError("at least one scheme required")
         for kind, values in (("scheme", self.schemes), ("sweep point", self.points())):
@@ -347,6 +352,8 @@ class ExperimentReport:
 
 
 def _fmt(value):
+    if type(value) is float:    # most cells; a float subclass takes the checks below
+        return "" if math.isnan(value) else format(value, ".10g")
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -11,6 +11,7 @@ Request k is generated from its own derived random stream, so the first k
 requests of a seed are identical no matter how many requests are asked for.
 """
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -102,7 +103,7 @@ def config_from_dict(cls, data, version: int, kind: str, nested=None):
     declared = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(declared)
     if unknown:
-        raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {kind} config keys: {sorted(unknown, key=str)}")
     kwargs = {}
     for name, value in data.items():
         if value is None and declared[name].default is not None:
@@ -133,17 +134,25 @@ def generate(cfg: GeneratorConfig) -> ProblemInstance:
 
     # exact decimal thresholds, not 1 - level float residue
     thresholds = [round(1.0 - level, 12) for level in cfg.availability_levels]
+    (base_lo, base_span), (up_lo, up_span), (dw_lo, dw_span) = (
+        (float(lo), float(hi) - float(lo)) for lo, hi in
+        (cfg.reward_base_range, cfg.uplink_demand_range, cfg.downlink_demand_range))
+    # per pick of two optional functions: the chain, its cpu and its ram
+    chains = {}
+    for pick in itertools.permutations(range(len(OPTIONAL_UPFS)), 2):
+        chain = MANDATORY_UPFS + tuple(OPTIONAL_UPFS[i] for i in sorted(pick))
+        chains[pick] = (chain, sum(DEFAULT_UPF_SPECS[u][0] for u in chain),
+                        sum(DEFAULT_UPF_SPECS[u][1] for u in chain))
     requests = []
     for k in range(int(cfg.request_count)):
         rng = np.random.default_rng([_REQUEST_STREAM, cfg.seed, k])
-        pick = rng.choice(len(OPTIONAL_UPFS), size=2, replace=False)
-        chain = MANDATORY_UPFS + tuple(OPTIONAL_UPFS[i] for i in sorted(pick))
-        cpu = sum(DEFAULT_UPF_SPECS[u][0] for u in chain)
-        ram = sum(DEFAULT_UPF_SPECS[u][1] for u in chain)
+        chain, cpu, ram = chains[tuple(rng.choice(len(OPTIONAL_UPFS), size=2,
+                                                  replace=False).tolist())]
         eps_r = thresholds[int(rng.integers(len(thresholds)))]
-        base = float(rng.uniform(*cfg.reward_base_range))
-        up = float(rng.uniform(*cfg.uplink_demand_range))
-        dw = float(rng.uniform(*cfg.downlink_demand_range))
+        # three uniforms in one call, each scaled as Generator.uniform scales
+        # its draw: low + (high - low) * u
+        u0, u1, u2 = rng.random(3).tolist()
+        base, up, dw = base_lo + base_span * u0, up_lo + up_span * u1, dw_lo + dw_span * u2
         requests.append(ServiceRequest(
             id=k, cpu_demand=cpu, ram_demand=ram,
             uplink_demand=up, downlink_demand=dw,

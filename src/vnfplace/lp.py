@@ -252,22 +252,21 @@ class LinearProgram:
 def build_relaxed_program(inst: ProblemInstance) -> LinearProgram:
     """Relax the placement problem: binary requirements become [0, 1] boxes.
     The simplex starts at ``repair.pack``'s placement."""
-    R, M = inst.n_requests, inst.n_mecs
-    objective = np.concatenate([np.zeros(R * M), inst.reward_vector()])
+    R, M, K = inst.n_requests, inst.n_mecs, len(RESOURCES)
     packed = pack(inst)
-    lp = LinearProgram(n_vars=R * M + R, objective=objective, shape=(R, M),
-                       start=np.concatenate([packed.x.ravel(), packed.y]))
     x = np.arange(R * M).reshape(R, M)
-    # served requests must reach their replica count: x[r, :] - psi_r y_r >= 0
-    lp.add_rows(np.repeat(np.arange(R), M + 1),
-                np.column_stack([x, R * M + np.arange(R)]).ravel(),
-                np.column_stack([np.ones((R, M)), -inst.replica_vector()]).ravel(),
-                np.full(R, GE), np.zeros(R))
-    # one row per (resource, node): demand @ x[:, m] <= capacity
-    lp.add_rows(np.repeat(np.arange(len(RESOURCES) * M), R), np.tile(x.T.ravel(), len(RESOURCES)),
-                np.repeat(inst.demands, M, axis=0).ravel(), np.full(len(RESOURCES) * M, LE),
-                inst.capacities.ravel())
-    return lp
+    # served requests must reach their replica count: x[r, :] - psi_r y_r >= 0;
+    # then one row per (resource, node): demand @ x[:, m] <= capacity
+    return LinearProgram(
+        n_vars=R * M + R, objective=np.concatenate([np.zeros(R * M), inst.reward_vector()]),
+        shape=(R, M), start=np.concatenate([packed.x.ravel(), packed.y]),
+        row=np.concatenate([np.repeat(np.arange(R), M + 1), R + np.repeat(np.arange(K * M), R)]),
+        var=np.concatenate([np.column_stack([x, R * M + np.arange(R)]).ravel(),
+                            np.tile(x.T.ravel(), K)]),
+        coef=np.concatenate([np.column_stack([np.ones((R, M)), -inst.replica_vector()]).ravel(),
+                             np.repeat(inst.demands, M, axis=0).ravel()]),
+        sense=np.concatenate([np.full(R, GE), np.full(K * M, LE)]),
+        rhs=np.concatenate([np.zeros(R), inst.capacities.ravel()]))
 
 
 @dataclass
@@ -328,6 +327,12 @@ class _BoundedSimplex:
         self.padded_rows[slot, col_of] = np.concatenate([rows, slack_rows, art_rows])
         self.padded_data = np.zeros((width, total))
         self.padded_data[slot, col_of] = np.concatenate([vals, sigma, art_signs])
+        # the same slots column by column, (columns x width) in C order: a
+        # column's entries are contiguous, and the ravel lists every entry
+        # in column order without a copy
+        self._column_rows = np.ascontiguousarray(self.padded_rows.T)
+        self._column_data = np.ascontiguousarray(self.padded_data.T)
+        self._weights = np.empty(self._column_data.shape)
 
         self.lower = np.concatenate([lp.lower, np.zeros(total - n)])
         self.upper = np.concatenate([lp.upper, np.full(total - n, np.inf)])
@@ -354,6 +359,7 @@ class _BoundedSimplex:
         # Binv's column c holds row order[c], row i sits in column where[i]
         self._tracks = m >= _NUCLEUS_MIN
         self._order, self._where, self._k, self._spare = np.arange(m), np.arange(m), m, np.empty(m)
+        self._row_in_order = np.empty(m)
         blas = _openblas()
         self._dger = blas and functools.partial(blas[2], *(
             kind(value) for kind, value in zip(blas[2].argtypes, (
@@ -368,8 +374,9 @@ class _BoundedSimplex:
 
     def _product(self, v) -> np.ndarray:
         """A @ v, each row summed over the entries in column order."""
-        return np.bincount(self.padded_rows.ravel("F"),
-                           weights=(self.padded_data * v).ravel("F"), minlength=self.m)
+        np.multiply(self._column_data, v[:, None], out=self._weights)
+        return np.bincount(self._column_rows.ravel(), weights=self._weights.ravel(),
+                           minlength=self.m)
 
     def _transposed_product(self, y) -> np.ndarray:
         """y @ A, each column summed from zero over its slots in order, the
@@ -392,9 +399,9 @@ class _BoundedSimplex:
     def _column(self, q) -> np.ndarray:
         """FTRAN: Binv @ A[:, q], written into ``w``."""
         k = self.count[q]
-        # a contiguous copy: BLAS may round a strided operand differently
-        return np.matmul(self.Binv[:, self._where[self.padded_rows[:k, q]]],
-                         self.padded_data[:k, q].copy(), out=self.w)
+        # a contiguous operand: BLAS may round a strided one differently
+        return np.matmul(self.Binv[:, self._where[self._column_rows[q, :k]]],
+                         self._column_data[q, :k], out=self.w)
 
     def _reduced_costs(self, cost, basic_cost=None) -> np.ndarray:
         """Reduced costs on the duals ``_duals``, into a reused buffer; given
@@ -403,7 +410,9 @@ class _BoundedSimplex:
             (basic_cost @ self.Binv).take(self._where, out=self._duals)
         if self._grid is not None:
             return self._grid_reduced(cost, self._duals)
-        return np.subtract(cost, self._transposed_product(self._duals), out=self._reduced)
+        priced = _padded_product(self._duals, self.padded_rows, self.padded_data, self._terms,
+                                 self._priced)
+        return np.subtract(cost, priced, out=self._reduced)
 
     # -- basis -----------------------------------------------------------------
 
@@ -430,26 +439,31 @@ class _BoundedSimplex:
             raise NumericalInstabilityError(
                 "basis matrix is singular: singleton columns clash on a row or hold a zero")
         N = np.flatnonzero(~in_t)
-        # the nucleus columns over every row; padding slots add zero to row 0
-        nuclear = self.basis[K]
-        dense = np.zeros((self.m, K.size))
-        np.add.at(dense, (self.padded_rows[:, nuclear], np.arange(K.size)),
-                  self.padded_data[:, nuclear])
-        nucleus, coupling = dense[N], dense[t]
-        try:
-            nucleus_inv = np.linalg.inv(nucleus)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalInstabilityError("basis matrix is singular") from exc
+        if K.size:      # else every basic column is a singleton: no nucleus
+            # the nucleus columns over every row, each cell summed in slot
+            # order; padding slots add zero to row 0
+            nuclear = self.basis[K]
+            cells = self._column_rows[nuclear] * K.size + np.arange(K.size)[:, None]
+            dense = np.bincount(cells.ravel(), weights=self._column_data[nuclear].ravel(),
+                                minlength=self.m * K.size).reshape(self.m, K.size)
+            # only singleton rows that some nucleus column touches couple to N
+            coupling = dense[t]
+            hit = np.flatnonzero(coupling.any(axis=1))
+            try:
+                nucleus_inv = np.linalg.inv(dense[N])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalInstabilityError("basis matrix is singular") from exc
         if self._tracks:    # the nucleus rows' columns first, then the singleton rows'
             self._order, self._k = np.concatenate([N, t]), N.size
             self._where[self._order] = np.arange(self.m)
             N, t = np.arange(N.size), np.arange(N.size, self.m)
         self.Binv.fill(0.0)
-        self.Binv[np.ix_(K, N)] = nucleus_inv
         self.Binv[S, t] = 1.0 / a
-        # only singleton rows that some nucleus column touches couple to N
-        hit = np.flatnonzero(coupling.any(axis=1))
-        self.Binv[np.ix_(S[hit], N)] = (coupling[hit] @ nucleus_inv) / -a[hit, None]
+        if K.size:      # the columns N, whole: the inverse in rows K, coupling in rows S
+            block = np.zeros((self.m, N.size))
+            block[K] = nucleus_inv
+            block[S[hit]] = (coupling[hit] @ nucleus_inv) / -a[hit, None]
+            self.Binv[:, N] = block
         v = self._nonbasic_values()
         rhs = self.b - self._product(v)
         self.xb = self.Binv @ rhs[self._order]
@@ -485,7 +499,7 @@ class _BoundedSimplex:
             self._swap(self._where[self.padded_rows[0, q]], self._k)
             self.Binv[:, self._k] = 0.0
             self.Binv[r, self._k] = 1.0 / self.padded_data[0, q]
-        return pivot_row[self._where]
+        return pivot_row.take(self._where, out=self._row_in_order)
 
     def _swap(self, i, j):
         """Exchange columns i and j of the permuted inverse and of the pivot row."""
@@ -515,17 +529,19 @@ class _BoundedSimplex:
         """Run primal iterations for one phase; cost is maximized."""
         degenerate_streak = 0
         bland = False
-        movable = (self.upper - self.lower > 0.0).astype(float)
+        status, lower, upper, basis = self.status, self.lower, self.upper, self.basis
+        movable = (upper - lower > 0.0).astype(float)
         # per basis row: its cost and bounds; per column: the sign of an
         # improving move off its bound (0 if basic or fixed).  A pivot or a
         # bound flip changes at most two entries of each.
-        basic_cost = cost[self.basis]
-        basic_lower = self.lower[self.basis]
-        basic_upper = self.upper[self.basis]
-        sign = _DIRECTION[self.status] * movable
+        basic_cost = cost[basis]
+        basic_lower = lower[basis]
+        basic_upper = upper[basis]
+        sign = _DIRECTION[status] * movable
         gain = np.empty(sign.size)
-        negated, gap, size, steps = (np.empty(self.m) for _ in range(4))
+        negated, gap, size, steps, moved, drift = (np.empty(self.m) for _ in range(6))
         above, usable = np.empty(self.m, bool), np.empty(self.m, bool)
+        dual_step = np.empty(self.m)
         # bound per phase: stored on the instance it would hold it in a reference cycle
         pivot = self._nucleus_pivot if self._tracks else self._pivot
         reduced = self._reduced_costs(cost, basic_cost)   # None until priced after a pivot
@@ -537,20 +553,24 @@ class _BoundedSimplex:
             if reduced is None:
                 reduced = self._reduced_costs(cost)
                 # a basic column's reduced cost is zero but for drift
-                if np.abs(reduced[self.basis]).max(initial=0.0) > _DRIFT:
+                np.abs(reduced.take(basis, out=drift), out=drift)
+                if np.maximum.reduce(drift, initial=0.0) > _DRIFT:
                     self._refactorize()
                     reduced, fresh = self._reduced_costs(cost, basic_cost), True
             # gain: positive exactly where moving off the current bound improves
-            q = _entering(np.multiply(reduced, sign, out=gain), bland)
-            if q < 0 and not fresh:
+            np.multiply(reduced, sign, out=gain)
+            q = _bland(gain) if bland else int(gain.argmax())
+            if not gain[q] > _TOL and not fresh:
                 # optimality is declared on fresh duals only
                 reduced, fresh = self._reduced_costs(cost, basic_cost), True
-                q = _entering(np.multiply(reduced, sign, out=gain), bland)
-            if q < 0:
+                np.multiply(reduced, sign, out=gain)
+                q = _bland(gain) if bland else int(gain.argmax())
+            if not gain[q] > _TOL:
                 return
 
             w = self._column(q)
-            entering_lower = self.status[q] == _AT_LOWER
+            entering_lower = status[q] == _AT_LOWER
+            lower_q, upper_q = lower.item(q), upper.item(q)
             # basic values move as xb - t*delta
             delta = w if entering_lower else np.negative(w, out=negated)
             xb = self.xb
@@ -564,39 +584,40 @@ class _BoundedSimplex:
             np.divide(gap, delta, out=steps, where=usable)
             np.maximum(steps, 0.0, out=steps)
 
-            t_flip = self.upper[q] - self.lower[q]
-            t_row = steps.min() if self.m else np.inf
+            t_flip = upper_q - lower_q
+            t_row = np.minimum.reduce(steps) if self.m else np.inf
             if not math.isfinite(t_row) and not math.isfinite(t_flip):
                 raise UnboundedProgramError("objective unbounded above")
 
             if t_flip <= t_row:
                 # entering variable runs to its opposite bound; basis unchanged
                 flipped = _AT_UPPER if entering_lower else _AT_LOWER
-                self.status[q] = flipped
+                status[q] = flipped
                 sign[q] = _DIRECTION[flipped] * movable[q]
                 step = t_flip
-                xb -= step * delta
+                np.subtract(xb, np.multiply(delta, step, out=moved), out=xb)
             else:
                 tie = (steps <= t_row + _TOL).nonzero()[0]
                 r = int(tie[size[tie].argmax()])
                 if abs(w[r]) < _PIVOT_FLOOR:
                     raise NumericalInstabilityError(f"pivot magnitude {abs(w[r]):.3e} below floor")
                 step = steps[r]
-                entering = self.lower[q] + step if entering_lower else self.upper[q] - step
+                entering = lower_q + step if entering_lower else upper_q - step
                 # the leaving variable is pinned exactly at the bound it hit
-                leaving = self.basis[r]
+                leaving = basis[r]
                 left = _AT_UPPER if delta[r] < 0 else _AT_LOWER
-                self.status[leaving] = left
+                status[leaving] = left
                 sign[leaving] = _DIRECTION[left] * movable[leaving]
-                self.status[q] = _BASIC
+                status[q] = _BASIC
                 sign[q] = 0.0
                 basic_cost[r] = cost[q]
-                basic_lower[r] = self.lower[q]
-                basic_upper[r] = self.upper[q]
-                xb -= step * delta
+                basic_lower[r] = lower_q
+                basic_upper[r] = upper_q
+                np.subtract(xb, np.multiply(delta, step, out=moved), out=xb)
                 xb[r] = entering
                 # y = basic_cost @ Binv moves by d_q times the pivot row
-                self._duals += reduced[q] * pivot(r, q)
+                np.add(self._duals, np.multiply(pivot(r, q), reduced[q], out=dual_step),
+                       out=self._duals)
                 reduced, fresh = None, False
 
             if step <= _TOL:
@@ -682,13 +703,11 @@ def _placement_grid(lp, rows, data, count):
     return None if (D != D[:, :, :1]).any() else np.column_stack([-D[:, :, 0].T, np.zeros(R)])
 
 
-def _entering(gain, bland) -> int:
-    """The entering column, by largest gain or by Bland's rule; -1 if none gains."""
-    if bland:
-        candidates = (gain > _TOL).nonzero()[0]
-        return int(candidates[0]) if candidates.size else -1
-    q = int(gain.argmax())
-    return q if gain[q] > _TOL else -1
+def _bland(gain) -> int:
+    """Bland's rule: the first column whose gain exceeds ``_TOL``, else
+    column 0, which then fails that test too."""
+    candidates = (gain > _TOL).nonzero()[0]
+    return int(candidates[0]) if candidates.size else 0
 
 
 @functools.cache

@@ -19,6 +19,7 @@ placements (copies of requests that are not served).
 import functools
 import math
 import numbers
+import operator
 import typing
 from dataclasses import dataclass, fields
 
@@ -83,10 +84,17 @@ def _check_fields(record, obj):
     (``check_type``), naming ``record`` and the field."""
     for field, kind, item in _typed_fields(type(obj)):
         value = getattr(obj, field.name)
-        # a value of the declared type, with items of the declared type, passes
-        if type(value) is not kind or item is not None and not all(
-                type(v) is item for v in value):
+        # a value of the declared type (or an int for a float), with items
+        # of the declared type, passes
+        got = type(value)
+        if (got is not kind and (got is not int or kind is not float)
+                or item is not None and not all(type(v) is item for v in value)):
             check_type(f"{record}: {field.name}", value, field)
+
+
+# each resource's field of a request and of a node, in ``RESOURCES`` order
+_DEMANDS = tuple(operator.attrgetter(res + "_demand") for res in RESOURCES)
+_CAPACITIES = tuple(operator.attrgetter(res + "_capacity") for res in RESOURCES)
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,8 @@ class MecNode:
 
     def __post_init__(self):
         _check_fields(f"mec {self.id}", self)
-        for res in RESOURCES:
-            if not 0 < self.capacity(res) < math.inf:   # nan fails too
+        for res, capacity in zip(RESOURCES, _CAPACITIES):
+            if not 0 < capacity(self) < math.inf:       # nan fails too
                 raise ValueError(f"mec {self.id}: {res} capacity must be positive and finite")
 
     def capacity(self, resource: str) -> float:
@@ -124,8 +132,8 @@ class ServiceRequest:
 
     def __post_init__(self):
         _check_fields(f"request {self.id}", self)
-        for res in RESOURCES:
-            if not 0 < self.demand(res) < math.inf:     # nan fails too
+        for res, demand in zip(RESOURCES, _DEMANDS):
+            if not 0 < demand(self) < math.inf:         # nan fails too
                 raise ValueError(f"request {self.id}: {res} demand must be positive and finite")
         if not 0.0 < self.failure_threshold < 1.0:
             raise ValueError(f"request {self.id}: failure threshold must lie in (0, 1)")
@@ -197,20 +205,16 @@ class ProblemInstance:
     def __post_init__(self):
         if not self.mecs:
             raise ValueError("an instance needs at least one mec")
-        for pos, mec in enumerate(self.mecs):
-            if mec.id != pos:
-                raise ValueError("mec ids must be 0..M-1 in list order")
-        for pos, req in enumerate(self.requests):
-            if req.id != pos:
-                raise ValueError("request ids must be 0..R-1 in list order")
+        if [mec.id for mec in self.mecs] != list(range(len(self.mecs))):
+            raise ValueError("mec ids must be 0..M-1 in list order")
+        if [req.id for req in self.requests] != list(range(len(self.requests))):
+            raise ValueError("request ids must be 0..R-1 in list order")
         if len(self.replicas) != len(self.requests):
             raise ValueError("one replica count per request required")
         if any(k < 1 for k in self.replicas):
             raise ValueError("replica counts must be at least 1")
-        self.demands = np.array([[r.demand(res) for r in self.requests] for res in RESOURCES],
-                                dtype=float)
-        self.capacities = np.array([[m.capacity(res) for m in self.mecs] for res in RESOURCES],
-                                   dtype=float)
+        self.demands = np.array([list(map(get, self.requests)) for get in _DEMANDS], dtype=float)
+        self.capacities = np.array([list(map(get, self.mecs)) for get in _CAPACITIES], dtype=float)
         self._rewards = np.array([r.reward for r in self.requests], dtype=float)
         self._replicas = np.array(self.replicas, dtype=int)
         for arr in (self.demands, self.capacities, self._rewards, self._replicas):
@@ -219,7 +223,9 @@ class ProblemInstance:
     @classmethod
     def from_parts(cls, mecs, requests, failure_model):
         """Build an instance, deriving replica counts from the failure model."""
-        replicas = [required_replicas(failure_model, r.failure_threshold) for r in requests]
+        # one count per distinct threshold: a generated instance has a few
+        count = functools.cache(functools.partial(required_replicas, failure_model))
+        replicas = [count(r.failure_threshold) for r in requests]
         return cls(mecs=list(mecs), requests=list(requests),
                    failure_model=failure_model, replicas=replicas)
 
@@ -307,19 +313,19 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("integral solutions must be 0/1 valued")
 
-    violations = []
     # each served request needs its replica count, on distinct nodes
-    placed = x.sum(axis=1)
-    need = inst.replica_vector()
-    for r in np.flatnonzero(y == 1):
-        if placed[r] < need[r]:
-            violations.append(("redundancy", int(r), float(need[r] - placed[r])))
+    missing = inst.replica_vector() - x.sum(axis=1)
+    short = np.flatnonzero((y == 1) & (missing > 0))
+    violations = [("redundancy", r, float(gap)) for r, gap in
+                  zip(short.tolist(), missing[short].tolist())]
+    # then each overloaded (resource, node), resource by resource
+    loads, caps = inst.loads(x), inst.capacities
+    for k, m in zip(*np.nonzero(loads > caps + FEAS_EPS)):
+        violations.append((RESOURCES[k], int(m), float(loads[k, m] - caps[k, m])))
 
-    for res, load, cap in zip(RESOURCES, inst.loads(x), inst.capacities):
-        for m in np.flatnonzero(load > cap + FEAS_EPS):
-            violations.append((res, int(m), float(load[m] - cap[m])))
-
-    wasted = [(int(r), int(m)) for r, m in zip(*np.nonzero(x)) if y[r] == 0]
+    # copies of unserved requests, in row-major order
+    rows, cols = np.nonzero((x != 0) & (y == 0)[:, None])
+    wasted = list(zip(rows.tolist(), cols.tolist()))
     rewards = inst.reward_vector()
     return SolutionMetrics(
         total_reward=float(rewards @ y),
@@ -371,6 +377,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     unknown = set(data) - {"version", "failure_model", "mecs", "requests"}
     if unknown:
         raise ValueError(f"unknown instance document keys: {sorted(unknown, key=str)}")
+    for key in ("mecs", "requests"):
+        if key in data and not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a list, got {type(data[key]).__name__}")
     try:
         fm = _record_from_dict(FailureModel, "failure model", data["failure_model"])
         mecs = [_record_from_dict(MecNode, f"mec {pos}", m) for pos, m in enumerate(data["mecs"])]

@@ -31,11 +31,13 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
     x[y == 0] = 0  # wasted placements cost capacity and earn nothing
     rewards, demand, cap = inst.reward_vector(), inst.demands, inst.capacities
     loads = inst.loads(x)
-    for m in range(inst.n_mecs):
+    # an eviction only lowers loads: a node that fits now is never visited
+    for m in np.flatnonzero((loads > cap + FEAS_EPS).any(axis=0)).tolist():
         while (loads[:, m] > cap[:, m] + FEAS_EPS).any():
             hosted = np.flatnonzero(x[:, m] == 1)
-            # lowest reward goes first; ties drop the higher id
-            r = min(hosted, key=lambda i: (rewards[i], -i))
+            # lowest reward goes first; ties drop the higher id, the last of them
+            hosted_rewards = rewards[hosted]
+            r = hosted[np.flatnonzero(hosted_rewards == hosted_rewards.min())[-1]]
             loads -= np.multiply.outer(demand[:, r], x[r])
             x[r] = 0
             y[r] = 0
@@ -68,7 +70,7 @@ def pack(inst: ProblemInstance) -> IntegralSolution:
         return s0 / c0 + s1 / c1 + s2 / c2 + s3 / c3
 
     rooms = [room(m) for m in range(len(slack))]    # changes only where a copy lands
-    sol = IntegralSolution.empty(inst)
+    served, hosts = [], []      # each served request, once per copy, and the copy's node
     for r in np.argsort(-density, kind="stable").tolist():
         d0, d1, d2, d3 = needs[r]
         fits = [m for m, (s0, s1, s2, s3) in enumerate(slack)
@@ -79,6 +81,9 @@ def pack(inst: ProblemInstance) -> IntegralSolution:
                 s0, s1, s2, s3 = slack[m]
                 slack[m] = (s0 - d0, s1 - d1, s2 - d2, s3 - d3)
                 rooms[m] = room(m)
-            sol.x[r, nodes] = 1
-            sol.y[r] = 1
+            served += [r] * len(nodes)
+            hosts += nodes
+    sol = IntegralSolution.empty(inst)
+    sol.x[served, hosts] = 1
+    sol.y[served] = 1
     return sol

@@ -98,7 +98,7 @@ def run_schemes(inst, schemes, round_seed=None, baseline_seed=None,
     want = set(schemes)
     unknown = want - set(SCHEMES)
     if unknown:
-        raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        raise ValueError(f"unknown schemes: {sorted(unknown, key=str)}")
     outcomes = []
 
     # lr, rr and greedy share their stages, so one clock times them all:

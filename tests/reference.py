@@ -39,6 +39,29 @@ def brute_force_feasible(inst, x, y, tol=1e-9):
     return True
 
 
+def reference_metrics(inst, x, y, tol=1e-9):
+    """(violations, wasted, served, reward) of a 0/1 solution, each found
+    by walking the constraint families and the placements one at a time:
+    redundancy shortfalls by request, then overloads by resource and node,
+    then the copies of unserved requests in row-major order."""
+    R, M = len(inst.requests), len(inst.mecs)
+    violations = []
+    for r in range(R):
+        placed = sum(x[r][m] for m in range(M))
+        if y[r] == 1 and placed < inst.replicas[r]:
+            violations.append(("redundancy", r, float(inst.replicas[r] - placed)))
+    for res in RESOURCE_FIELDS:
+        for m in range(M):
+            load = sum(getattr(inst.requests[r], res + "_demand") * x[r][m] for r in range(R))
+            cap = getattr(inst.mecs[m], res + "_capacity")
+            if load > cap + tol:
+                violations.append((res, m, float(load - cap)))
+    wasted = [(r, m) for r in range(R) for m in range(M) if x[r][m] == 1 and y[r] == 0]
+    served = sum(y[r] for r in range(R))
+    reward = sum(inst.requests[r].reward for r in range(R) if y[r] == 1)
+    return violations, wasted, served, float(reward)
+
+
 def placement_entries(inst):
     """Entry lists (row, var, coef, sense, rhs) of the relaxed placement
     program, built row by row: one redundancy row per request, then one

@@ -81,6 +81,13 @@ class TestGenerate:
         assert main(["generate", "--config", cfg,
                      "--output", str(out)]) == EXIT_CONFIG
 
+    def test_unknown_keys_of_mixed_types_are_named(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "gen.yaml", {1: "x", "foo": "y"})
+        assert main(["generate", "--config", cfg,
+                     "--output", str(tmp_path / "inst.yaml")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: unknown generator config keys: [1, 'foo']\n"
+
     def test_missing_config_file_exits_5(self, tmp_path):
         out = tmp_path / "inst.yaml"
         assert main(["generate", "--config", str(tmp_path / "absent.yaml"),
@@ -189,6 +196,17 @@ class TestSolve:
         code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["mecs", "requests"])
+    @pytest.mark.parametrize("value,kind", [(5, "int"), ({"a": 1}, "dict")])
+    def test_record_list_of_another_type_exits_2(self, tmp_path, capsys, key, value, kind):
+        path, _ = small_instance_file(tmp_path)
+        data = yaml.safe_load((tmp_path / "instance.yaml").read_text())
+        data[key] = value
+        write_yaml(tmp_path / "instance.yaml", data)
+        code = main(["solve", "--instance", path, "--scheme", "greedy", "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key} must be a list, got {kind}\n"
 
     @pytest.mark.parametrize("scheme", ["greedy", "exact"])
     def test_instance_without_mecs_exits_2(self, tmp_path, capsys, scheme):

@@ -3,6 +3,7 @@ import functools
 import math
 import textwrap
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from vnfplace.experiments import (
     run_experiment,
 )
 from vnfplace.gen import GeneratorConfig
-from vnfplace.lp import SimplexError
+from vnfplace.lp import SimplexError, _openblas
 from vnfplace.model import InfeasibleSolutionError
 from vnfplace.oracle import OracleLimitError
 
@@ -527,6 +528,23 @@ class TestCsvOutput:
             a = (tmp_path / "a" / fname).read_bytes()
             b = (tmp_path / "b" / fname).read_bytes()
             assert a == b
+
+
+# runs.csv and summary.csv of this sweep are checked in under data/golden_sweep;
+# a change that moves a seeded vertex on purpose rewrites them with
+# run_experiment(GOLDEN_SWEEP).write(...) and records why
+GOLDEN_SWEEP = ExperimentConfig(sweep="requests", request_counts=(8, 12), runs=3, base_seed=5,
+                                schemes=("lr", "rr", "greedy", "wo-avl"),
+                                generator=GeneratorConfig(mec_count=3))
+
+
+@pytest.mark.skipif(_openblas() is None,
+                    reason="the fallback rank-1 update rounds differently and moves pivots")
+def test_golden_sweep_writes_the_checked_in_bytes(tmp_path):
+    run_experiment(GOLDEN_SWEEP).write(tmp_path)
+    golden = Path(__file__).parent / "data" / "golden_sweep"
+    for name in ("runs.csv", "summary.csv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 class TestPostConditionErrors:

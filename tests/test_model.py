@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import make_instance, slack_caps
-from reference import brute_force_feasible
+from reference import brute_force_feasible, reference_metrics
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.repair import greedy_repair
@@ -302,6 +302,32 @@ class TestEvaluateSolution:
             assert m.feasible == brute_force_feasible(inst, x.tolist(), y.tolist())
 
 
+    # demands on a half-unit grid, capacities and rewards on quarter units:
+    # every load and reward sum is exact in any order, so the package's
+    # products and the reference's loops agree to the bit
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), requests=st.integers(0, 10), mecs=st.integers(1, 4))
+    def test_metrics_match_a_loop_by_loop_reference(self, data, requests, mecs):
+        grid = st.integers(1, 8).map(lambda k: k / 2)
+        caps = [tuple(data.draw(st.lists(st.integers(1, 48).map(lambda k: k / 4),
+                                         min_size=4, max_size=4))) for _ in range(mecs)]
+        reqs = [{"c": data.draw(grid), "d": data.draw(grid), "up": data.draw(grid),
+                 "dw": data.draw(grid), "reward": data.draw(st.integers(0, 40)) / 4}
+                for _ in range(requests)]
+        replicas = data.draw(st.lists(st.integers(1, mecs + 1), min_size=requests,
+                                      max_size=requests))
+        inst = make_instance(caps, reqs, replicas=replicas)
+        x = data.draw(hnp.arrays(np.int8, (requests, mecs), elements=st.integers(0, 1)))
+        y = data.draw(hnp.arrays(np.int8, requests, elements=st.integers(0, 1)))
+        got = evaluate_solution(inst, IntegralSolution(x=x, y=y))
+        violations, wasted, served, reward = reference_metrics(inst, x.tolist(), y.tolist())
+        assert got.violated_constraints == violations
+        assert got.wasted_placements == wasted
+        assert got.served_count == served
+        assert got.total_reward == reward
+        assert got.feasible == (not violations)
+
+
 class TestSerialization:
     def test_instance_roundtrip(self, tmp_path):
         inst = generate(GeneratorConfig(mec_count=3, request_count=5, seed=9))
@@ -366,6 +392,14 @@ class TestSerialization:
             instance_from_dict({"version": 1, "mecs": []})
         with pytest.raises(ValueError):
             instance_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("key", ["mecs", "requests"])
+    @pytest.mark.parametrize("value,kind", [(5, "int"), ({"a": 1}, "dict"), ("ab", "str")])
+    def test_record_list_of_another_type_is_named(self, key, value, kind):
+        doc = instance_to_dict(make_instance(slack_caps(2), [{"eps": 0.01}]))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be a list, got {kind}$"):
+            instance_from_dict(doc)
 
     def test_integral_solution_roundtrip(self, tmp_path):
         sol = IntegralSolution(x=np.array([[1, 0], [0, 1]], dtype=np.int8),

@@ -116,6 +116,11 @@ def test_unknown_scheme_rejected():
         run_schemes(tight_instance(0), ["lr", "best"])
 
 
+def test_unknown_schemes_of_mixed_types_are_named():
+    with pytest.raises(ValueError, match=r"^unknown schemes: \[1, 'foo'\]$"):
+        run_schemes(tight_instance(0), [1, "foo"])
+
+
 def test_exact_budget_exhaustion_raises_with_its_bound():
     with pytest.raises(OracleLimitError, match="upper bound") as info:
         run_schemes(tight_instance(0), ["exact"], max_nodes=2)
