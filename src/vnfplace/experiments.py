@@ -352,8 +352,6 @@ class ExperimentReport:
 
 
 def _fmt(value):
-    if type(value) is float:    # most cells; a float subclass takes the checks below
-        return "" if math.isnan(value) else format(value, ".10g")
     if value is None:
         return ""
     if isinstance(value, bool):

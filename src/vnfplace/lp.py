@@ -42,45 +42,53 @@ relaxed program is unbounded (the true one may then be infeasible), the
 program is solved once more from its start with no relaxation.  The shifts
 follow from the row index alone, so no random stream is drawn.
 
-The solver stores the constraint matrix once, in a padded (width x columns)
+The solver stores the constraint matrix in a padded (width x columns)
 layout plus the number of entries of each column: width is the most entries
 of any column (5 for the placement program), and padding slots hold row 0
-with a zero value.  The entering column costs one small product of its
-entries with the basis inverse; pricing sums the layout over its first
-axis, the additions, in order, of a ``bincount`` over the entries in column
-order.  The basis inverse is a dense array, updated in place by a rank-1
-BLAS update after each pivot, which carries the duals y = c_B B^-1 along as
-y + d_q * pivot_row (Maros, Computational Techniques of the Simplex Method,
-2003, ch. 8-9); they are computed afresh only at a phase's start, after a
-refactorization and where carried duals show no improving column.  The
-inverse is recomputed where pricing gives a basic column (zero but for
-drift) a reduced cost above ``_DRIFT`` = 1e-9; those measured 7e-13 at
-most, and |B^-1 B - I| after a phase 1.7e-12, so a placement solve
-refactorizes at its start and at the restore alone.
+with a zero value.  Pricing sums that layout over its first axis, the
+additions, in order, of a ``bincount`` over the entries in column order.
+A transposed copy, (columns x width) in C order, keeps each column's
+entries contiguous and lists every entry in column order without a copy:
+the entering column costs one small product of its contiguous entries with
+the basis inverse, A @ v (``_product``, at each refactorization and at the
+certificate) is one multiply and one ``bincount`` over it, and a
+refactorization gathers the nucleus columns from it.  At 200x20 the copy
+holds 0.36 MB.  The basis inverse is a dense array, updated in place by a
+rank-1 BLAS update after each pivot, which carries the duals y = c_B B^-1
+along as y + d_q * pivot_row (Maros, Computational Techniques of the
+Simplex Method, 2003, ch. 8-9); they are computed afresh only at a phase's
+start, after a refactorization and where carried duals show no improving
+column.  The inverse is recomputed where pricing gives a basic column
+(zero but for drift) a reduced cost above ``_DRIFT`` = 1e-9; those
+measured 7e-13 at most, and |B^-1 B - I| after a phase 1.7e-12, so a
+placement solve refactorizes at its start and at the restore alone.
 A recomputation inverts densely only the basis nucleus: basic columns with
 one entry (slacks, artificials, the y[r] columns) are singletons whose
 rows and inverse entries follow by substitution, so only the remaining
 columns over the remaining rows, under half the basis on the placement
-program, go through ``np.linalg.inv``.  From ``_NUCLEUS_MIN`` = 200 rows on,
-pivots exploit it too.  A basic singleton at position s with entry a_s in
-row t has B e_s = a_s e_t, so column t of B^-1 is exactly e_s / a_s, zero
-in every other pivot row, and the rank-1 update leaves it alone.  There is
-one update, over the first k columns of ``Binv``; ``order[c]`` is the row
-of column c and ``where`` its inverse, through which FTRAN, the fresh
-duals and the basic values read the inverse.  Below the switch k = m and
-the columns keep row order.  From it on, tracking is column swaps around
-that update: the k nucleus rows' columns come first, a leaving
-singleton's column joins them before the update, and an entering one's
-leaves after it as e_r / a_q.  k averages 87 of 280 rows at 200x20 seed 0
-and 65 of 480 at 400x20, which take the same pivots 1.27x and 2.21x as
-fast.  Below the switch the swaps, about 2 us a pivot, cost more than
-they save (every program tracked: 0.98x at 80x20, 1.00-1.04x at
-130-150x10 and 120x20, 1.13x at 200x20).  The basic values are updated
-incrementally along each step, with the leaving variable pinned exactly
-at the bound it hit, and recomputed whenever the inverse is.  The cost
-and bounds of each basic variable and the improving sign of every column
-are arrays that a pivot or a bound flip updates in at most two places; a
-bound flip leaves the basis as it was and reuses the reduced costs.
+program, go through ``np.linalg.inv``.  A slack start, where every
+placement solve begins, has no nucleus: there the inverse is diagonal and
+neither the inversion nor the coupling product runs.  From
+``_NUCLEUS_MIN`` = 200 rows on, pivots exploit it too.  A basic singleton
+at position s with entry a_s in row t has B e_s = a_s e_t, so column t of
+B^-1 is exactly e_s / a_s, zero in every other pivot row, and the rank-1
+update leaves it alone.  There is one update, over the first k columns
+of ``Binv``; ``order[c]`` is the row of column c and ``where`` its
+inverse, through which FTRAN, the fresh duals and the basic values read
+the inverse.  Below the switch k = m and the columns keep row order.  From
+it on, tracking is column swaps around that update: the k nucleus rows'
+columns come first, a leaving singleton's column joins them before the
+update, and an entering one's leaves after it as e_r / a_q.  k averages
+87 of 280 rows at 200x20 seed 0 and 65 of 480 at 400x20, which take the
+same pivots 1.27x and 2.21x as fast.  Below the switch the swaps, about
+2 us a pivot, cost more than they save (every program tracked: 0.98x at
+80x20, 1.00-1.04x at 130-150x10 and 120x20, 1.13x at 200x20).  The
+basic values are updated incrementally along each step, with the leaving
+variable pinned exactly at the bound it hit, and recomputed whenever the
+inverse is.  The cost and bounds of each basic variable and the improving
+sign of every column are arrays that a pivot or a bound flip updates in at
+most two places; a bound flip leaves the basis as it was and reuses the
+reduced costs.
 
 A placement grid at zero cost prices its x block in one BLAS product
 instead, as x[r, m] = y[r] + sum_k D[k, r] y[R + kM + m]: its reduced costs
@@ -359,7 +367,6 @@ class _BoundedSimplex:
         # Binv's column c holds row order[c], row i sits in column where[i]
         self._tracks = m >= _NUCLEUS_MIN
         self._order, self._where, self._k, self._spare = np.arange(m), np.arange(m), m, np.empty(m)
-        self._row_in_order = np.empty(m)
         blas = _openblas()
         self._dger = blas and functools.partial(blas[2], *(
             kind(value) for kind, value in zip(blas[2].argtypes, (
@@ -410,9 +417,7 @@ class _BoundedSimplex:
             (basic_cost @ self.Binv).take(self._where, out=self._duals)
         if self._grid is not None:
             return self._grid_reduced(cost, self._duals)
-        priced = _padded_product(self._duals, self.padded_rows, self.padded_data, self._terms,
-                                 self._priced)
-        return np.subtract(cost, priced, out=self._reduced)
+        return np.subtract(cost, self._transposed_product(self._duals), out=self._reduced)
 
     # -- basis -----------------------------------------------------------------
 
@@ -499,7 +504,7 @@ class _BoundedSimplex:
             self._swap(self._where[self.padded_rows[0, q]], self._k)
             self.Binv[:, self._k] = 0.0
             self.Binv[r, self._k] = 1.0 / self.padded_data[0, q]
-        return pivot_row.take(self._where, out=self._row_in_order)
+        return pivot_row[self._where]
 
     def _swap(self, i, j):
         """Exchange columns i and j of the permuted inverse and of the pivot row."""
@@ -539,7 +544,7 @@ class _BoundedSimplex:
         basic_upper = upper[basis]
         sign = _DIRECTION[status] * movable
         gain = np.empty(sign.size)
-        negated, gap, size, steps, moved, drift = (np.empty(self.m) for _ in range(6))
+        negated, gap, size, steps, moved = (np.empty(self.m) for _ in range(5))
         above, usable = np.empty(self.m, bool), np.empty(self.m, bool)
         dual_step = np.empty(self.m)
         # bound per phase: stored on the instance it would hold it in a reference cycle
@@ -553,8 +558,8 @@ class _BoundedSimplex:
             if reduced is None:
                 reduced = self._reduced_costs(cost)
                 # a basic column's reduced cost is zero but for drift
-                np.abs(reduced.take(basis, out=drift), out=drift)
-                if np.maximum.reduce(drift, initial=0.0) > _DRIFT:
+                drift = reduced[basis]
+                if np.maximum.reduce(np.abs(drift, out=drift), initial=0.0) > _DRIFT:
                     self._refactorize()
                     reduced, fresh = self._reduced_costs(cost, basic_cost), True
             # gain: positive exactly where moving off the current bound improves
