@@ -340,7 +340,6 @@ class _BoundedSimplex:
         # in column order without a copy
         self._column_rows = np.ascontiguousarray(self.padded_rows.T)
         self._column_data = np.ascontiguousarray(self.padded_data.T)
-        self._weights = np.empty(self._column_data.shape)
 
         self.lower = np.concatenate([lp.lower, np.zeros(total - n)])
         self.upper = np.concatenate([lp.upper, np.full(total - n, np.inf)])
@@ -381,9 +380,8 @@ class _BoundedSimplex:
 
     def _product(self, v) -> np.ndarray:
         """A @ v, each row summed over the entries in column order."""
-        np.multiply(self._column_data, v[:, None], out=self._weights)
-        return np.bincount(self._column_rows.ravel(), weights=self._weights.ravel(),
-                           minlength=self.m)
+        return np.bincount(self._column_rows.ravel(),
+                           weights=(self._column_data * v[:, None]).ravel(), minlength=self.m)
 
     def _transposed_product(self, y) -> np.ndarray:
         """y @ A, each column summed from zero over its slots in order, the
