@@ -9,22 +9,37 @@ equal residual capacities a subset may take only the lowest-indexed ones, the
 lexicographically smallest of its symmetry class: the result is unchanged.
 
 Two modes share that skeleton: ``exhaustive`` prunes only with the remaining
-reward sum, ``branch_and_bound`` (the default) also with a knapsack bound: per
-resource, a fractional knapsack of the undecided requests (weight psi times
-demand) in the summed residual capacity, counting a request only while psi
-nodes can each still hold a copy of it.  At depth k each resource walks only
-the items of requests k and later (a depth's slice of the density order is
-built at its first bound), and the walk stops at the first resource whose
-value prunes: float addition is monotone, so that is the decision the
-smallest value would make.  Which requests count and the summed rooms depend
-on the residual alone, so the drop branch, which searches the same residual
-one level deeper, takes them from its parent.  Residuals are per-node tuples
-of floats, and no numpy call runs per search node.  Both modes respect a node
-budget and raise ``OracleLimitError`` carrying the best incumbent and an
-upper bound when it runs out; its message states both and the nodes explored.
+reward sum, ``branch_and_bound`` (the default) also with the least of five
+fractional knapsacks over the undecided requests, each counting a request
+only while psi nodes can each still hold a copy of it.  Four are per
+resource: weight psi times demand, room the summed residual capacity.  The
+fifth is over copies: weight psi, room the copies the nodes can hold, a
+node holding at most as many as the smallest demands of requests k and
+later fit in its residual, resource by resource, by their running sum.
+That sum is compared with the residual plus 1e-9 times the larger of 1 and
+the residual, so rounding never counts fewer copies than a sequence of the
+search's fit tests, each with its 1e-12 floor, can place; counting more
+only weakens the bound.  At depth k each knapsack walks only the items of
+requests k and later (a depth's slice of the density order, and of the
+running sums, is built at its first bound), and the walk stops at the first
+knapsack whose value prunes: float addition is monotone, so that is the
+decision the smallest value would make.  Which requests count and the summed
+rooms depend on the residual alone, so the drop branch, which searches the
+same residual one level deeper, takes them from its parent; the copy room
+is computed at depth k, after the four others, only when none of them
+prunes.  The incumbent changes only on a gain above 1e-9, and the bound
+prunes only subtrees that hold no such gain, so the tighter bound leaves
+the sequence of incumbents, hence the optimum and the placement, as the
+exhaustive search finds them.  Residuals are per-node tuples of floats, and
+no numpy call runs per search node.  Both modes respect a node budget and
+raise ``OracleLimitError`` carrying the best incumbent and an upper bound
+when it runs out (in the default mode the least of the reward sum, the LP
+optimum and the bound at the root); its message states both and the nodes
+explored.
 """
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +78,28 @@ class ExactResult:
 
 class _KnapsackBound:
     """The branch-and-bound mode's bound on the reward from search depth k on
-    (requests in search order): scalar loops over the residual tuples and, per
-    resource, over (request, weight, reward) items sorted once by density and
-    sliced by depth."""
+    (requests in search order): the least of five fractional knapsacks, one
+    per resource and one over copies (``copy_room``), as scalar loops over
+    the residual tuples and over (request, weight, reward) items sorted once
+    by density and sliced by depth.  Each value is at least the reward any
+    completion of the residual earns, so a subtree it prunes holds no
+    incumbent the search would take, and the answer stays that of the
+    exhaustive search."""
 
     def __init__(self, rewards, demand, psi):
+        weights = (psi * demand).tolist() + [psi.tolist()]
         items = [sorted(zip(range(psi.size), w, rewards.tolist()), key=lambda t: -t[2] / t[1])
-                 for w in (psi * demand).tolist()]
-        # layers[k][j]: resource j's items of requests k and later, in density
+                 for w in weights]
+        # layers[k][j]: knapsack j's items of requests k and later, in density
         # order; built at the first bound taken at depth k, from depth k - 1's
         # when that one is built
         self.layers = [items] + [None] * (psi.size - 1)
         # per request: the residual a copy needs, up to float dust, and psi
         self.floors_psi = list(zip((demand - 1e-12).T.tolist(), psi.tolist()))
+        self.demand = demand.tolist()
+        # sums[k][j]: running sums of resource j's demands of requests k and
+        # later, smallest first; built at the first copy room taken at depth k
+        self.sums = [None] * psi.size
 
     def fitting(self, k, residual):
         """The nodes request k fits on, in index order."""
@@ -96,14 +120,36 @@ class _KnapsackBound:
             eligible.append(n <= 0)
         return eligible, [sum(filter(_positive, column)) for column in zip(*residual)]
 
+    def copy_room(self, k, residual):
+        """How many copies of requests k and later the nodes can hold: per
+        node, the least over the resources of how many of the smallest
+        demands (eligible or not) fit, by their running sum, in the residual
+        plus 1e-9 times the larger of 1 and the residual.  A node holds at
+        most one copy of a request, and the tolerance covers the fit test's
+        1e-12 floor and the rounding of both sums at any scale, so the count
+        is never below what the search can place; above it, it only weakens
+        the bound."""
+        sums = self.sums[k]
+        if sums is None:
+            sums = self.sums[k] = [list(itertools.accumulate(sorted(d[k:]))) for d in self.demand]
+        s0, s1, s2, s3 = sums
+        room = 0
+        for c0, c1, c2, c3 in residual:
+            room += min(bisect_right(s0, c0 + (1e-9 * c0 if c0 > 1.0 else 1e-9)),
+                        bisect_right(s1, c1 + (1e-9 * c1 if c1 > 1.0 else 1e-9)),
+                        bisect_right(s2, c2 + (1e-9 * c2 if c2 > 1.0 else 1e-9)),
+                        bisect_right(s3, c3 + (1e-9 * c3 if c3 > 1.0 else 1e-9)))
+        return room
+
     def __call__(self, k, residual, scanned=None, prune=None):
-        """The bound at depth k: the smallest of the four knapsack values.
+        """The bound at depth k: the smallest of the five knapsack values.
 
         ``scanned`` is ``scan(j, residual)`` for some j <= k, computed when
-        not given.  With ``prune=(current, best)`` the walk stops at the first
-        resource whose value v prunes, ``current + v <= best + _PRUNE_EPS``,
-        and returns v: float addition is monotone, so the minimum prunes
-        exactly when some value does.
+        not given; the copy room is always computed at depth k.  With
+        ``prune=(current, best)`` the walk stops at the first knapsack whose
+        value v prunes, ``current + v <= best + _PRUNE_EPS``, and returns v:
+        float addition is monotone, so the minimum prunes exactly when some
+        value does.
         """
         eligible, rooms = scanned or self.scan(k, residual)
         layer = self.layers[k]
@@ -111,7 +157,8 @@ class _KnapsackBound:
             above = self.layers[k - 1] or self.layers[0]
             layer = self.layers[k] = [[t for t in items if t[0] >= k] for items in above]
         values = []
-        for items, room in zip(layer, rooms):
+        for j, items in enumerate(layer):
+            room = rooms[j] if j < 4 else self.copy_room(k, residual)
             used = value = 0.0
             for i, w, v in items:
                 if eligible[i]:
@@ -163,7 +210,8 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
         if nodes > max_nodes:
             upper = suffix[0]
             if use_bound:
-                upper = min(upper, simplex_solve(build_relaxed_program(inst)).objective)
+                upper = min(upper, simplex_solve(build_relaxed_program(inst)).objective,
+                            bound(0, capacities))
             raise OracleLimitError(f"node budget {max_nodes} exhausted after {nodes} "
                                    f"nodes; best incumbent {best_val:.6g}, upper bound "
                                    f"{upper:.6g}",
@@ -201,8 +249,9 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
                 assign[r] = None
         dfs(k + 1, residual, current, scanned)
 
+    capacities = list(zip(*inst.capacities.tolist()))
     if R:
-        dfs(0, list(zip(*inst.capacities.tolist())), 0.0)
+        dfs(0, capacities, 0.0)
     solution = build_solution(best_assign)
     metrics = evaluate_solution(inst, solution)
     if not metrics.feasible:

@@ -306,16 +306,60 @@ def milp_optimum(inst):
     return float(reward @ np.round(result.x[R * M:]))
 
 
+def copy_count(demand, k, node):
+    """How many copies of requests k and later one node can hold, by the
+    oracle's rule: per resource, the smallest demands of requests k and
+    later are added up one at a time while the running sum stays within
+    the node's residual plus 1e-9 times the larger of 1 and that residual;
+    the least of the four counts."""
+    counts = []
+    for j in range(4):
+        limit = node[j] + 1e-9 * max(1.0, node[j])
+        total, n = 0.0, 0
+        for d in sorted(demand[j][k:]):
+            total += d
+            if total > limit:
+                break
+            n += 1
+        counts.append(n)
+    return min(counts)
+
+
+def max_admitted_copies(demand, k, node):
+    """The largest set of distinct requests k and later that one node
+    admits by a sequence of the oracle's fit tests (each demand at most the
+    residual plus 1e-12 of float dust, the residual then reduced by it),
+    over every order of every subset.  Exponential; keep it tiny."""
+    demand = np.asarray(demand).tolist()
+    floors = [[d - 1e-12 for d in row] for row in demand]
+
+    def admits(sequence):
+        residual = list(node)
+        for i in sequence:
+            if not all(residual[j] >= floors[j][i] for j in range(4)):
+                return False
+            residual = [residual[j] - demand[j][i] for j in range(4)]
+        return True
+
+    later = range(k, len(demand[0]))
+    for size in range(len(later), 0, -1):
+        for subset in itertools.combinations(later, size):
+            if any(map(admits, itertools.permutations(subset))):
+                return size
+    return 0
+
+
 def knapsack_bound(rewards, demand, psi, k, residual):
     """The exact oracle's bound on the reward of requests k and later.
 
     ``rewards`` (R), ``demand`` (4 x R) and ``psi`` (R) list the requests in
     search order; ``residual`` holds one (cpu, ram, uplink, downlink) tuple
     per node.  A request counts only when at least psi nodes can each hold a
-    copy (demand up to 1e-12 of float dust).  Per resource, the counted
-    requests fill the summed positive residual as a fractional knapsack of
-    weight psi times demand, in descending order of reward per weight; the
-    smallest of the four values bounds what is left.
+    copy (demand up to 1e-12 of float dust).  The counted requests fill five
+    fractional knapsacks, each in descending order of reward per weight:
+    one per resource, of weight psi times demand in the summed positive
+    residual, and one of weight psi in the summed ``copy_count`` of the
+    nodes.  The smallest of the five values bounds what is left.
     """
     R = len(rewards)
     rewards, demand, psi = (np.asarray(a).tolist() for a in (rewards, demand, psi))
@@ -324,10 +368,12 @@ def knapsack_bound(rewards, demand, psi, k, residual):
         return all(node[j] >= demand[j][i] - 1e-12 for j in range(4))
 
     eligible = [i >= k and sum(fits(node, i) for node in residual) >= psi[i] for i in range(R)]
+    rooms = [sum(node[j] for node in residual if node[j] > 0.0) for j in range(4)]
+    weights = [[psi[i] * demand[j][i] for i in range(R)] for j in range(4)]
+    rooms.append(sum(copy_count(demand, k, node) for node in residual))
+    weights.append(psi)
     values = []
-    for j in range(4):
-        room = sum(node[j] for node in residual if node[j] > 0.0)
-        weight = [psi[i] * demand[j][i] for i in range(R)]
+    for room, weight in zip(rooms, weights):
         used = value = 0.0
         for i in sorted(range(R), key=lambda i: -rewards[i] / weight[i]):
             if not eligible[i]:

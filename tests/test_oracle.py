@@ -5,11 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, slack_caps
-from reference import exhaustive_any_subset_optimum, knapsack_bound, milp_optimum
+from reference import (exhaustive_any_subset_optimum, knapsack_bound, max_admitted_copies,
+                       milp_optimum)
 from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.model import (RESOURCES, IntegralSolution, MecNode, ProblemInstance,
@@ -202,21 +203,106 @@ class TestKnapsackBound:
         assert bound(0, [tuple(c) for c in (2 * residual).T.tolist()]) == 0.0
 
     def test_negative_residual_adds_no_room(self):
-        # node 0's cpu has gone below zero by float dust; the room is node 1's
-        # 6 cores, so two 4-core requests bound 10 + 10 * (6 - 4) / 4 = 15
-        demand = np.array([[4.0, 4.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        bound = _KnapsackBound(np.array([10.0, 10.0]), demand, np.array([1, 1]))
+        # node 0's cpu has gone below zero by float dust.  The cpu room is
+        # node 1's 4 cores, which the 4-core request worth 10 fills: 10.  Node
+        # 0 holds no copy and node 1 two (1 + 1 <= 4 < 1 + 1 + 4), so the
+        # copy knapsack gives 10 + 1 = 11, and ram, uplink and downlink 12
+        demand = np.array([[4.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        bound = _KnapsackBound(np.array([10.0, 1.0, 1.0]), demand, np.array([1, 1, 1]))
         dust, zero = (-1e-12, 10.0, 10.0, 10.0), (0.0, 10.0, 10.0, 10.0)
-        free = (6.0, 10.0, 10.0, 10.0)
-        assert bound(0, [dust, free]) == bound(0, [zero, free]) == 15.0
+        free = (4.0, 10.0, 10.0, 10.0)
+        assert bound(0, [dust, free]) == bound(0, [zero, free]) == 10.0
+        assert bound.copy_room(0, [dust, free]) == bound.copy_room(0, [zero, free]) == 2
 
     def test_budget_error_reports_the_relaxed_optimum(self):
+        # the least of the reward sum, the LP optimum and the root bound:
+        # the bound at depth 0 on the full capacities
         inst = generate(small_config(4))
         with pytest.raises(OracleLimitError) as excinfo:
             solve_exact(inst, max_nodes=3)
         relaxed = solve_lp(build_relaxed_program(inst)).objective
+        order = sorted(range(inst.n_requests), key=lambda r: (-inst.reward_vector()[r], r))
+        root = knapsack_bound(*in_search_order(inst, order), 0,
+                              [tuple(c) for c in inst.capacities.T.tolist()])
         assert excinfo.value.upper_bound == pytest.approx(
-            min(inst.reward_vector().sum(), relaxed), rel=1e-12)
+            min(inst.reward_vector().sum(), relaxed, root), rel=1e-12)
+        assert excinfo.value.upper_bound >= solve_exact(inst, mode="exhaustive").objective
+
+    def test_copy_room_never_undercounts(self):
+        # the copy room may over-count, but never below the copies that
+        # some sequence of the search's fit tests places on each node
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(copy_states())
+        @example(rounding_state(1.0, [3, 11, 4]))
+        @example(rounding_state(1e9, [32, 5, 13]))
+        def check(state):
+            demand, k, nodes = state
+            R = demand.shape[1]
+            bound = _KnapsackBound(np.ones(R), demand, np.ones(R, dtype=int))
+            want = sum(max_admitted_copies(demand, k, node) for node in nodes)
+            assert bound.copy_room(k, nodes) >= want
+
+        check()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e9])
+    def test_modes_agree_on_exact_sum_capacities(self, scale):
+        # one node holds exactly the summed load of three or four requests
+        # whose demands are thirds of the scale, none exactly representable;
+        # a decoy that fills the node alone is worth one less than all of
+        # them, so the search finds them after the decoy's incumbent, and a
+        # copy room one short of them would prune them
+        rng = np.random.default_rng(33)
+        for _ in range(400):
+            n = int(rng.integers(3, 5))
+            reqs = [{"c": c, "d": d, "up": up, "dw": dw, "reward": 3.0 + w / 10}
+                    for (c, d, up, dw), w in zip((rng.integers(1, 41, size=(n, 4)) / 3 * scale)
+                                                 .tolist(), rng.permutation(n).tolist())]
+            cap = make_instance(caps=[(1.0,) * 4], reqs=reqs).loads(np.ones((n, 1), dtype=np.int8))
+            decoy = {"c": cap[0, 0], "d": scale, "up": scale, "dw": scale,
+                     "reward": sum(req["reward"] for req in reqs) - 1.0}
+            inst = make_instance(caps=[tuple(cap[:, 0].tolist())], reqs=[decoy, *reqs],
+                                 replicas=[1] * (n + 1))
+            bb, ex = (solve_exact(inst, mode=mode) for mode in ("branch_and_bound", "exhaustive"))
+            assert bb.objective == ex.objective
+            assert (bb.solution.x == ex.solution.x).all()
+
+
+@st.composite
+def copy_states(draw):
+    """Demands (4 x R) of up to 5 requests in thirds or tenths of a scale
+    from 1e-3 to 1e9, a depth k and up to 3 node residuals: random, or per
+    resource either ample or the exact sum of some requests' demands from k
+    on (added in another order than the sorted running sums), or such a
+    node with one resource at -1e-12, float dust the fit test lets a search
+    leave behind."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e9]))
+    unit = draw(st.sampled_from([3, 10]))
+    R = draw(st.integers(1, 5))
+    demand = [[draw(st.integers(1, 40)) / unit * scale for _ in range(R)] for _ in RESOURCES]
+    k = draw(st.integers(0, R - 1))
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "exact sum", "dust"]))
+        if kind == "random":
+            node = [draw(st.integers(0, 120)) / unit * scale for _ in RESOURCES]
+        else:
+            held = draw(st.lists(st.integers(k, R - 1), min_size=1, max_size=4, unique=True))
+            node = [sum(row[i] for i in held) if draw(st.booleans()) else 200 * scale
+                    for row in demand]
+            if kind == "dust":
+                node[draw(st.integers(0, 3))] = -1e-12
+        nodes.append(tuple(node))
+    return np.array(demand), k, nodes
+
+
+def rounding_state(scale, thirds):
+    """One node whose cpu is the sum of three cpu demands, thirds of the
+    scale added in the given order, and whose other resources are ample:
+    the smallest-first running sum rounds above it, yet some order of fit
+    tests places all three."""
+    cpu = [v / 3 * scale for v in thirds]
+    demand = np.array([cpu] + [[scale] * len(cpu)] * 3)
+    return demand, 0, [(sum(cpu), 100 * scale, 100 * scale, 100 * scale)]
 
 
 def placement_rows(sol):
@@ -258,22 +344,22 @@ class TestNodeSymmetry:
 PINNED = [
     (hetero_config(11), 28.90696567032899,
      ["000", "000", "010", "000", "101", "000", "001", "000", "010"],
-     {"branch_and_bound": 266, "exhaustive": 573}),
+     {"branch_and_bound": 110, "exhaustive": 573}),
     (hetero_config(12), 22.739974384698996,
      ["000", "110", "101", "000", "000", "000", "011", "000", "000"],
-     {"branch_and_bound": 937, "exhaustive": 2148}),
+     {"branch_and_bound": 565, "exhaustive": 2148}),
     (hetero_config(13), 29.18794913450685,
      ["000", "000", "001", "000", "000", "100", "110", "000", "001"],
-     {"branch_and_bound": 315, "exhaustive": 926}),
+     {"branch_and_bound": 17, "exhaustive": 926}),
     (identical_config(21), 36.54308142168607,
      ["1100", "0000", "0010", "0000", "0000", "0001", "1100", "0011"],
-     {"branch_and_bound": 234, "exhaustive": 530}),
+     {"branch_and_bound": 16, "exhaustive": 530}),
     (identical_config(22), 35.47010574756578,
      ["0000", "0010", "1100", "0001", "0011", "0000", "0000", "1100"],
-     {"branch_and_bound": 325, "exhaustive": 737}),
+     {"branch_and_bound": 21, "exhaustive": 737}),
     (identical_config(23), 29.374977556781687,
      ["0011", "0000", "0000", "0000", "0110", "1100", "0000", "1000"],
-     {"branch_and_bound": 729, "exhaustive": 1216}),
+     {"branch_and_bound": 419, "exhaustive": 1216}),
 ]
 
 # the 14-request, 4-node fixed-capacity instance below, as solved by the
@@ -282,7 +368,7 @@ PINNED = [
 FIXED_14X4_OPTIMUM = 57.9053707857995
 FIXED_14X4_ROWS = ["0000", "1000", "0000", "0000", "0011", "1000", "1100",
                    "0000", "0110", "0000", "0000", "0001", "0001", "0110"]
-FIXED_14X4_NODES = 7765
+FIXED_14X4_NODES = 6004
 
 
 class TestRegressionPins:
@@ -312,11 +398,19 @@ class TestRegressionPins:
         assert placement_rows(result.solution) == FIXED_14X4_ROWS
         assert evaluate_solution(inst, result.solution).feasible
 
+    def test_16x4_seed_0_within_default_budget(self):
+        # the copy knapsack proves it in about 10,000 nodes; the four
+        # resource knapsacks alone ran out of the default budget
+        inst = generate(GeneratorConfig(request_count=16, mec_count=4, seed=0))
+        result = solve_exact(inst)
+        assert result.nodes == 10_258 <= DEFAULT_MAX_NODES
+        assert result.objective == pytest.approx(90.04841641694479, abs=1e-9)
+        assert result.objective == pytest.approx(milp_optimum(inst), rel=1e-9)
+
     def test_16x4_seed_1_equals_the_milp_referee(self):
-        # the largest generated instance the default mode finishes in about a second
         inst = generate(GeneratorConfig(request_count=16, mec_count=4, seed=1))
         result = solve_exact(inst)
-        assert result.nodes == 136_025
+        assert result.nodes == 57_889
         assert result.objective == pytest.approx(111.8212319974743, abs=1e-9)
         assert result.objective == pytest.approx(milp_optimum(inst), rel=1e-9)
 
@@ -337,24 +431,24 @@ def oracle_small_instances():
 
 
 # per oracle-small instance: the optimum, then the nodes each mode visits
-# (3,581 in all for branch_and_bound, 8,331 for exhaustive)
+# (693 in all for branch_and_bound, 8,331 for exhaustive)
 ORACLE_SMALL = [
-    (22.688634738107005, {"branch_and_bound": 357, "exhaustive": 882}),
-    (29.48398768382539, {"branch_and_bound": 94, "exhaustive": 330}),
-    (30.177603509248353, {"branch_and_bound": 467, "exhaustive": 1165}),
-    (30.177603509248353, {"branch_and_bound": 84, "exhaustive": 254}),
-    (22.85174562342294, {"branch_and_bound": 365, "exhaustive": 793}),
-    (29.80453360656479, {"branch_and_bound": 111, "exhaustive": 329}),
-    (34.93522057349436, {"branch_and_bound": 377, "exhaustive": 783}),
-    (28.95925779262344, {"branch_and_bound": 183, "exhaustive": 320}),
-    (29.777545077785305, {"branch_and_bound": 247, "exhaustive": 694}),
-    (29.777545077785305, {"branch_and_bound": 118, "exhaustive": 304}),
-    (27.841034741908533, {"branch_and_bound": 331, "exhaustive": 609}),
-    (27.841034741908533, {"branch_and_bound": 87, "exhaustive": 146}),
-    (28.442578547560085, {"branch_and_bound": 154, "exhaustive": 508}),
-    (28.442578547560085, {"branch_and_bound": 97, "exhaustive": 240}),
-    (28.752068569373954, {"branch_and_bound": 421, "exhaustive": 737}),
-    (35.035413298648095, {"branch_and_bound": 88, "exhaustive": 237}),
+    (22.688634738107005, {"branch_and_bound": 109, "exhaustive": 882}),
+    (29.48398768382539, {"branch_and_bound": 14, "exhaustive": 330}),
+    (30.177603509248353, {"branch_and_bound": 17, "exhaustive": 1165}),
+    (30.177603509248353, {"branch_and_bound": 14, "exhaustive": 254}),
+    (22.85174562342294, {"branch_and_bound": 143, "exhaustive": 793}),
+    (29.80453360656479, {"branch_and_bound": 14, "exhaustive": 329}),
+    (34.93522057349436, {"branch_and_bound": 18, "exhaustive": 783}),
+    (28.95925779262344, {"branch_and_bound": 104, "exhaustive": 320}),
+    (29.777545077785305, {"branch_and_bound": 37, "exhaustive": 694}),
+    (29.777545077785305, {"branch_and_bound": 14, "exhaustive": 304}),
+    (27.841034741908533, {"branch_and_bound": 17, "exhaustive": 609}),
+    (27.841034741908533, {"branch_and_bound": 14, "exhaustive": 146}),
+    (28.442578547560085, {"branch_and_bound": 45, "exhaustive": 508}),
+    (28.442578547560085, {"branch_and_bound": 14, "exhaustive": 240}),
+    (28.752068569373954, {"branch_and_bound": 95, "exhaustive": 737}),
+    (35.035413298648095, {"branch_and_bound": 24, "exhaustive": 237}),
 ]
 
 

@@ -1,6 +1,6 @@
 """In-process A/B timing of the package against another revision.
 
-    python tools/ab.py --base REV [--pairs N] WORKLOAD ...
+    python tools/ab.py --base REV [--pairs N] [--json PATH] WORKLOAD ...
 
 The base side is ``src/`` at REV, extracted with ``git archive``; the change
 side is the ``src/`` beside this script.  Both are imported into one
@@ -14,12 +14,20 @@ sides, alternating which goes first; a solve stops if the two LP
 objectives differ by more than 1e-9 relative.  It prints both sides'
 median time, the median base/change ratio with its quartiles, how many
 ops' fingerprints differ between the sides, and the pairs the change won.
+
+With ``--json PATH`` each workload also runs an A/A comparison, the base
+against a second import of itself, printed as a line of its own; PATH then
+receives the host, both revisions and, per workload, the figures of both
+lines.
 """
 
 import argparse
 import functools
 import importlib
 import io
+import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -101,10 +109,42 @@ def compare(sides, make, pairs, solve):
     return times, compared, differ
 
 
+def summarize(times, compared, differ):
+    """The figures of one comparison, from ``compare``'s results."""
+    ratios = [base / change for base, change in times]
+    low, _, high = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return {"base_ms": statistics.median(t[0] for t in times) * 1e3,
+            "change_ms": statistics.median(t[1] for t in times) * 1e3,
+            "ratio": statistics.median(ratios), "ratio_quartiles": [low, high],
+            "wins": sum(ratio > 1.0 for ratio in ratios), "pairs": len(ratios),
+            "ops": compared, "differ": differ}
+
+
+def report(name, s):
+    low, high = s["ratio_quartiles"]
+    return (f"{name}: base {s['base_ms']:.1f} ms, change {s['change_ms']:.1f} ms, "
+            f"ratio {s['ratio']:.3f}x (quartiles {low:.3f}-{high:.3f}), "
+            f"{s['differ']} of {s['ops']} op fingerprints differ, "
+            f"change faster in {s['wins']} of {s['pairs']}")
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def host():
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}, "
+            f"numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to time against")
     parser.add_argument("--pairs", type=int, default=11)
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also run an A/A per workload and write every figure to PATH")
     parser.add_argument("workloads", nargs="+", help="solve:RxMxS or " + ", ".join(WORKLOADS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -117,6 +157,8 @@ def main(argv=None):
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         sides = Side(Path(tmp) / "src"), Side(ROOT / "src")
+        twins = (sides[0], Side(Path(tmp) / "src")) if args.json else None
+        results = {}
         for name in args.workloads:
             kind, _, spec = name.partition(":")
             if kind == "solve":
@@ -125,15 +167,18 @@ def main(argv=None):
                 make = functools.partial(workload_op, WORKLOADS[name], tmp=tmp)
             else:
                 sys.exit(f"unknown workload {name!r}")
-            times, compared, differ = compare(sides, make, args.pairs, solve=kind == "solve")
-            ratios = [base / change for base, change in times]
-            low, _, high = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-            wins = sum(ratio > 1.0 for ratio in ratios)
-            print(f"{name}: base {statistics.median(t[0] for t in times) * 1e3:.1f} ms, "
-                  f"change {statistics.median(t[1] for t in times) * 1e3:.1f} ms, "
-                  f"ratio {statistics.median(ratios):.3f}x (quartiles {low:.3f}-{high:.3f}), "
-                  f"{differ} of {compared} op fingerprints differ, "
-                  f"change faster in {wins} of {len(ratios)}")
+            result = summarize(*compare(sides, make, args.pairs, solve=kind == "solve"))
+            print(report(name, result))
+            if twins:
+                result["aa"] = summarize(*compare(twins, make, args.pairs, solve=kind == "solve"))
+                print(report(f"{name} (A/A)", result["aa"]))
+            results[name] = result
+    if args.json:
+        modified = bool(git("status", "--porcelain", "--", "src"))
+        args.json.write_text(json.dumps(
+            {"host": host(), "base": git("rev-parse", f"{args.base}^{{commit}}"),
+             "change": git("rev-parse", "HEAD") + (" with src modified" if modified else ""),
+             "workloads": results}, indent=2) + "\n")
 
 
 if __name__ == "__main__":
