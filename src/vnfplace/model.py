@@ -13,7 +13,8 @@ copies on distinct nodes (clamped to at least 1).
 Solutions are binary placement matrices x (request by node) plus a served
 flag y per request.  ``evaluate_solution`` scores a binary solution against
 every placement constraint and reports reward, violations and wasted
-placements (copies of requests that are not served).
+placements (copies of requests that are not served); ``violations`` lists
+the broken constraints alone, for the solvers' own feasibility checks.
 """
 
 import functools
@@ -300,10 +301,9 @@ class SolutionMetrics:
     wasted_placements: list
 
 
-def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionMetrics:
-    """Score a binary solution: reward, feasibility, waste."""
-    x = np.asarray(sol.x)
-    y = np.asarray(sol.y)
+def check_integral(inst: ProblemInstance, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ``ValueError`` unless x is R x M and y has R entries, for the R
+    requests and M nodes of ``inst``, and both hold only 0 and 1."""
     if x.shape != (inst.n_requests, inst.n_mecs) or y.shape != (inst.n_requests,):
         raise ValueError(
             f"solution shape {x.shape}/{y.shape} does not match instance "
@@ -313,27 +313,39 @@ def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionM
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("integral solutions must be 0/1 valued")
 
+
+def violations(inst: ProblemInstance, x: np.ndarray, y: np.ndarray) -> list:
+    """The constraints that the 0/1 solution (x, y) breaks, as
+    ``SolutionMetrics.violated_constraints`` lists them: first each served
+    request short of its replica count, by request id, then each
+    (resource, node) whose load exceeds its capacity by more than the
+    absolute ``FEAS_EPS``, resource by resource and node by node, the load
+    summed as ``ProblemInstance.loads`` sums it.  An empty list means (x, y)
+    is feasible.  The arrays are not checked: ``evaluate_solution`` checks
+    its input before it calls this."""
     # each served request needs its replica count, on distinct nodes
     missing = inst.replica_vector() - x.sum(axis=1)
     short = np.flatnonzero((y == 1) & (missing > 0))
-    violations = [("redundancy", r, float(gap)) for r, gap in
-                  zip(short.tolist(), missing[short].tolist())]
+    found = [("redundancy", r, float(gap)) for r, gap in
+             zip(short.tolist(), missing[short].tolist())]
     # then each overloaded (resource, node), resource by resource
     loads, caps = inst.loads(x), inst.capacities
     for k, m in zip(*np.nonzero(loads > caps + FEAS_EPS)):
-        violations.append((RESOURCES[k], int(m), float(loads[k, m] - caps[k, m])))
+        found.append((RESOURCES[k], int(m), float(loads[k, m] - caps[k, m])))
+    return found
 
+
+def evaluate_solution(inst: ProblemInstance, sol: IntegralSolution) -> SolutionMetrics:
+    """Score a binary solution: reward, feasibility, waste."""
+    x, y = np.asarray(sol.x), np.asarray(sol.y)
+    check_integral(inst, x, y)
+    found = violations(inst, x, y)
     # copies of unserved requests, in row-major order
     rows, cols = np.nonzero((x != 0) & (y == 0)[:, None])
-    wasted = list(zip(rows.tolist(), cols.tolist()))
-    rewards = inst.reward_vector()
     return SolutionMetrics(
-        total_reward=float(rewards @ y),
-        served_count=int(y.sum()),
-        feasible=not violations,
-        violated_constraints=violations,
-        wasted_placements=wasted,
-    )
+        total_reward=float(inst.reward_vector() @ y), served_count=int(y.sum()),
+        feasible=not found, violated_constraints=found,
+        wasted_placements=list(zip(rows.tolist(), cols.tolist())))
 
 
 # ---------------------------------------------------------------------------

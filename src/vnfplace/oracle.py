@@ -20,33 +20,36 @@ That sum is compared with the residual plus 1e-9 times the larger of 1 and
 the residual, so rounding never counts fewer copies than a sequence of the
 search's fit tests, each with its 1e-12 floor, can place; counting more
 only weakens the bound.  At depth k each knapsack walks only the items of
-requests k and later (a depth's slice of the density order, and of the
-running sums, is built at its first bound), and the walk stops at the first
-knapsack whose value prunes: float addition is monotone, so that is the
-decision the smallest value would make.  Which requests count and the summed
+requests k and later, and the walk stops at the first knapsack whose value
+prunes: float addition is monotone, so that is the decision the smallest
+value would make.  Every depth's slice of the density order, and of the
+running sums, is built once, before the search: the first dive takes a
+bound at every depth unless no remaining request fits, since the incumbent
+is 0 until the first leaf, so building them lazily saved nothing and cost
+a test per bound.  The tables are the same either way, hence so are the
+bound values and every pruning decision.  Which requests count and the summed
 rooms depend on the residual alone, so the drop branch, which searches the
 same residual one level deeper, takes them from its parent; the copy room
 is computed at depth k, after the four others, only when none of them
 prunes.  The incumbent changes only on a gain above 1e-9, and the bound
 prunes only subtrees that hold no such gain, so the tighter bound leaves
 the sequence of incumbents, hence the optimum and the placement, as the
-exhaustive search finds them.  Residuals are per-node tuples of floats, and
-no numpy call runs per search node.  Both modes respect a node budget and
-raise ``OracleLimitError`` carrying the best incumbent and an upper bound
-when it runs out (in the default mode the least of the reward sum, the LP
-optimum and the bound at the root); its message states both and the nodes
-explored.
+exhaustive search finds them.  Residuals are per-node tuples of floats, the
+search is set up on Python lists, and no numpy call runs per search node;
+the answer is checked with ``model.violations``.  Both modes respect a node
+budget and raise ``OracleLimitError`` carrying the best incumbent and an
+upper bound when it runs out (in the default mode the least of the reward
+sum, the LP optimum and the bound at the root); its message states both and
+the nodes explored.
 """
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from .lp import build_relaxed_program, simplex_solve
 from .model import (InfeasibleSolutionError, IntegralSolution, ProblemInstance, VnfplaceError,
-                    evaluate_solution)
+                    violations)
 
 _PRUNE_EPS = 1e-9
 _positive = (0.0).__lt__       # c > 0.0, as a predicate filter() calls without a Python frame
@@ -81,25 +84,35 @@ class _KnapsackBound:
     (requests in search order): the least of five fractional knapsacks, one
     per resource and one over copies (``copy_room``), as scalar loops over
     the residual tuples and over (request, weight, reward) items sorted once
-    by density and sliced by depth.  Each value is at least the reward any
-    completion of the residual earns, so a subtree it prunes holds no
-    incumbent the search would take, and the answer stays that of the
-    exhaustive search."""
+    by density.  The constructor builds every depth's tables: each
+    knapsack's items of requests k and later, and per resource the running
+    sums of their demands, smallest first.  It takes Python lists in search
+    order (rewards, demands as one list per resource, psi), or the same as
+    numpy arrays.  Each value is at least the reward any completion of the
+    residual earns, so a subtree it prunes holds no incumbent the search
+    would take, and the answer stays that of the exhaustive search."""
 
     def __init__(self, rewards, demand, psi):
-        weights = (psi * demand).tolist() + [psi.tolist()]
-        items = [sorted(zip(range(psi.size), w, rewards.tolist()), key=lambda t: -t[2] / t[1])
+        if not isinstance(psi, list):       # numpy arrays, as the tests pass them
+            rewards, demand, psi = rewards.tolist(), demand.tolist(), psi.tolist()
+        weights = [[p * d for p, d in zip(psi, row)] for row in demand] + [psi]
+        items = [sorted(zip(range(len(psi)), w, rewards), key=lambda t: -t[2] / t[1])
                  for w in weights]
-        # layers[k][j]: knapsack j's items of requests k and later, in density
-        # order; built at the first bound taken at depth k, from depth k - 1's
-        # when that one is built
-        self.layers = [items] + [None] * (psi.size - 1)
+        # layers[k][j]: knapsack j's items of requests k and later, in density order
+        self.layers = [items]
+        for k in range(1, len(psi)):
+            self.layers.append([[t for t in knapsack if t[0] >= k]
+                                for knapsack in self.layers[-1]])
         # per request: the residual a copy needs, up to float dust, and psi
-        self.floors_psi = list(zip((demand - 1e-12).T.tolist(), psi.tolist()))
-        self.demand = demand.tolist()
+        self.floors_psi = list(zip(zip(*[[d - 1e-12 for d in row] for row in demand]), psi))
         # sums[k][j]: running sums of resource j's demands of requests k and
-        # later, smallest first; built at the first copy room taken at depth k
-        self.sums = [None] * psi.size
+        # later, smallest first, from one sorted list per resource that each
+        # request joins, deepest first
+        ranked, self.sums = [[] for _ in demand], [None] * len(psi)
+        for k in reversed(range(len(psi))):
+            for column, row in zip(ranked, demand):
+                insort(column, row[k])
+            self.sums[k] = [list(itertools.accumulate(column)) for column in ranked]
 
     def fitting(self, k, residual):
         """The nodes request k fits on, in index order."""
@@ -129,10 +142,7 @@ class _KnapsackBound:
         1e-12 floor and the rounding of both sums at any scale, so the count
         is never below what the search can place; above it, it only weakens
         the bound."""
-        sums = self.sums[k]
-        if sums is None:
-            sums = self.sums[k] = [list(itertools.accumulate(sorted(d[k:]))) for d in self.demand]
-        s0, s1, s2, s3 = sums
+        s0, s1, s2, s3 = self.sums[k]
         room = 0
         for c0, c1, c2, c3 in residual:
             room += min(bisect_right(s0, c0 + (1e-9 * c0 if c0 > 1.0 else 1e-9)),
@@ -152,12 +162,8 @@ class _KnapsackBound:
         value does.
         """
         eligible, rooms = scanned or self.scan(k, residual)
-        layer = self.layers[k]
-        if layer is None:
-            above = self.layers[k - 1] or self.layers[0]
-            layer = self.layers[k] = [[t for t in items if t[0] >= k] for items in above]
         values = []
-        for j, items in enumerate(layer):
+        for j, items in enumerate(self.layers[k]):
             room = rooms[j] if j < 4 else self.copy_room(k, residual)
             used = value = 0.0
             for i, w, v in items:
@@ -181,27 +187,30 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
     R, M = inst.n_requests, inst.n_mecs
-    rewards = inst.reward_vector()
+    rewards = inst.reward_vector().tolist()
     order = sorted(range(R), key=lambda r: (-rewards[r], r))
-    gain = rewards[order].tolist()                                  # reward at depth k
-    suffix = np.append(np.cumsum(rewards[order][::-1])[::-1], 0.0).tolist()  # from k on
+    gain = [rewards[r] for r in order]                      # reward at depth k
+    # reward from depth k on, summed from the last request back
+    suffix = list(itertools.accumulate(reversed(gain)))[::-1] + [0.0]
 
-    # column k of each (resource, request) array describes request order[k]
-    demand = inst.demands[:, order]
-    psi = inst.replica_vector()[order]
-    bound = _KnapsackBound(rewards[order], demand, psi)
-    cost = demand.T.tolist()
-    copies = psi.tolist()
+    # item k of each list describes request order[k]
+    demand = [[row[r] for r in order] for row in inst.demands.tolist()]
+    replicas = inst.replica_vector().tolist()
+    copies = [replicas[r] for r in order]
+    bound = _KnapsackBound(gain, demand, copies)
+    cost = list(zip(*demand))
 
     best_val, best_assign, assign, nodes = 0.0, [None] * R, [None] * R, 0
     use_bound = mode == "branch_and_bound"
 
     def build_solution(assignment):
-        sol = IntegralSolution.empty(inst)
+        sol, rows, cols = IntegralSolution.empty(inst), [], []
         for r, combo in enumerate(assignment):
             if combo is not None:
-                sol.y[r] = 1
-                sol.x[r, list(combo)] = 1
+                rows += [r] * len(combo)
+                cols += combo
+        sol.x[rows, cols] = 1
+        sol.y[rows] = 1
         return sol
 
     def dfs(k, residual, current, scanned=None):
@@ -253,7 +262,6 @@ def solve_exact(inst: ProblemInstance, max_nodes: int = DEFAULT_MAX_NODES,
     if R:
         dfs(0, capacities, 0.0)
     solution = build_solution(best_assign)
-    metrics = evaluate_solution(inst, solution)
-    if not metrics.feasible:
+    if violations(inst, solution.x, solution.y):
         raise InfeasibleSolutionError("oracle produced an infeasible solution")
     return ExactResult(solution=solution, objective=best_val, nodes=nodes)

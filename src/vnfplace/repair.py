@@ -14,7 +14,7 @@ serves a request the input did not serve.
 import numpy as np
 
 from .model import (FEAS_EPS, InfeasibleSolutionError, IntegralSolution, ProblemInstance,
-                    evaluate_solution)
+                    check_integral, violations)
 
 
 def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolution:
@@ -23,10 +23,9 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
     Every copy of a surviving request is kept, including copies beyond its
     replica count: only whole requests are evicted.
     """
-    x = np.asarray(sol.x, dtype=np.int8).copy()
-    y = np.asarray(sol.y, dtype=np.int8).copy()
-    if x.shape != (inst.n_requests, inst.n_mecs) or y.shape != (inst.n_requests,):
-        raise ValueError("solution shape does not match instance")
+    x, y = np.asarray(sol.x), np.asarray(sol.y)
+    check_integral(inst, x, y)
+    x, y = x.astype(np.int8), y.astype(np.int8)
 
     x[y == 0] = 0  # wasted placements cost capacity and earn nothing
     rewards, demand, cap = inst.reward_vector(), inst.demands, inst.capacities
@@ -42,11 +41,10 @@ def greedy_repair(inst: ProblemInstance, sol: IntegralSolution) -> IntegralSolut
             x[r] = 0
             y[r] = 0
 
-    repaired = IntegralSolution(x=x, y=y)
-    metrics = evaluate_solution(inst, repaired)
-    if not metrics.feasible:
-        raise InfeasibleSolutionError(f"repair left violations: {metrics.violated_constraints}")
-    return repaired
+    found = violations(inst, x, y)
+    if found:
+        raise InfeasibleSolutionError(f"repair left violations: {found}")
+    return IntegralSolution(x=x, y=y)
 
 
 def pack(inst: ProblemInstance) -> IntegralSolution:

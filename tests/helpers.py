@@ -1,6 +1,5 @@
 """Compact builders shared across test modules."""
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -50,10 +49,12 @@ def slack_caps(n, value=1000.0):
 
 
 def force_infeasible(monkeypatch, module):
-    """Make ``module``'s post-condition check see every solution as infeasible."""
-    real = module.evaluate_solution
-    monkeypatch.setattr(module, "evaluate_solution",
-                        lambda inst, sol: dataclasses.replace(real(inst, sol), feasible=False))
+    """Make ``module``'s post-condition check see every solution as
+    infeasible: its ``violations`` reports one violation beyond the real
+    ones."""
+    real = module.violations
+    monkeypatch.setattr(module, "violations",
+                        lambda inst, x, y: [*real(inst, x, y), ("cpu", 0, 1.0)])
 
 
 def bench_tracer():

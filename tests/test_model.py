@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ from vnfplace.gen import GeneratorConfig, generate
 from vnfplace.lp import build_relaxed_program, solve_lp
 from vnfplace.repair import greedy_repair
 from vnfplace.rounding import randomized_round
-from vnfplace.model import (RESOURCES, FailureModel, FractionalSolution, IntegralSolution,
-                            InvalidModelError, MecNode, ProblemInstance,
+from vnfplace.model import (FEAS_EPS, RESOURCES, FailureModel, FractionalSolution,
+                            IntegralSolution, InvalidModelError, MecNode, ProblemInstance,
                             ServiceRequest, evaluate_solution, instance_from_dict,
                             instance_to_dict, load_instance, load_solution,
                             required_replicas, save_instance, save_solution,
                             service_failure_prob, solution_from_dict, solution_to_dict)
+from vnfplace.model import violations as model_violations
 
 
 class TestFailureModel:
@@ -322,10 +324,26 @@ class TestEvaluateSolution:
         got = evaluate_solution(inst, IntegralSolution(x=x, y=y))
         violations, wasted, served, reward = reference_metrics(inst, x.tolist(), y.tolist())
         assert got.violated_constraints == violations
+        assert model_violations(inst, x, y) == violations
         assert got.wasted_placements == wasted
         assert got.served_count == served
         assert got.total_reward == reward
         assert got.feasible == (not violations)
+
+    # FEAS_EPS is absolute: at a capacity of 1e9 it is below half an ulp, so
+    # a load one ulp above the capacity already violates it
+    @pytest.mark.parametrize("cap", [1.0, 1e9])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_violations_allow_an_absolute_feas_eps(self, cap, above):
+        load = cap + FEAS_EPS
+        if above:
+            load = math.nextafter(load, math.inf)
+        inst = make_instance([{"c": cap}], [{"c": load, "eps": 0.5}])
+        x, y = np.ones((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8)
+        want = [("cpu", 0, load - cap)] if above else []
+        assert model_violations(inst, x, y) == want
+        assert reference_metrics(inst, x.tolist(), y.tolist())[0] == want
+        assert evaluate_solution(inst, IntegralSolution(x=x, y=y)).violated_constraints == want
 
 
 class TestSerialization:

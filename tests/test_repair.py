@@ -72,6 +72,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             greedy_repair(inst, sol([[1]], [1]))
 
+    @pytest.mark.parametrize("x, y", [([[2]], [1]), ([[-1]], [1]), ([[1]], [2])])
+    def test_entry_other_than_0_or_1_rejected(self, x, y):
+        inst = make_instance(caps=slack_caps(1), reqs=[{"eps": 0.5}])
+        with pytest.raises(ValueError, match="0/1"):
+            greedy_repair(inst, sol(x, y))
+
+    @pytest.mark.parametrize("x, y", [([[0.5]], [1]), ([[1.0]], [0.5]), ([[2], [0]], [0, 1])])
+    def test_input_is_checked_before_it_is_cast(self, x, y):
+        # a fraction would become 0 in int8, and a copy of an unserved
+        # request would be cleared: both are rejected as given
+        inst = make_instance(caps=slack_caps(1), reqs=[{"eps": 0.5}] * len(y))
+        with pytest.raises(ValueError, match="0/1"):
+            greedy_repair(inst, IntegralSolution(x=np.array(x), y=np.array(y)))
+
 
 class TestTrimming:
     def test_default_keeps_extra_copies(self):

@@ -13,7 +13,9 @@ workload seed 0 and timed a whole round at a time.  Each pair runs both
 sides, alternating which goes first; a solve stops if the two LP
 objectives differ by more than 1e-9 relative.  It prints both sides'
 median time, the median base/change ratio with its quartiles, how many
-ops' fingerprints differ between the sides, and the pairs the change won.
+ops' fingerprints differ between the sides, and the pairs the change won;
+for perfbench's workloads it also prints each side's median op time over
+every op of every pair: perfbench's per-op p50, in plain milliseconds.
 
 With ``--json PATH`` each workload also runs an A/A comparison, the base
 against a second import of itself, printed as a line of its own; PATH then
@@ -71,58 +73,81 @@ class Side:
 
 
 def solve_op(vp, spec):
-    """The op returns a one-item list: the LP objective."""
+    """The op returns a one-item list, the LP objective, and no op times."""
     R, M, S = (int(part) for part in spec.split("x"))
     inst = vp.generate(vp.GeneratorConfig(request_count=R, mec_count=M, seed=S))
     lp = vp.build_relaxed_program(inst)
-    return lambda: [vp.simplex_solve(lp).objective]
+    return lambda: ([vp.simplex_solve(lp).objective], [])
 
 
 def workload_op(cls, vp, tmp):
     """The op runs one round of the workload, its output in a directory of
-    its own under tmp, and returns each op's fingerprint."""
+    its own under tmp, and returns each op's fingerprint and seconds."""
     wl = cls(vp, np, 0, Path(tempfile.mkdtemp(dir=tmp)))
-    return lambda: [wl.fingerprint(wl.run(op)) for op in wl.round]
+
+    def round_():
+        prints, seconds = [], []
+        for op in wl.round:
+            start = time.perf_counter()
+            out = wl.run(op)
+            seconds.append(time.perf_counter() - start)
+            prints.append(wl.fingerprint(out))
+        return prints, seconds
+
+    return round_
 
 
 def compare(sides, make, pairs, solve):
     """Per pair: (base seconds, change seconds); then, over all pairs, the
-    ops compared and those whose fingerprints differ between the sides."""
+    ops compared, those whose fingerprints differ between the sides, and
+    each side's op times."""
     ops = [make(side.activate()) for side in sides]
 
     def timed(i):
         sides[i].activate()
         start = time.perf_counter()
-        prints = ops[i]()
-        return time.perf_counter() - start, prints
+        prints, seconds = ops[i]()
+        return time.perf_counter() - start, prints, seconds
 
     timed(0), timed(1)     # warm-up
-    times, compared, differ = [], 0, 0
+    times, compared, differ, op_times = [], 0, 0, ([], [])
     for pair in range(pairs):
         got = {i: timed(i) for i in ((0, 1) if pair % 2 == 0 else (1, 0))}
-        (base, a), (change, b) = got[0], got[1]
+        (base, a, base_ops), (change, b, change_ops) = got[0], got[1]
         if solve and abs(a[0] - b[0]) > 1e-9 * max(1.0, abs(a[0])):
             sys.exit(f"objectives differ: base {a[0]!r}, change {b[0]!r}")
         compared += len(a)
         differ += sum(x != y for x, y in zip(a, b))
         times.append((base, change))
-    return times, compared, differ
+        op_times[0].extend(base_ops)
+        op_times[1].extend(change_ops)
+    return times, compared, differ, op_times
 
 
-def summarize(times, compared, differ):
-    """The figures of one comparison, from ``compare``'s results."""
+def summarize(times, compared, differ, op_times):
+    """The figures of one comparison, from ``compare``'s results; each
+    side's median op time only where the ops were timed one by one."""
     ratios = [base / change for base, change in times]
     low, _, high = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    return {"base_ms": statistics.median(t[0] for t in times) * 1e3,
-            "change_ms": statistics.median(t[1] for t in times) * 1e3,
-            "ratio": statistics.median(ratios), "ratio_quartiles": [low, high],
-            "wins": sum(ratio > 1.0 for ratio in ratios), "pairs": len(ratios),
-            "ops": compared, "differ": differ}
+    figures = {"base_ms": statistics.median(t[0] for t in times) * 1e3,
+               "change_ms": statistics.median(t[1] for t in times) * 1e3,
+               "ratio": statistics.median(ratios), "ratio_quartiles": [low, high],
+               "wins": sum(ratio > 1.0 for ratio in ratios), "pairs": len(ratios),
+               "ops": compared, "differ": differ}
+    if op_times[0]:
+        figures["base_op_p50_ms"], figures["change_op_p50_ms"] = (
+            statistics.median(seconds) * 1e3 for seconds in op_times)
+    return figures
 
 
 def report(name, s):
     low, high = s["ratio_quartiles"]
-    return (f"{name}: base {s['base_ms']:.1f} ms, change {s['change_ms']:.1f} ms, "
+
+    def side(key):
+        p50 = s.get(key + "_op_p50_ms")
+        return f"{key} {s[key + '_ms']:.1f} ms" + (f" (op p50 {p50:.3f} ms)" if p50 else "")
+
+    return (f"{name}: {side('base')}, {side('change')}, "
             f"ratio {s['ratio']:.3f}x (quartiles {low:.3f}-{high:.3f}), "
             f"{s['differ']} of {s['ops']} op fingerprints differ, "
             f"change faster in {s['wins']} of {s['pairs']}")
